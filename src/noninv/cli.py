@@ -37,6 +37,8 @@ _WORD_FORCED_LIMIT = 10 ** 6
 _BINARY_LIMIT = 16
 _BINARY_FORCED_LIMIT = 24
 _TREE_LIMIT = 10 ** 6
+_SAMPLE_N_LIMIT = 10 ** 5
+_SAMPLE_COUNT_LIMIT = 10 ** 6
 
 
 def frac_str(x: Fraction) -> str:
@@ -69,6 +71,13 @@ def _guard(n: int, limit: int, what: str, force: bool, forced_limit: int) -> int
     if n > forced_limit:
         raise CLIError(f"{what} {n} exceeds the hard limit {forced_limit}")
     return forced_limit
+
+
+def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
+    if value < lo:
+        raise CLIError(f"{flag} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise CLIError(f"{flag} {value} exceeds the hard limit {hi}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +509,8 @@ def cmd_search(args) -> tuple[dict, int]:
 
 
 def cmd_sample(args) -> tuple[dict, int]:
+    _bounded(args.n, "--n", 1, _SAMPLE_N_LIMIT)
+    _bounded(args.samples, "--count", 1, _SAMPLE_COUNT_LIMIT)
     mean, stddev = solitaire.monte_carlo_bulgarian(args.n, args.samples,
                                                    rng_seed=args.seed)
     payload = {
@@ -515,6 +526,7 @@ def cmd_sample(args) -> tuple[dict, int]:
 
 
 def cmd_series(args) -> tuple[dict, int]:
+    _bounded(args.n, "--n", 0)
     coeffs = solitaire.eta_series(args.n)
     payload = {
         "command": "series",

@@ -12,8 +12,10 @@ with first part c_1 and ell parts has exactly binom(c_1, ell-1) preimages,
 which makes the degree on Comp(n) equal to eta_n / 2^(n-1), where eta_n is
 the coefficient series of (1 - x)/sqrt(1 - 4x + 4x^2 - 4x^3 + 4x^4).
 
-Uniform random partitions come from exact unranking against a table of
-counts, so sampled statistics carry no distributional bias.
+Uniform random partitions come from Nijenhuis and Wilf's RANPAR, which
+draws with exact integer weights from the partition numbers p(0..n) and the
+divisor sums sigma(1..n) alone, so sampled statistics carry no
+distributional bias and memory stays linear in n.
 """
 
 from __future__ import annotations
@@ -162,41 +164,75 @@ def max_preimage_bound(n: int) -> int:
 
 
 class PartitionSampler:
-    """Exact uniform sampler over Part(n).
+    """Exact uniform sampler over Part(n): Nijenhuis and Wilf's RANPAR.
 
-    Builds the table counts[m][j] = number of partitions of m with all parts
-    <= j, then walks it: at state (m, j) the sample either caps the next part
-    at j - 1 or emits a part equal to j, with exact integer probabilities.
+    Keeps only p(0..n) and sigma(1..n), the partition numbers and divisor
+    sums, so memory is O(n) big integers.  The identity
+    m p(m) = sum_k sigma(k) p(m - k) splits the partitions of m, each counted
+    m times, into pairs (d, j) with j d <= m and weight d p(m - j d).  One
+    step draws k = j d with weight sigma(k) p(m - k), then a divisor d of k
+    with weight d, emits j = k / d parts equal to d and continues with
+    m - k.  Every partition of n comes out with probability exactly 1/p(n).
+    The scans for k run n iterations per draw in total, and the scans for d
+    at most n more.
+
+    The tables are kept as the lists ``p`` (p[m] for 0 <= m <= n) and
+    ``sigma`` (sigma[k] for 1 <= k <= n, with sigma[0] = 0).
     """
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
         self.n = n
-        counts = [[0] * (n + 1) for _ in range(n + 1)]
-        counts[0] = [1] * (n + 1)
+        # generalized pentagonal numbers k(3k -+ 1)/2 with Euler's sign
+        pentagonal = []
+        k = 1
+        while k * (3 * k - 1) // 2 <= n:
+            sign = 1 if k % 2 else -1
+            pentagonal.append((k * (3 * k - 1) // 2, sign))
+            pentagonal.append((k * (3 * k + 1) // 2, sign))
+            k += 1
+        p = [1] + [0] * n
         for m in range(1, n + 1):
-            row = counts[m]
-            for j in range(1, n + 1):
-                row[j] = row[j - 1] + (counts[m - j][j] if m >= j else 0)
-        self._counts = counts
+            t = 0
+            for off, sign in pentagonal:
+                if off > m:
+                    break
+                if sign > 0:
+                    t += p[m - off]
+                else:
+                    t -= p[m - off]
+            p[m] = t
+        sigma = [0] * (n + 1)
+        for d in range(1, n + 1):
+            for multiple in range(d, n + 1, d):
+                sigma[multiple] += d
+        self.p = p
+        self.sigma = sigma
 
     @property
     def total(self) -> int:
-        return self._counts[self.n][self.n]
+        return self.p[self.n]
 
     def sample(self, rng: random.Random) -> Partition:
+        p, sigma = self.p, self.sigma
         parts = []
-        m = j = self.n
+        m = self.n
         while m > 0:
-            r = rng.randrange(self._counts[m][j])
-            if r < self._counts[m][j - 1]:
-                j -= 1
-            else:
-                parts.append(j)
-                m -= j
-                if j > m:
-                    j = m if m else 1
+            r = rng.randrange(m * p[m])
+            k = 0
+            while r >= 0:
+                k += 1
+                r -= sigma[k] * p[m - k]
+            r = rng.randrange(sigma[k])
+            d = 0
+            while r >= 0:
+                d += 1
+                if k % d == 0:
+                    r -= d
+            parts.extend([d] * (k // d))
+            m -= k
+        parts.sort(reverse=True)
         return tuple(parts)
 
 

@@ -1,10 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from noninv import cli
+from noninv import cli, solitaire
 
 
 def run(capsys, *argv):
@@ -156,6 +160,65 @@ def test_sample_shape_and_determinism(capsys):
                       "stddev"}
     assert a["n"] == 60 and a["samples"] == 50 and a["seed"] == 9
     assert 1.0 <= float(a["mean"]) <= 6.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the argument check")
+
+
+@pytest.mark.parametrize("argv, want", [
+    (("sample", "bulgarian", "--n", "0"), 2),
+    (("sample", "bulgarian", "--n", "-5"), 2),
+    (("sample", "bulgarian", "--count", "0"), 2),
+    (("sample", "bulgarian", "--count", "-3"), 2),
+    (("sample", "bulgarian", "--n", "100001"), 2),
+    (("sample", "bulgarian", "--count", "1000001"), 2),
+    (("series", "eta", "--n", "-1"), 2),
+    (("sample", "bulgarian", "--n", "1", "--count", "1"), 0),
+    (("sample", "bulgarian", "--n", "100000", "--count", "1000000"), 0),
+    (("series", "eta", "--n", "0"), 0),
+])
+def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
+    # refused input must exit 2 before the sampler or the series starts;
+    # the largest accepted sizes are checked against a stub, not run
+    if want == 2:
+        monkeypatch.setattr(solitaire, "monte_carlo_bulgarian", _refuse)
+        monkeypatch.setattr(solitaire, "eta_series", _refuse)
+    elif "100000" in argv:
+        monkeypatch.setattr(solitaire, "monte_carlo_bulgarian",
+                            lambda n, samples, rng_seed: (0.0, 0.0))
+    code, _ = run(capsys, *argv, "--no-timestamp")
+    assert code == want
+
+
+# Measures its one child with os.wait4.  A child started straight from the
+# test process would report at least the test process's own peak RSS, which
+# ru_maxrss carries across fork and exec.
+_RSS_LAUNCHER = """\
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+sys.stderr.write(f"{proc.returncode} {usage.ru_maxrss}\\n")
+"""
+
+
+def test_sample_peak_rss_is_linear():
+    # the quadratic count table peaked at 541 MB for this command
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m",
+         "noninv.cli", "sample", "bulgarian", "--n", "3000", "--count", "10"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, maxrss_kib = map(int, done.stderr.split())
+    assert code == 0
+    assert json.loads(done.stdout)["n"] == 3000
+    peak_mb = maxrss_kib * 1024 / 1e6
+    assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_series_eta_prefix(capsys):

@@ -152,6 +152,92 @@ def test_sampler_output_valid():
         assert all(a >= b for a, b in zip(lam, lam[1:]))
 
 
+def _ranpar_law(sampler, m, memo):
+    """Exact output law of the sampler on m units, built from its step
+    weights: k with weight sigma(k) p(m-k), then a divisor d of k with
+    weight d, then the law on m - k units."""
+    if m not in memo:
+        p, sigma = sampler.p, sampler.sigma
+        law = Counter()
+        if m == 0:
+            law[()] = Fraction(1)
+        for k in range(1, m + 1):
+            pick_k = Fraction(sigma[k] * p[m - k], m * p[m])
+            for d in range(1, k + 1):
+                if k % d:
+                    continue
+                step = pick_k * Fraction(d, sigma[k])
+                assert step == Fraction(d * p[m - k], m * p[m])
+                for rest, q in _ranpar_law(sampler, m - k, memo).items():
+                    lam = tuple(sorted(rest + (d,) * (k // d), reverse=True))
+                    law[lam] += step * q
+        memo[m] = law
+    return memo[m]
+
+
+def test_sampler_exact_law_is_uniform():
+    sampler = PartitionSampler(12)
+    memo = {}
+    for n in range(1, 13):
+        law = _ranpar_law(sampler, n, memo)
+        assert sum(law.values()) == 1
+        assert dict(law) == {lam: Fraction(1, sampler.p[n])
+                             for lam in partitions_desc(n)}
+
+
+class _ReplayRng:
+    """Replays a prefix of randrange outcomes, then answers 0; records every
+    (bound, outcome) pair it handed out."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.calls = []
+
+    def randrange(self, bound):
+        i = len(self.calls)
+        value = self.prefix[i] if i < len(self.prefix) else 0
+        self.calls.append((bound, value))
+        return value
+
+
+def _every_leaf(sampler):
+    """Run sampler.sample once per leaf of its tree of randrange outcomes,
+    advancing the recorded outcomes like an odometer."""
+    prefix = []
+    while True:
+        rng = _ReplayRng(prefix)
+        lam = sampler.sample(rng)
+        weight = Fraction(1)
+        for bound, _ in rng.calls:
+            weight /= bound
+        yield lam, weight
+        calls = rng.calls
+        while calls and calls[-1][1] + 1 == calls[-1][0]:
+            calls.pop()
+        if not calls:
+            return
+        prefix = [v for _, v in calls[:-1]] + [calls[-1][1] + 1]
+
+
+def test_sampler_every_rng_outcome_is_uniform():
+    for n in range(1, 7):
+        sampler = PartitionSampler(n)
+        mass = Counter()
+        leaves = 0
+        for lam, weight in _every_leaf(sampler):
+            mass[lam] += weight
+            leaves += 1
+        assert dict(mass) == {lam: Fraction(1, sampler.total)
+                              for lam in partitions_desc(n)}
+    assert leaves == 45060  # at n = 6
+
+
+def test_sampler_total_is_partition_count():
+    for n in range(1, 31):
+        assert PartitionSampler(n).total == len(list(partitions_desc(n)))
+    assert PartitionSampler(1000).total == 24061467864032622473692149727991
+
+
 def test_random_partition_deterministic():
     assert random_partition(1, 5) == (1,)
     assert random_partition(30, 12) == random_partition(30, 12)

@@ -11,9 +11,9 @@ enumeration over the explicit transition table.
 """
 
 from .endo import (EndoMap, FiberHistogram, are_pseudoconjugate,
-                   collision_entropy, compose, degree, degree_bounds,
-                   fiber_histogram, is_bijection, is_constant, iterate,
-                   pair_collision_count)
+                   collision_entropy, collisions, compose, degree,
+                   degree_bounds, fiber_histogram, fiber_sizes, is_bijection,
+                   is_constant, iterate, pair_collision_count)
 from .bubble import (bubble_degree_formula, bubble_endomap, bubble_moment,
                      bubble_preimage_count, bubble_sort, word_bubble_endomap,
                      word_degree_formula)
@@ -34,8 +34,8 @@ from .extremal import (build_tree_map, check_theorem3_bound, check_theorem7,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EndoMap", "FiberHistogram", "degree", "fiber_histogram",
-    "pair_collision_count", "degree_bounds", "compose", "iterate",
+    "EndoMap", "FiberHistogram", "degree", "fiber_histogram", "fiber_sizes",
+    "collisions", "pair_collision_count", "degree_bounds", "compose", "iterate",
     "is_bijection", "is_constant", "are_pseudoconjugate", "collision_entropy",
     "bubble_sort", "bubble_endomap", "bubble_degree_formula",
     "bubble_preimage_count", "bubble_moment", "word_bubble_endomap",

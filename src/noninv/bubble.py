@@ -122,11 +122,7 @@ def check_content(a) -> tuple[int, ...]:
 
 
 def multinomial(a) -> int:
-    a = check_content(a)
-    result = factorial(sum(a))
-    for x in a:
-        result //= factorial(x)
-    return result
+    return _multinomial_raw(check_content(a))
 
 
 def words_of_content(a):
@@ -157,6 +153,9 @@ class WordDomain(DomainCodec):
         self.size = multinomial(self.content)
         self._objs: list[tuple[int, ...]] | None = None
         self._idx: dict[tuple[int, ...], int] | None = None
+
+    def _key(self) -> tuple[int, ...]:
+        return self.content
 
     def _materialize(self) -> None:
         self._objs = list(_words(list(self.content), sum(self.content)))
@@ -214,6 +213,7 @@ class WordDomain(DomainCodec):
 
 
 def _multinomial_raw(counts) -> int:
+    """(sum counts)! / prod counts_i!; zero counts allowed."""
     result = factorial(sum(counts))
     for x in counts:
         result //= factorial(x)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import bubble, extremal, hecke, nibble, solitaire, stacksort
-from .endo import (EndoMap, FiberHistogram, degree, is_bijection, is_constant,
-                   iterate)
+from .endo import (EndoMap, FiberHistogram, degree, fiber_sizes, is_bijection,
+                   is_constant, iterate)
 from .perms import permutation_domain, reverse_complement
 
 _PERM_LIMIT = 8
@@ -39,6 +39,8 @@ _BINARY_FORCED_LIMIT = 24
 _TREE_LIMIT = 10 ** 6
 _SAMPLE_N_LIMIT = 10 ** 5
 _SAMPLE_COUNT_LIMIT = 10 ** 6
+# eta_series grows about cubically: --n 2000 took 22 s on 2 cores
+_SERIES_N_LIMIT = 2000
 
 
 def frac_str(x: Fraction) -> str:
@@ -80,6 +82,14 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
         raise CLIError(f"{flag} {value} exceeds the hard limit {hi}")
 
 
+def _size(value: int | None, default: int, flag: str, lo: int = 1) -> int:
+    """A size flag of a verify suite: the default when absent, else >= lo."""
+    if value is None:
+        return default
+    _bounded(value, flag, lo)
+    return value
+
+
 # ---------------------------------------------------------------------------
 # degree subcommand
 
@@ -98,17 +108,25 @@ def _degree_payload(f: EndoMap, exact: Fraction) -> dict:
 def cmd_degree(args) -> tuple[dict, int]:
     system = args.system
     payload: dict = {"command": "degree", "system": system}
+    if system not in ("word_bubble", "tree"):
+        _bounded(args.n, "--n", 1)
     if system in ("bubble", "bubble_iter"):
         k = args.k if system == "bubble_iter" else 1
-        if k < 1:
-            raise CLIError("--k must be >= 1")
+        if k is None:
+            raise CLIError("degree bubble_iter requires --k")
+        _bounded(k, "--k", 1)
         _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
         f = iterate(bubble.bubble_endomap(args.n), k)
         payload["n"] = args.n
         payload["k"] = k
         payload.update(_degree_payload(f, bubble.bubble_degree_formula(args.n, k)))
     elif system == "word_bubble":
-        content = _parse_ints(args.content, "--content")
+        try:
+            content = bubble.check_content(_parse_ints(args.content, "--content"))
+        except ValueError as exc:
+            raise CLIError(str(exc))
+        if len(content) < 2:
+            raise CLIError("--content needs at least two letters")
         size = bubble.multinomial(content)
         _guard(size, _WORD_LIMIT, "word count", args.force, _WORD_FORCED_LIMIT)
         f = bubble.word_bubble_endomap(content)
@@ -166,7 +184,10 @@ def cmd_degree(args) -> tuple[dict, int]:
         _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
         gens = _parse_ints(args.word, "--word") if args.word else tuple(
             range(1, args.n))
-        word = hecke.HeckeWord(args.n, gens)
+        try:
+            word = hecke.HeckeWord(args.n, gens)
+        except ValueError as exc:
+            raise CLIError(str(exc))
         f = hecke.hecke_endomap(word)
         d = degree(f)
         payload["n"] = args.n
@@ -178,6 +199,8 @@ def cmd_degree(args) -> tuple[dict, int]:
         if args.b is None:
             raise CLIError("degree tree requires --b")
         k = args.k if args.k is not None else 2
+        _bounded(args.b, "--b", 2)
+        _bounded(k, "--k", 2)
         size = extremal.tree_size(args.b, k)
         if size > _TREE_LIMIT:
             raise CLIError(
@@ -200,8 +223,8 @@ def cmd_degree(args) -> tuple[dict, int]:
 
 
 def _suite_thm1(args) -> list[dict]:
-    max_n = args.max_n or 7
-    k_max = args.k or 3
+    max_n = _size(args.max_n, 7, "--max-n")
+    k_max = _size(args.k, 3, "--k")
     checks = []
     for n in range(1, max_n + 1):
         base = bubble.bubble_endomap(n)
@@ -214,14 +237,12 @@ def _suite_thm1(args) -> list[dict]:
 
 
 def _suite_moments(args) -> list[dict]:
-    max_n = args.max_n or 6
-    m_max = args.m or 3
+    max_n = _size(args.max_n, 6, "--max-n")
+    m_max = _size(args.m, 3, "--m")
     checks = []
     for n in range(1, max_n + 1):
         f = bubble.bubble_endomap(n)
-        sizes = [0] * f.n
-        for v in f.table:
-            sizes[v] += 1
+        sizes = fiber_sizes(f.table)
         for m in range(1, m_max + 1):
             got = Fraction(sum(sizes[f.table[x]] ** m for x in range(f.n)), f.n)
             want = bubble.bubble_moment(n, m)
@@ -234,16 +255,14 @@ def _suite_moments(args) -> list[dict]:
 
 
 def _suite_lem2(args) -> list[dict]:
-    n = args.n or 5
-    k_max = args.k or 2
+    n = _size(args.n, 5, "--n")
+    k_max = _size(args.k, 2, "--k")
     checks = []
     base = bubble.bubble_endomap(n)
     dom = permutation_domain(n)
     for k in range(1, k_max + 1):
         f = iterate(base, k)
-        sizes = [0] * f.n
-        for v in f.table:
-            sizes[v] += 1
+        sizes = fiber_sizes(f.table)
         bad = 0
         for idx in range(f.n):
             if sizes[idx] != bubble.bubble_preimage_count(dom.unrank(idx), k):
@@ -254,7 +273,7 @@ def _suite_lem2(args) -> list[dict]:
 
 
 def _suite_words(args) -> list[dict]:
-    cap = args.max_n or 8
+    cap = _size(args.max_n, 8, "--max-n")
     checks = []
     from itertools import product
     contents = []
@@ -272,7 +291,7 @@ def _suite_words(args) -> list[dict]:
 
 
 def _suite_thm4(args) -> list[dict]:
-    max_n = args.max_n or 7
+    max_n = _size(args.max_n, 7, "--max-n")
     checks = []
     for n in range(1, max_n + 1):
         got = degree(nibble.nibble_endomap(n))
@@ -287,7 +306,7 @@ def _suite_thm4(args) -> list[dict]:
 
 
 def _suite_binary32(args) -> list[dict]:
-    max_n = args.max_n or 12
+    max_n = _size(args.max_n, 12, "--max-n", lo=2)
     checks = []
     for n in range(2, max_n + 1):
         nib_f = nibble.nibble_binary_endomap(n)
@@ -305,7 +324,7 @@ def _suite_binary32(args) -> list[dict]:
 
 
 def _suite_thm5(args) -> list[dict]:
-    max_n = args.max_n or 20
+    max_n = _size(args.max_n, 20, "--max-n")
     checks = []
     for n in range(1, max_n + 1):
         elements = list(solitaire.partition_domain(n).objects())
@@ -326,7 +345,7 @@ def _suite_thm5(args) -> list[dict]:
 
 
 def _suite_thm6(args) -> list[dict]:
-    max_n = args.max_n or 14
+    max_n = _size(args.max_n, 14, "--max-n")
     series_n = max(max_n, 40)
     eta = solitaire.eta_series(series_n)
     checks = []
@@ -346,15 +365,14 @@ def _suite_thm6(args) -> list[dict]:
 def _suite_thm7(args) -> list[dict]:
     checks = []
     if args.exhaustive:
-        n = args.n or 3
+        n = _size(args.n, 3, "--n")
         if n > 4 and not args.force:
             raise CLIError("exhaustive pair scan beyond n=4 needs --force")
         holds = equalities = predicate_ok = 0
         total = 0
-        for tf in extremal.all_tables(n):
-            f = EndoMap.from_table(tf)
-            for tg in extremal.all_tables(n):
-                g = EndoMap.from_table(tg)
+        maps = [EndoMap.from_table(t) for t in extremal.all_tables(n)]
+        for f in maps:
+            for g in maps:
                 h, eq = extremal.check_theorem7(f, g)
                 total += 1
                 holds += h
@@ -367,7 +385,7 @@ def _suite_thm7(args) -> list[dict]:
                              equalities == predicate_ok,
                              f"{equalities} equality pairs"))
     else:
-        samples = args.samples or 1000
+        samples = _size(args.samples, 1000, "--samples")
         rng = random.Random(args.seed)
         for n in range(4, 11):
             bad = 0
@@ -382,8 +400,8 @@ def _suite_thm7(args) -> list[dict]:
 
 
 def _suite_thm3(args) -> list[dict]:
-    max_n = args.max_n or 4
-    k_max = args.k or 4
+    max_n = _size(args.max_n, 4, "--max-n")
+    k_max = _size(args.k, 4, "--k")
     checks = []
     for n in range(1, max_n + 1):
         bad = 0
@@ -405,15 +423,20 @@ def _suite_thm3(args) -> list[dict]:
 
 def _suite_prop1(args) -> list[dict]:
     bs = (5, 10, 100, 1000)
-    k = args.k or 2
+    k = _size(args.k, 2, "--k", lo=2)
     checks = []
     rows = []
     for b in bs:
-        deg_f, deg_fk = extremal.prop1_exact_degrees(b, k)
+        engine, closed = extremal.prop1_degrees(b, k)
+        deg_f, deg_fk = engine
         n_b = extremal.tree_size(b, k)
         rows.append((float(deg_f), float(deg_fk) / n_b ** 0.5))
-        checks.append(_check(f"engine equals stratified b={b} k={k}", True,
-                             f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"))
+        detail = f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"
+        if engine != closed:
+            detail += (f" vs stratified deg={frac_str(closed[0])} "
+                       f"iterate={frac_str(closed[1])}")
+        checks.append(_check(f"engine equals stratified b={b} k={k}",
+                             engine == closed, detail))
     base = [r[0] for r in rows]
     ratio = [r[1] for r in rows]
     checks.append(_check("base degrees increase toward k+1",
@@ -426,7 +449,7 @@ def _suite_prop1(args) -> list[dict]:
 
 
 def _suite_hecke_odd(args) -> list[dict]:
-    max_n = args.max_n or 6
+    max_n = _size(args.max_n, 6, "--max-n")
     checks = []
     for n in range(1, max_n + 1):
         f = hecke.hecke_endomap(hecke.t_alt_word(n))
@@ -526,7 +549,7 @@ def cmd_sample(args) -> tuple[dict, int]:
 
 
 def cmd_series(args) -> tuple[dict, int]:
-    _bounded(args.n, "--n", 0)
+    _bounded(args.n, "--n", 0, _SERIES_N_LIMIT)
     coeffs = solitaire.eta_series(args.n)
     payload = {
         "command": "series",

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator
 
 
@@ -38,6 +39,21 @@ class DomainCodec:
     def objects(self) -> Iterator:
         """All domain objects in rank order."""
         return (self.unrank(i) for i in range(self.size))
+
+    def _key(self):
+        """What fixes the encoding within one codec class; the size, unless
+        two domains of a class can have the same size."""
+        return self.size
+
+    def __eq__(self, other) -> bool:
+        """Codecs of one class with equal keys encode one domain alike, so
+        maps tabulated over separately built codecs still compose."""
+        if type(self) is not type(other):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self), self._key()))
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.size:
@@ -73,9 +89,10 @@ class EndoMap:
         n = self.codec.size
         if len(self.table) != n:
             raise ValueError(f"table length {len(self.table)} != domain size {n}")
-        for v in self.table:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+        table = self.table
+        if table and (min(table) < 0 or max(table) >= n):
+            bad = next(v for v in table if not 0 <= v < n)
+            raise ValueError(f"table entry {bad} out of range 0..{n - 1}")
 
     @property
     def n(self) -> int:
@@ -121,10 +138,7 @@ class FiberHistogram:
 
     @classmethod
     def from_map(cls, f: EndoMap) -> "FiberHistogram":
-        sizes = Counter(f.table)
-        hist = Counter(sizes.values())
-        hist[0] += f.n - len(sizes)
-        return cls({s: c for s, c in sorted(hist.items()) if c})
+        return cls(dict(sorted(Counter(fiber_sizes(f.table)).items())))
 
     @property
     def n(self) -> int:
@@ -139,20 +153,37 @@ class FiberHistogram:
         return self.counts == other.counts
 
 
-def _fiber_sizes(f: EndoMap) -> Counter:
-    return Counter(f.table)
+def fiber_sizes(table) -> list[int]:
+    """sizes[y] = |f^-1(y)| for an index table over 0..len(table)-1."""
+    sizes = [0] * len(table)
+    for v in table:
+        sizes[v] += 1
+    return sizes
+
+
+def square_sum(sizes) -> int:
+    """Sum of squared fiber sizes, for fibers counted by any means."""
+    return sum(c * c for c in sizes)
+
+
+def collisions(table) -> int:
+    """Ordered pairs (x, x') with table[x] == table[x'].
+
+    This is the sum of squared fiber sizes, n * deg(f), as an exact integer.
+    """
+    return square_sum(fiber_sizes(table))
 
 
 def degree(f: EndoMap) -> Fraction:
     """Mean squared fiber size of f, exact."""
     if f.n == 0:
         raise ValueError("degree is undefined on the empty domain")
-    return Fraction(sum(c * c for c in _fiber_sizes(f).values()), f.n)
+    return Fraction(collisions(f.table), f.n)
 
 
 def pair_collision_count(f: EndoMap) -> int:
     """Number of ordered pairs (x, x') with f(x) = f(x'); equals n * deg(f)."""
-    return sum(c * c for c in _fiber_sizes(f).values())
+    return collisions(f.table)
 
 
 def fiber_histogram(f: EndoMap) -> FiberHistogram:
@@ -165,25 +196,42 @@ def degree_bounds(f: EndoMap) -> tuple[Fraction, int]:
     """Sandwich for the degree: n/|f(X)| <= deg(f) <= max fiber size."""
     if f.n == 0:
         raise ValueError("degree bounds are undefined on the empty domain")
-    sizes = _fiber_sizes(f)
-    return Fraction(f.n, len(sizes)), max(sizes.values())
+    sizes = fiber_sizes(f.table)
+    return Fraction(f.n, f.n - sizes.count(0)), max(sizes)
+
+
+def compose_tables(ft, gt) -> tuple[int, ...]:
+    """The table of f after g, (ft[v] for v in gt), in one C-level call."""
+    if len(gt) > 1:
+        return itemgetter(*gt)(ft)
+    # itemgetter returns a bare item for one key and needs at least one key
+    return (ft[gt[0]],) if gt else ()
+
+
+def iterate_table(table, k: int) -> tuple[int, ...]:
+    """The table of the k-th iterate, k >= 0; k = 0 gives the identity."""
+    if k < 0:
+        raise ValueError("iterate order must be nonnegative")
+    if k == 0:
+        return tuple(range(len(table)))
+    out = tuple(table)
+    for _ in range(k - 1):
+        out = compose_tables(table, out)
+    return out
 
 
 def compose(f: EndoMap, g: EndoMap) -> EndoMap:
     """The composite f after g (first g, then f)."""
     if f.n != g.n:
         raise ValueError(f"codec size mismatch: {f.n} != {g.n}")
-    ft = f.table
-    return EndoMap(g.codec, tuple(ft[v] for v in g.table))
+    if f.codec != g.codec:
+        raise ValueError("cannot compose maps over different domains")
+    return EndoMap(g.codec, compose_tables(f.table, g.table))
+
 
 def iterate(f: EndoMap, k: int) -> EndoMap:
     """The k-th functional iterate of f; k = 0 gives the identity."""
-    if k < 0:
-        raise ValueError("iterate order must be nonnegative")
-    result = EndoMap(f.codec, tuple(range(f.n)))
-    for _ in range(k):
-        result = compose(f, result)
-    return result
+    return EndoMap(f.codec, iterate_table(f.table, k))
 
 
 def is_bijection(f: EndoMap) -> bool:

@@ -22,13 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .endo import EndoMap, compose, degree, is_bijection, is_constant, iterate
+from .endo import (EndoMap, collisions, compose, degree, iterate,
+                   iterate_table)
 
 # ---------------------------------------------------------------------------
 # the extremal tree family
@@ -111,18 +111,26 @@ def stratified_degree(spec: TreeSpec, r: int = 1) -> Fraction:
     return Fraction(total, spec.size)
 
 
+def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
+                                             tuple[Fraction, Fraction]]:
+    """deg(F_b) and deg(F_b^k) two ways: (engine, closed form).
+
+    The engine pair is the generic fiber count over the explicit map, the
+    closed pair the depth-stratified formula.
+    """
+    spec = tree_spec(b, k)
+    f = build_tree_map(b, k)
+    engine = (degree(f), degree(iterate(f, k)))
+    return engine, (stratified_degree(spec, 1), stratified_degree(spec, k))
+
+
 def prop1_exact_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:
     """deg(F_b) and deg(F_b^k), certified two ways.
 
     The generic fiber count over the explicit map must match the
     depth-stratified closed form exactly; any disagreement raises.
     """
-    spec = tree_spec(b, k)
-    closed_f = stratified_degree(spec, 1)
-    closed_fk = stratified_degree(spec, k)
-    f = build_tree_map(b, k)
-    engine_f = degree(f)
-    engine_fk = degree(iterate(f, k))
+    (engine_f, engine_fk), (closed_f, closed_fk) = prop1_degrees(b, k)
     if (engine_f, engine_fk) != (closed_f, closed_fk):
         raise RuntimeError(
             f"stratified degrees {closed_f}, {closed_fk} disagree with "
@@ -146,11 +154,20 @@ def padded_family_map(n: int, k: int) -> EndoMap:
 # exact inequality checks
 
 
+# With S(f) = n deg(f) the collision count, n cancels from both inequalities,
+# so each is compared exactly on integers:
+#     deg(f o g)^2 <= n deg(f) deg(g)^2          <=>  S(f o g)^2 <= S(f) S(g)^2
+#     deg(f^k)^p <= deg(f)^(2p - 1) n^(p - 1)    <=>  S(f^k)^p <= S(f)^(2p - 1)
+# with p = 2^(k-1).
+
+
 def check_theorem7(f: EndoMap, g: EndoMap) -> tuple[bool, bool]:
     """Exact check of deg(f o g)^2 <= n deg(f) deg(g)^2, plus equality flag."""
-    h = compose(f, g)
-    lhs = degree(h) ** 2
-    rhs = f.n * degree(f) * degree(g) ** 2
+    if f.n == 0:
+        raise ValueError("degree is undefined on the empty domain")
+    sg = collisions(g.table)
+    lhs = collisions(compose(f, g).table) ** 2
+    rhs = collisions(f.table) * sg * sg
     return lhs <= rhs, lhs == rhs
 
 
@@ -158,10 +175,11 @@ def check_theorem3_bound(f: EndoMap, k: int) -> bool:
     """Exact check of deg(f^k)^(2^(k-1)) <= deg(f)^(2^k - 1) n^(2^(k-1) - 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if f.n == 0:
+        raise ValueError("degree is undefined on the empty domain")
     p = 1 << (k - 1)
-    lhs = degree(iterate(f, k)) ** p
-    rhs = degree(f) ** (2 * p - 1) * f.n ** (p - 1)
-    return lhs <= rhs
+    return (collisions(iterate_table(f.table, k)) ** p
+            <= collisions(f.table) ** (2 * p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -209,23 +227,12 @@ def _normalize_gamma(gamma) -> tuple[int, int]:
     return frac.numerator, m
 
 
-def _collision_sum(table: tuple[int, ...]) -> int:
-    return sum(c * c for c in Counter(table).values())
-
-
-def _iterate_table(table: tuple[int, ...], k: int) -> tuple[int, ...]:
-    out = tuple(range(len(table)))
-    for _ in range(k):
-        out = tuple(table[v] for v in out)
-    return out
-
-
 def _ratio_terms(table: tuple[int, ...], k: int, a: int,
                  m: int) -> tuple[int, int]:
     """Numerator and denominator of (deg(f^k)/deg(f)^(a/2^m))^(2^m)."""
     n = len(table)
-    s1 = _collision_sum(table)
-    sk = _collision_sum(_iterate_table(table, k))
+    s1 = collisions(table)
+    sk = collisions(iterate_table(table, k))
     p = 1 << m
     return sk ** p * n ** a, s1 ** a * n ** p
 

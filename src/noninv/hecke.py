@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .endo import EndoMap
+from .endo import EndoMap, collisions, compose_tables
 from .perms import Perm, apply_t, check_perm, permutation_domain
 
 
@@ -120,18 +119,18 @@ def conjecture2_scan(n: int, max_word_length: int, samples: int | None = None, s
     if n < 2:
         raise ValueError("scan needs n >= 2")
     dom = permutation_domain(n)
-    perms = list(dom.objects())
+    generators = {i: tuple(dom.rank(apply_t(pi, i)) for pi in dom.objects())
+                  for i in range(1, n)}
 
     def table_of(gens) -> tuple[int, ...]:
-        out = []
-        for pi in perms:
-            for i in gens:
-                pi = apply_t(pi, i)
-            out.append(dom.rank(pi))
-        return tuple(out)
+        # t_{i_1} acts first, so each later generator is composed after it
+        out = generators[gens[0]]
+        for i in gens[1:]:
+            out = compose_tables(generators[i], out)
+        return out
 
     def table_degree(table) -> Fraction:
-        return Fraction(sum(c * c for c in Counter(table).values()), len(table))
+        return Fraction(collisions(table), len(table))
 
     report = ScanReport(n=n, max_word_length=max_word_length)
     lo = table_degree(table_of(bubble_word(n).gens))

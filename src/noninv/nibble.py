@@ -21,7 +21,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .endo import DomainCodec, EndoMap, fiber_histogram
+from .endo import DomainCodec, EndoMap
 from .perms import Perm, apply_t, check_perm, descents, permutation_domain
 
 Bits = tuple[int, ...]
@@ -201,10 +201,3 @@ def chip_two_preimage_words(n: int) -> set[Bits]:
             suffix = tuple((tail >> (n - k - 3 - i)) & 1 for i in range(n - k - 2))
             out.add(head + suffix)
     return out
-
-
-def binary_fiber_histograms(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Observed fiber histograms of (nib, chi) on words of length n."""
-    nib = fiber_histogram(nibble_binary_endomap(n))
-    chi = fiber_histogram(chip_endomap(n))
-    return nib.counts, chi.counts

@@ -120,6 +120,9 @@ class PermutationDomain(DomainCodec):
         self._objs: list[Perm] | None = None
         self._idx: dict[Perm, int] | None = None
 
+    def _key(self) -> int:
+        return self.n  # S_0 and S_1 both have one element
+
     def _materialize(self) -> None:
         # enumerate inversion tables in lex order, which is rank order
         ranges = [range(self.n - j + 1) for j in range(1, self.n + 1)]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .endo import EndoMap
+from .endo import EndoMap, square_sum
 from .perms import Perm, check_perm, permutation_domain
 
 _DEFAULT_LIMIT = 9
@@ -112,7 +112,7 @@ def stack_degree(n: int, limit: int = _DEFAULT_LIMIT, workers: int = 1) -> Fract
             f"pass limit={n} explicitly to enumerate all {n}! permutations"
         )
     counts = stack_fibers(n, workers=workers)
-    return Fraction(sum(c * c for c in counts.values()), math.factorial(n))
+    return Fraction(square_sum(counts.values()), math.factorial(n))
 
 
 @dataclass

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from noninv import cli, solitaire
+from noninv import bubble, cli, extremal, hecke, solitaire
 
 
 def run(capsys, *argv):
@@ -132,6 +132,26 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert payload["ok"] is False and payload["failed"] == 1
 
 
+def test_verify_prop1_mismatch_is_a_failed_check(capsys, monkeypatch):
+    real = extremal.stratified_degree
+
+    def off_by_one_at_b5(spec, r=1):
+        d = real(spec, r)
+        return d + 1 if spec == extremal.tree_spec(5, 2) and r == 1 else d
+
+    monkeypatch.setattr(extremal, "stratified_degree", off_by_one_at_b5)
+    code, payload = run_json(capsys, "verify", "prop1")
+    assert code == 1
+    assert payload["ok"] is False and payload["failed"] == 1
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert failed == [{"name": "engine equals stratified b=5 k=2", "ok": False,
+                       "detail": "deg=19/9 iterate=143/18 vs stratified "
+                                 "deg=28/9 iterate=143/18"}]
+    details = {c["name"]: c["detail"] for c in payload["checks"]}
+    assert details["engine equals stratified b=10 k=2"] == \
+        "deg=301/131 iterate=1831/131"
+
+
 def test_verify_thm7_exhaustive_reports_18_equalities(capsys):
     code, payload = run_json(capsys, "verify", "thm7", "--n", "3",
                              "--exhaustive")
@@ -166,6 +186,14 @@ def _refuse(*args, **kwargs):
     raise AssertionError("work started before the argument check")
 
 
+# the first call of real work for each refused row below
+_WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
+         (bubble, "bubble_endomap"), (bubble, "word_bubble_endomap"),
+         (hecke, "hecke_endomap"), (extremal, "all_tables"),
+         (extremal, "random_table"), (extremal, "prop1_degrees"),
+         (extremal, "build_tree_map"))
+
+
 @pytest.mark.parametrize("argv, want", [
     (("sample", "bulgarian", "--n", "0"), 2),
     (("sample", "bulgarian", "--n", "-5"), 2),
@@ -177,16 +205,38 @@ def _refuse(*args, **kwargs):
     (("sample", "bulgarian", "--n", "1", "--count", "1"), 0),
     (("sample", "bulgarian", "--n", "100000", "--count", "1000000"), 0),
     (("series", "eta", "--n", "0"), 0),
+    (("series", "eta", "--n", "2000"), 0),
+    (("series", "eta", "--n", "2001"), 2),
+    (("degree", "bubble", "--n", "0"), 2),
+    (("degree", "bubble_iter", "--n", "3"), 2),
+    (("degree", "hecke", "--n", "4", "--word", "5"), 2),
+    (("degree", "word_bubble", "--content", "0,1"), 2),
+    (("degree", "word_bubble", "--content", "3"), 2),
+    (("degree", "tree", "--b", "1"), 2),
+    (("degree", "tree", "--b", "5", "--k", "1"), 2),
+    (("verify", "thm1", "--max-n", "0"), 2),
+    (("verify", "thm1", "--k", "0"), 2),
+    (("verify", "moments", "--m", "0"), 2),
+    (("verify", "lem2", "--n", "0"), 2),
+    (("verify", "words", "--max-n", "0"), 2),
+    (("verify", "binary32", "--max-n", "1"), 2),
+    (("verify", "thm7", "--exhaustive", "--n", "0"), 2),
+    (("verify", "thm7", "--samples", "0"), 2),
+    (("verify", "thm3", "--max-n", "0"), 2),
+    (("verify", "prop1", "--k", "1"), 2),
+    (("verify", "hecke_odd", "--max-n", "0"), 2),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
-    # refused input must exit 2 before the sampler or the series starts;
+    # refused input must exit 2 before any map, sampler or series starts;
     # the largest accepted sizes are checked against a stub, not run
     if want == 2:
-        monkeypatch.setattr(solitaire, "monte_carlo_bulgarian", _refuse)
-        monkeypatch.setattr(solitaire, "eta_series", _refuse)
+        for module, name in _WORK:
+            monkeypatch.setattr(module, name, _refuse)
     elif "100000" in argv:
         monkeypatch.setattr(solitaire, "monte_carlo_bulgarian",
                             lambda n, samples, rng_seed: (0.0, 0.0))
+    elif "2000" in argv:
+        monkeypatch.setattr(solitaire, "eta_series", lambda n: [1] * (n + 1))
     code, _ = run(capsys, *argv, "--no-timestamp")
     assert code == want
 

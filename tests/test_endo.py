@@ -6,21 +6,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from noninv.bubble import WordDomain, bubble_endomap
 from noninv.endo import (
     EndoMap,
     FiberHistogram,
     IndexDomain,
     are_pseudoconjugate,
     collision_entropy,
+    collisions,
     compose,
     degree,
     degree_bounds,
     fiber_histogram,
+    fiber_sizes,
     is_bijection,
     is_constant,
     iterate,
     pair_collision_count,
 )
+from noninv.nibble import chip_endomap, nibble_binary_endomap
+from noninv.perms import permutation_domain
 
 
 def oracle_degree(table):
@@ -69,6 +74,53 @@ def test_compose_order_convention():
 def test_compose_size_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         compose(EndoMap.from_table([0]), EndoMap.from_table([0, 1]))
+
+
+def test_collisions_match_brute_force_pair_count():
+    for n in range(5):
+        for table in itertools.product(range(n), repeat=n):
+            assert collisions(table) == oracle_pairs(table)
+            assert sum(fiber_sizes(table)) == n
+
+
+def oracle_compose(ft, gt):
+    out = []
+    for v in gt:
+        out.append(ft[v])
+    return tuple(out)
+
+
+def test_compose_and_iterate_match_loop_oracle_on_small_domains():
+    # itemgetter needs at least one key and returns a bare item for one key
+    for n in (0, 1, 2):
+        tables = list(itertools.product(range(n), repeat=n))
+        for ft in tables:
+            f = EndoMap.from_table(ft)
+            for gt in tables:
+                assert compose(f, EndoMap.from_table(gt)).table == \
+                    oracle_compose(ft, gt)
+            want = tuple(range(n))
+            for k in range(4):
+                assert iterate(f, k).table == want
+                want = oracle_compose(ft, want)
+
+
+def test_compose_rejects_different_codecs():
+    perm_map = bubble_endomap(3)
+    index_map = EndoMap.from_table([0, 0, 1, 2, 3, 4])
+    with pytest.raises(ValueError, match="different domains"):
+        compose(perm_map, index_map)
+    with pytest.raises(ValueError, match="different domains"):
+        compose(index_map, perm_map)
+    assert IndexDomain(6) == index_map.codec
+    assert hash(IndexDomain(6)) == hash(index_map.codec)
+    assert IndexDomain(5) != index_map.codec
+    assert compose(perm_map, perm_map).table == iterate(perm_map, 2).table
+    # codecs built apart from equal arguments are one domain
+    assert compose(nibble_binary_endomap(4), chip_endomap(4)).n == 16
+    assert WordDomain((2, 1)) == WordDomain((2, 1))
+    assert WordDomain((2, 1)) != WordDomain((1, 2))
+    assert permutation_domain(0) != permutation_domain(1)
 
 
 def test_iterate_zero_is_identity():

@@ -111,6 +111,58 @@ def test_composition_inequality_exhaustive_n3():
     assert equalities == 18
 
 
+def fraction_degree(table):
+    # independent route: (1/n) * sum over x of |f^-1(f(x))|
+    return Fraction(sum(map(table.count, table)), len(table))
+
+
+def fraction_theorem7(ft, gt):
+    n = len(ft)
+    lhs = fraction_degree(tuple(ft[v] for v in gt)) ** 2
+    rhs = n * fraction_degree(ft) * fraction_degree(gt) ** 2
+    return lhs <= rhs, lhs == rhs
+
+
+def fraction_theorem3(table, k):
+    n = len(table)
+    fk = tuple(range(n))
+    for _ in range(k):
+        fk = tuple(table[v] for v in fk)
+    p = 2 ** (k - 1)
+    return (fraction_degree(fk) ** p
+            <= fraction_degree(table) ** (2 * p - 1) * n ** (p - 1))
+
+
+def test_integer_theorem7_matches_fraction_formula():
+    for tf in all_tables(3):
+        f = EndoMap.from_table(tf)
+        for tg in all_tables(3):
+            assert check_theorem7(f, EndoMap.from_table(tg)) == \
+                fraction_theorem7(tf, tg)
+    rng = random.Random(2)
+    seen = set()
+    for i in range(10 ** 4):
+        n = 4 + i % 7
+        tf = tuple(rng.randrange(n) for _ in range(n))
+        tg = tuple(rng.randrange(n) for _ in range(n))
+        got = check_theorem7(EndoMap.from_table(tf), EndoMap.from_table(tg))
+        assert got == fraction_theorem7(tf, tg)
+        seen.add(got)
+    assert (True, False) in seen
+
+
+def test_integer_theorem3_matches_fraction_formula():
+    for n in range(1, 5):
+        for t in all_tables(n):
+            f = EndoMap.from_table(t)
+            for k in range(1, 5):
+                assert check_theorem3_bound(f, k) == fraction_theorem3(t, k)
+    with pytest.raises(ValueError):
+        check_theorem7(EndoMap.from_table(()), EndoMap.from_table(()))
+    with pytest.raises(ValueError):
+        check_theorem3_bound(EndoMap.from_table(()), 1)
+
+
 def test_composition_inequality_edge_pairs():
     const = EndoMap.from_table((2, 2, 2, 2))
     cyc = EndoMap.from_table((1, 2, 3, 0))

@@ -127,20 +127,29 @@ def multinomial(a) -> int:
 
 def words_of_content(a):
     """All words with content a, in lexicographic order."""
-    a = check_content(a)
-    return _words(list(a), sum(a))
+    return _words(check_content(a))
 
 
-def _words(counts, remaining):
-    if remaining == 0:
-        yield ()
-        return
-    for letter in range(1, len(counts) + 1):
-        if counts[letter - 1]:
-            counts[letter - 1] -= 1
-            for rest in _words(counts, remaining - 1):
-                yield (letter,) + rest
-            counts[letter - 1] += 1
+def _words(content):
+    """Words with a valid content, lexicographically: Knuth's Algorithm L
+    (TAOCP 4A, 7.2.1.2), which steps to the next multiset permutation in
+    place, from the sorted word to the reversed one."""
+    w = [letter for letter, c in enumerate(content, 1) for _ in range(c)]
+    last = len(w) - 1
+    while True:
+        yield tuple(w)
+        # the rightmost ascent w[j] < w[j + 1]; the suffix after j descends
+        j = last - 1
+        while j >= 0 and w[j] >= w[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        # swap w[j] with the rightmost larger letter, then sort the suffix
+        m = last
+        while w[j] >= w[m]:
+            m -= 1
+        w[j], w[m] = w[m], w[j]
+        w[j + 1:] = w[:j:-1]
 
 
 class WordDomain(DomainCodec):
@@ -158,10 +167,17 @@ class WordDomain(DomainCodec):
         return self.content
 
     def _materialize(self) -> None:
-        self._objs = list(_words(list(self.content), sum(self.content)))
+        self._objs = list(_words(self.content))
         self._idx = {w: i for i, w in enumerate(self._objs)}
 
     def rank(self, obj) -> int:
+        if self._idx is not None:
+            # the keys are exactly the words of this content, so a hit is
+            # the word_content verdict without its count
+            try:
+                return self._idx[obj]
+            except (KeyError, TypeError):
+                pass
         w = tuple(obj)
         if word_content(w) != self.content:
             raise ValueError(f"word {w!r} does not have content {self.content}")
@@ -209,7 +225,7 @@ class WordDomain(DomainCodec):
             self._materialize()
         if self._objs is not None:
             return iter(self._objs)
-        return _words(list(self.content), sum(self.content))
+        return _words(self.content)
 
 
 def _multinomial_raw(counts) -> int:

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from math import factorial
 
 from . import bubble, extremal, hecke, nibble, solitaire, stacksort
 from .endo import (EndoMap, FiberHistogram, degree, fiber_sizes, is_bijection,
-                   is_constant, iterate)
+                   is_constant, iterate, square_sum)
 from .perms import permutation_domain, reverse_complement
 
 _PERM_LIMIT = 8
@@ -36,6 +37,11 @@ _WORD_LIMIT = 10 ** 4
 _WORD_FORCED_LIMIT = 10 ** 6
 _BINARY_LIMIT = 16
 _BINARY_FORCED_LIMIT = 24
+# --force ceilings, measured on 2 cores, Python 3.11: bulgarian --n 65 takes
+# 11 s and peaks at 661 MB (p(65) = 2,012,558 partitions), carolina --n 24
+# 48 s and 408 MB (2^23 compositions)
+_PARTITION_HARD_LIMIT = 65
+_COMPOSITION_HARD_LIMIT = 24
 _TREE_LIMIT = 10 ** 6
 _SAMPLE_N_LIMIT = 10 ** 5
 _SAMPLE_COUNT_LIMIT = 10 ** 6
@@ -49,10 +55,6 @@ def frac_str(x: Fraction) -> str:
 
 def dec_str(x) -> str:
     return format(float(x), ".12g")
-
-
-def _histogram_json(f: EndoMap) -> dict:
-    return {str(s): c for s, c in FiberHistogram.from_map(f).counts.items()}
 
 
 def _check(name: str, ok: bool, detail: str) -> dict:
@@ -94,15 +96,25 @@ def _size(value: int | None, default: int, flag: str, lo: int = 1) -> int:
 # degree subcommand
 
 
-def _degree_payload(f: EndoMap, exact: Fraction) -> dict:
-    if degree(f) != exact:
-        raise RuntimeError("engine degree disagrees with the closed form")
-    return {
-        "domain_size": f.n,
-        "degree": frac_str(exact),
-        "degree_decimal": dec_str(exact),
-        "histogram": _histogram_json(f),
-    }
+def _degree_payload(payload: dict, sizes: list[int],
+                    exact: Fraction | None = None) -> bool:
+    """Add the degree and histogram of one list of fiber sizes to payload.
+
+    sizes has one entry per point of the domain.  ``degree`` is exact when
+    given, else the engine value; a mismatch adds the engine value as
+    ``engine_degree`` and returns False.
+    """
+    got = Fraction(square_sum(sizes), len(sizes))
+    if exact is None:
+        exact = got
+    payload["domain_size"] = len(sizes)
+    payload["degree"] = frac_str(exact)
+    payload["degree_decimal"] = dec_str(exact)
+    payload["histogram"] = {
+        str(s): c for s, c in FiberHistogram.from_sizes(sizes).counts.items()}
+    if got != exact:
+        payload["engine_degree"] = frac_str(got)
+    return got == exact
 
 
 def cmd_degree(args) -> tuple[dict, int]:
@@ -119,7 +131,8 @@ def cmd_degree(args) -> tuple[dict, int]:
         f = iterate(bubble.bubble_endomap(args.n), k)
         payload["n"] = args.n
         payload["k"] = k
-        payload.update(_degree_payload(f, bubble.bubble_degree_formula(args.n, k)))
+        ok = _degree_payload(payload, fiber_sizes(f.table),
+                             bubble.bubble_degree_formula(args.n, k))
     elif system == "word_bubble":
         try:
             content = bubble.check_content(_parse_ints(args.content, "--content"))
@@ -131,55 +144,53 @@ def cmd_degree(args) -> tuple[dict, int]:
         _guard(size, _WORD_LIMIT, "word count", args.force, _WORD_FORCED_LIMIT)
         f = bubble.word_bubble_endomap(content)
         payload["content"] = list(content)
-        payload.update(_degree_payload(f, bubble.word_degree_formula(content)))
+        ok = _degree_payload(payload, fiber_sizes(f.table),
+                             bubble.word_degree_formula(content))
     elif system == "stack":
-        limit = _guard(args.n, stacksort._DEFAULT_LIMIT, "n", args.force,
-                       _PERM_HARD_LIMIT)
-        d = stacksort.stack_degree(args.n, limit=limit, workers=args.threads)
+        _guard(args.n, stacksort._DEFAULT_LIMIT, "n", args.force,
+               _PERM_HARD_LIMIT)
         fibers = stacksort.stack_fibers(args.n, workers=args.threads)
-        hist = {}
-        for c in fibers.values():
-            hist[c] = hist.get(c, 0) + 1
-        hist[0] = factorial(args.n) - len(fibers)
+        # the Counter keys the image only; every other point has fiber 0
+        sizes = list(fibers.values())
+        sizes += [0] * (factorial(args.n) - len(sizes))
         payload["n"] = args.n
-        payload["degree"] = frac_str(d)
-        payload["degree_decimal"] = dec_str(d)
-        payload["domain_size"] = factorial(args.n)
-        payload["histogram"] = {str(s): c for s, c in sorted(hist.items()) if c}
+        ok = _degree_payload(payload, sizes)
     elif system == "nibble_perm":
         _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
         f = nibble.nibble_endomap(args.n)
         payload["n"] = args.n
-        payload.update(_degree_payload(f, nibble.nibble_degree_formula(args.n)))
+        ok = _degree_payload(payload, fiber_sizes(f.table),
+                             nibble.nibble_degree_formula(args.n))
     elif system in ("nibble_bin", "chip"):
         limit = _guard(args.n, _BINARY_LIMIT, "n", args.force,
                        _BINARY_FORCED_LIMIT)
-        map_id = "nib" if system == "nibble_bin" else "chi"
-        d = nibble.binary_degree(map_id, args.n, limit=limit)
-        maker = nibble.nibble_binary_endomap if map_id == "nib" else nibble.chip_endomap
-        f = maker(args.n)
+        f = nibble.binary_endomap("nib" if system == "nibble_bin" else "chi",
+                                  args.n, limit=limit)
+        sizes = fiber_sizes(f.table)
         payload["n"] = args.n
-        payload["domain_size"] = f.n
-        payload["degree"] = frac_str(d)
-        payload["degree_decimal"] = dec_str(d)
-        payload["histogram"] = _histogram_json(f)
+        ok = _degree_payload(payload, sizes)
         if args.n >= 2:
             expected = nibble.expected_binary_histogram(args.n)
             payload["matches_three_halves_histogram"] = (
-                FiberHistogram.from_map(f).counts == expected)
+                FiberHistogram.from_sizes(sizes).counts == expected)
     elif system == "bulgarian":
         limit = _guard(args.n, solitaire._PARTITION_LIMIT, "n", args.force,
-                       args.n)
-        d = solitaire.bulgarian_degree(args.n, limit=limit)
+                       _PARTITION_HARD_LIMIT)
         f = solitaire.bulgarian_endomap(args.n, limit=limit)
         payload["n"] = args.n
-        payload.update(_degree_payload(f, d))
+        ok = _degree_payload(payload, fiber_sizes(f.table))
+        outside, missed = solitaire.bulgarian_image_defects(f)
+        if outside or missed:
+            payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
+                                        "rank_at_least_minus_1_missed": missed}
+            ok = False
     elif system == "carolina":
         limit = _guard(args.n, solitaire._COMPOSITION_LIMIT, "n", args.force,
-                       args.n)
+                       _COMPOSITION_HARD_LIMIT)
         f = solitaire.carolina_endomap(args.n, limit=limit)
         payload["n"] = args.n
-        payload.update(_degree_payload(f, solitaire.carolina_degree(args.n)))
+        ok = _degree_payload(payload, fiber_sizes(f.table),
+                             solitaire.carolina_degree(args.n))
     elif system == "hecke":
         _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
         gens = _parse_ints(args.word, "--word") if args.word else tuple(
@@ -189,12 +200,12 @@ def cmd_degree(args) -> tuple[dict, int]:
         except ValueError as exc:
             raise CLIError(str(exc))
         f = hecke.hecke_endomap(word)
-        d = degree(f)
+        sizes = fiber_sizes(f.table)
         payload["n"] = args.n
         payload["word"] = list(gens)
-        payload["image_size"] = len(set(f.table))
+        payload["image_size"] = f.n - sizes.count(0)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
-        payload.update(_degree_payload(f, d))
+        ok = _degree_payload(payload, sizes)
     elif system == "tree":
         if args.b is None:
             raise CLIError("degree tree requires --b")
@@ -205,17 +216,21 @@ def cmd_degree(args) -> tuple[dict, int]:
         if size > _TREE_LIMIT:
             raise CLIError(
                 f"tree on {size} vertices exceeds the limit {_TREE_LIMIT}")
-        deg_f, deg_fk = extremal.prop1_exact_degrees(args.b, k)
         f = extremal.build_tree_map(args.b, k)
+        closed_f, closed_fk = extremal.stratified_degrees(args.b, k)
         payload["b"] = args.b
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(args.b, k))
-        payload.update(_degree_payload(f, deg_f))
-        payload["iterate_degree"] = frac_str(deg_fk)
-        payload["iterate_degree_decimal"] = dec_str(deg_fk)
+        ok = _degree_payload(payload, fiber_sizes(f.table), closed_f)
+        engine_fk = degree(iterate(f, k))
+        payload["iterate_degree"] = frac_str(closed_fk)
+        payload["iterate_degree_decimal"] = dec_str(closed_fk)
+        if engine_fk != closed_fk:
+            payload["engine_iterate_degree"] = frac_str(engine_fk)
+            ok = False
     else:  # pragma: no cover - argparse restricts choices
         raise CLIError(f"unknown system {system}")
-    return payload, 0
+    return payload, 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +445,8 @@ def _suite_prop1(args) -> list[dict]:
         engine, closed = extremal.prop1_degrees(b, k)
         deg_f, deg_fk = engine
         n_b = extremal.tree_size(b, k)
-        rows.append((float(deg_f), float(deg_fk) / n_b ** 0.5))
+        # deg(F_b^k) grows like n_b^(1 - 1/2^(k-1))
+        rows.append((float(deg_f), float(deg_fk) / n_b ** (1 - 1 / 2 ** (k - 1))))
         detail = f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"
         if engine != closed:
             detail += (f" vs stratified deg={frac_str(closed[0])} "
@@ -691,6 +707,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if "threads" in args:
+            _bounded(args.threads, "--threads", 1, os.cpu_count() or 1)
         payload, code = args.fn(args)
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -100,9 +100,13 @@ class EndoMap:
 
     @classmethod
     def from_function(cls, codec: DomainCodec, fn: Callable) -> "EndoMap":
-        """Tabulate fn over the whole domain."""
-        table = tuple(codec.rank(fn(codec.unrank(i))) for i in range(codec.size))
-        return cls(codec, table)
+        """Tabulate fn over the whole domain.
+
+        fn sees the codec's own objects in rank order, so it may skip input
+        checks; its images are checked by ``codec.rank`` and the table by
+        ``__post_init__``.
+        """
+        return cls(codec, tuple(map(codec.rank, map(fn, codec.objects()))))
 
     @classmethod
     def from_table(cls, table) -> "EndoMap":
@@ -138,7 +142,12 @@ class FiberHistogram:
 
     @classmethod
     def from_map(cls, f: EndoMap) -> "FiberHistogram":
-        return cls(dict(sorted(Counter(fiber_sizes(f.table)).items())))
+        return cls.from_sizes(fiber_sizes(f.table))
+
+    @classmethod
+    def from_sizes(cls, sizes) -> "FiberHistogram":
+        """Histogram of fiber sizes listed once per codomain point."""
+        return cls(dict(sorted(Counter(sizes).items())))
 
     @property
     def n(self) -> int:

@@ -118,10 +118,15 @@ def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
     The engine pair is the generic fiber count over the explicit map, the
     closed pair the depth-stratified formula.
     """
-    spec = tree_spec(b, k)
     f = build_tree_map(b, k)
     engine = (degree(f), degree(iterate(f, k)))
-    return engine, (stratified_degree(spec, 1), stratified_degree(spec, k))
+    return engine, stratified_degrees(b, k)
+
+
+def stratified_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:
+    """deg(F_b) and deg(F_b^k) from the depth strata alone."""
+    spec = tree_spec(b, k)
+    return stratified_degree(spec, 1), stratified_degree(spec, k)
 
 
 def prop1_exact_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:

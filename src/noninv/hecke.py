@@ -17,9 +17,10 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .endo import EndoMap, collisions, compose_tables
-from .perms import Perm, apply_t, check_perm, permutation_domain
+from .perms import Perm, _t, check_perm, permutation_domain
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,19 @@ def hecke_apply(word: HeckeWord, pi: Perm) -> Perm:
     pi = check_perm(pi)
     if len(pi) != word.n:
         raise ValueError(f"length {len(pi)} permutation under an S_{word.n} word")
-    for i in word.gens:
-        pi = apply_t(pi, i)
+    return _hecke_apply(word.gens, pi)
+
+
+def _hecke_apply(gens: tuple[int, ...], pi: Perm) -> Perm:
+    # generators of a HeckeWord lie in 1..n-1 for its S_n
+    for i in gens:
+        pi = _t(pi, i)
     return pi
 
 
 def hecke_endomap(word: HeckeWord) -> EndoMap:
-    return EndoMap.from_function(permutation_domain(word.n), lambda pi: hecke_apply(word, pi))
+    return EndoMap.from_function(permutation_domain(word.n),
+                                 partial(_hecke_apply, word.gens))
 
 
 def bubble_word(n: int) -> HeckeWord:
@@ -119,7 +126,7 @@ def conjecture2_scan(n: int, max_word_length: int, samples: int | None = None, s
     if n < 2:
         raise ValueError("scan needs n >= 2")
     dom = permutation_domain(n)
-    generators = {i: tuple(dom.rank(apply_t(pi, i)) for pi in dom.objects())
+    generators = {i: tuple(dom.rank(_t(pi, i)) for pi in dom.objects())
                   for i in range(1, n)}
 
     def table_of(gens) -> tuple[int, ...]:

@@ -15,29 +15,33 @@ they are not conjugate: nibble has fixed points and chip-firing has none.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .endo import DomainCodec, EndoMap
-from .perms import Perm, apply_t, check_perm, descents, permutation_domain
+from .endo import DomainCodec, EndoMap, degree
+from .perms import Perm, _t, check_perm, permutation_domain
 
 Bits = tuple[int, ...]
 
 
 def nibble(pi: Perm) -> Perm:
     """Swap the entries at the first descent; sorted input is fixed."""
-    pi = check_perm(pi)
-    des = descents(pi)
-    if not des:
-        return pi
-    return apply_t(pi, des[0])
+    return _nibble(check_perm(pi))
+
+
+def _nibble(pi: Perm) -> Perm:
+    for i in range(1, len(pi)):
+        if pi[i - 1] > pi[i]:
+            return _t(pi, i)
+    return pi
 
 
 def nibble_endomap(n: int) -> EndoMap:
-    return EndoMap.from_function(permutation_domain(n), nibble)
+    return EndoMap.from_function(permutation_domain(n), _nibble)
 
 
 def nibble_degree_formula(n: int) -> Fraction:
@@ -83,6 +87,10 @@ class BinaryDomain(DomainCodec):
         self._check_index(r)
         return tuple((r >> (self.n - 1 - i)) & 1 for i in range(self.n))
 
+    def objects(self):
+        # big-endian ranks count up in lexicographic order
+        return itertools.product((0, 1), repeat=self.n)
+
 
 def parse_bits(text: str) -> Bits:
     """Read a word like '0110' into a bit tuple."""
@@ -118,6 +126,12 @@ def chip_fire(word: Sequence[int],
         raise ValueError("configuration must have length >= 1")
     if any(b not in (0, 1) for b in chips):
         raise ValueError("configuration must be a 0/1 word")
+    return _chip_fire(chips, pick)
+
+
+def _chip_fire(chips: list[int],
+               pick: Callable[[list[int]], int] | None = None) -> Bits:
+    # chip_fire on a nonempty 0/1 list, which it modifies
     n = len(chips)
     chips[0] += 1
 
@@ -154,7 +168,8 @@ def nibble_binary_endomap(n: int) -> EndoMap:
 def chip_endomap(n: int) -> EndoMap:
     if n < 1:
         raise ValueError("chip-firing needs length >= 1")
-    return EndoMap.from_function(BinaryDomain(n), chip_fire)
+    return EndoMap.from_function(BinaryDomain(n),
+                                 lambda word: _chip_fire(list(word)))
 
 
 _BINARY_MAPS = {
@@ -163,10 +178,10 @@ _BINARY_MAPS = {
 }
 
 
-def binary_degree(map_id: str, n: int, limit: int = 20) -> Fraction:
-    """Brute-force degree of a binary map ('nib' or 'chi') on words of length n.
+def binary_endomap(map_id: str, n: int, limit: int = 20) -> EndoMap:
+    """A binary map ('nib' or 'chi') on words of length n, tabulated.
 
-    The degree-3/2 theorems assume n >= 2; smaller n is computed anyway but
+    The degree-3/2 theorems assume n >= 2; smaller n is tabulated anyway but
     flagged with a warning as outside theorem scope.
     """
     if map_id not in _BINARY_MAPS:
@@ -179,8 +194,12 @@ def binary_degree(map_id: str, n: int, limit: int = 20) -> Fraction:
     if n < 2:
         warnings.warn(f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)",
                       stacklevel=2)
-    from .endo import degree
-    return degree(_BINARY_MAPS[map_id](n))
+    return _BINARY_MAPS[map_id](n)
+
+
+def binary_degree(map_id: str, n: int, limit: int = 20) -> Fraction:
+    """Brute-force degree of binary_endomap(map_id, n, limit)."""
+    return degree(binary_endomap(map_id, n, limit=limit))
 
 
 def expected_binary_histogram(n: int) -> dict[int, int]:

@@ -7,7 +7,6 @@ ranges over 0..n-j, so e is a mixed-radix numeral for a rank in 0..n!-1.
 
 from __future__ import annotations
 
-import itertools
 from math import factorial
 
 from .endo import DomainCodec
@@ -34,6 +33,11 @@ def apply_t(pi: Perm, i: int) -> Perm:
     """Sorting operator t_i: swap positions i, i+1 (1-based) if descending."""
     if not 1 <= i <= len(pi) - 1:
         raise ValueError(f"t_{i} undefined on length {len(pi)}")
+    return _t(pi, i)
+
+
+def _t(pi: Perm, i: int) -> Perm:
+    # apply_t for an index already known to lie in 1..len(pi)-1
     if pi[i - 1] > pi[i]:
         return pi[: i - 1] + (pi[i], pi[i - 1]) + pi[i + 1 :]
     return pi
@@ -124,13 +128,24 @@ class PermutationDomain(DomainCodec):
         return self.n  # S_0 and S_1 both have one element
 
     def _materialize(self) -> None:
-        # enumerate inversion tables in lex order, which is rank order
-        ranges = [range(self.n - j + 1) for j in range(1, self.n + 1)]
-        objs = [from_inversion_table(e) for e in itertools.product(*ranges)]
+        # from_inversion_table for every e at once: inserting v at slot e_v
+        # into each tuple of the previous level, slot-major, keeps the
+        # inversion tables in lex order, which is rank order
+        objs: list[Perm] = [()]
+        for v in range(self.n, 0, -1):
+            objs = [t[:s] + (v,) + t[s:]
+                    for s in range(self.n - v + 1) for t in objs]
         self._objs = objs
         self._idx = {p: i for i, p in enumerate(objs)}
 
     def rank(self, obj) -> int:
+        if self._idx is not None:
+            # the keys are exactly the length-n permutations, so a hit is
+            # the check_perm verdict without its sort
+            try:
+                return self._idx[obj]
+            except (KeyError, TypeError):
+                pass
         pi = check_perm(obj)
         if len(pi) != self.n:
             raise ValueError(f"length {len(pi)} permutation in S_{self.n} domain")

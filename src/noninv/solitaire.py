@@ -49,7 +49,12 @@ def check_partition(lam: Sequence[int]) -> Partition:
 
 
 def partitions_desc(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, largest part first, in reverse lexicographic order."""
+    """All partitions of n, largest part first, in reverse lexicographic order.
+
+    With ``max_part`` only the partitions whose parts are all at most
+    max_part, in the same order.  Knuth's Algorithm P (TAOCP 4A, 7.2.1.4)
+    steps from each partition to the next in place.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if max_part is None:
@@ -57,9 +62,39 @@ def partitions_desc(n: int, max_part: int | None = None) -> Iterator[Partition]:
     if n == 0:
         yield ()
         return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_desc(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    if max_part == 1:
+        yield (1,) * n
+        return
+    # a[1..m] is the partition and a[q] its last part above 1; a[0] = 0
+    # stops the search for that part once only ones are left
+    a = [0] * (n + 1)
+    m, rest, x = 1, n, min(n, max_part)
+    while True:
+        # fill with copies of x, then the remainder as the final part
+        while rest > x:
+            a[m] = x
+            m += 1
+            rest -= x
+        a[m] = rest
+        q = m - (rest == 1)
+        while True:
+            yield tuple(a[1:m + 1])
+            if a[q] != 2:
+                break
+            # a final 2 becomes 1 + 1
+            a[q] = 1
+            q -= 1
+            m += 1
+            a[m] = 1
+        if q == 0:
+            return
+        # decrease a[q] and refill everything after it
+        x = a[q] - 1
+        a[q] = x
+        rest = m - q + 1
+        m = q + 1
 
 
 class PartitionDomain(DomainCodec):
@@ -77,6 +112,7 @@ class PartitionDomain(DomainCodec):
         return len(self._objs)
 
     def rank(self, lam: Partition) -> int:
+        # the keys are exactly the partitions of n, so a hit is the whole check
         try:
             return self._index[tuple(lam)]
         except KeyError:
@@ -97,7 +133,10 @@ def partition_domain(n: int) -> PartitionDomain:
 
 def bulgarian(lam: Sequence[int]) -> Partition:
     """One Bulgarian solitaire move: decrement piles, add a pile of size ell."""
-    lam = check_partition(lam)
+    return _bulgarian(check_partition(lam))
+
+
+def _bulgarian(lam: Partition) -> Partition:
     if not lam:
         return ()
     parts = [p - 1 for p in lam if p >= 2]
@@ -118,6 +157,10 @@ def partition_rank(lam: Sequence[int]) -> int:
     lam = check_partition(lam)
     if not lam:
         raise ValueError("rank needs a nonempty partition")
+    return _rank(lam)
+
+
+def _rank(lam: Partition) -> int:
     return lam[0] - len(lam)
 
 
@@ -138,16 +181,24 @@ def bulgarian_endomap(n: int, limit: int = _PARTITION_LIMIT) -> EndoMap:
             f"n = {n} exceeds the exhaustive limit {limit}; "
             f"pass limit={n} explicitly to enumerate Part({n})"
         )
-    return EndoMap.from_function(partition_domain(n), bulgarian)
+    return EndoMap.from_function(partition_domain(n), _bulgarian)
+
+
+def bulgarian_image_defects(f: EndoMap) -> tuple[int, int]:
+    """Image points of rank < -1 and rank >= -1 points outside the image.
+
+    f is the Bulgarian map on Part(n); (0, 0) certifies that its image is
+    exactly the set of partitions of rank >= -1.
+    """
+    image = set(f.table)
+    expected = {i for i, lam in enumerate(f.codec.objects()) if _rank(lam) >= -1}
+    return len(image - expected), len(expected - image)
 
 
 def bulgarian_degree(n: int, limit: int = _PARTITION_LIMIT) -> Fraction:
     """Exact degree on Part(n); also certifies image = {rank >= -1}."""
     f = bulgarian_endomap(n, limit=limit)
-    dom = f.codec
-    image = set(f.table)
-    expected = {i for i in range(dom.size) if partition_rank(dom.unrank(i)) >= -1}
-    if image != expected:
+    if bulgarian_image_defects(f) != (0, 0):
         raise RuntimeError(f"image of Part({n}) is not the rank >= -1 set")
     return degree(f)
 
@@ -305,10 +356,27 @@ class CompositionDomain(DomainCodec):
         parts.append(self.n - last)
         return tuple(parts)
 
+    def objects(self) -> Iterator[Composition]:
+        return _compositions(self.n)
+
+
+def _compositions(n: int) -> Iterator[Composition]:
+    # Comp(n) in rank order: mask 2r + b is the composition of mask r on
+    # n - 1 units with a unit prepended, split off as a part when b = 1
+    if n == 1:
+        yield (1,)
+        return
+    for c in _compositions(n - 1):
+        yield (c[0] + 1,) + c[1:]
+        yield (1,) + c
+
 
 def carolina(c: Sequence[int]) -> Composition:
     """One Carolina move: prepend ell, decrement each part, drop zeros."""
-    c = check_composition(c)
+    return _carolina(check_composition(c))
+
+
+def _carolina(c: Composition) -> Composition:
     if not c:
         return ()
     out = [len(c)] + [p - 1 for p in c]
@@ -346,7 +414,7 @@ def carolina_endomap(n: int, limit: int = _COMPOSITION_LIMIT) -> EndoMap:
             f"n = {n} exceeds the exhaustive limit {limit}; "
             f"pass limit={n} explicitly to enumerate 2^{n - 1} compositions"
         )
-    return EndoMap.from_function(CompositionDomain(n), carolina)
+    return EndoMap.from_function(CompositionDomain(n), _carolina)
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,12 @@ def test_word_domain_rank_round_trip():
         assert dom._arithmetic_rank(w) == i
     with pytest.raises(ValueError):
         WordDomain((2, 1)).rank((1, 1, 1))
+    dom = WordDomain((2, 1))
+    dom.rank((1, 1, 2))  # materialized from here on
+    for bad in [(1, 1), (1, 2, 2), (1, 1, 3), (0, 1, 2), (), (1, 1, 2, 1)]:
+        with pytest.raises(ValueError):
+            dom.rank(bad)
+    assert dom.rank([2, 1, 1]) == 2
 
 
 def test_two_letter_gap_tuple_action():
@@ -231,3 +237,33 @@ def test_word_endomap_degree_matches_formula():
     f = word_bubble_endomap((2, 2))
     assert degree(f) == word_degree_formula((2, 2))
     assert fiber_histogram(f).degree() == degree(f)
+
+
+def _words_recursive(content):
+    # reference enumeration: extend a prefix by each letter still available
+    counts, total, prefix, out = list(content), sum(content), [], []
+
+    def extend():
+        if len(prefix) == total:
+            out.append(tuple(prefix))
+            return
+        for letter in range(1, len(counts) + 1):
+            if counts[letter - 1]:
+                counts[letter - 1] -= 1
+                prefix.append(letter)
+                extend()
+                prefix.pop()
+                counts[letter - 1] += 1
+
+    extend()
+    return out
+
+
+def test_words_match_recursive_reference_on_verify_contents():
+    # the contents of `verify words` at its default --max-n 8
+    contents = [a for r in (2, 3, 4)
+                for a in itertools.product(range(1, 8), repeat=r)
+                if sum(a) <= 8 and multinomial(a) <= 10 ** 4]
+    contents += [(2, 120), (120, 2), (40, 2, 1), (1,), (3,), (6, 4, 3)]
+    for a in contents:
+        assert list(words_of_content(a)) == _words_recursive(a), a

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from noninv import bubble, cli, extremal, hecke, solitaire
+from noninv import bubble, cli, extremal, hecke, solitaire, stacksort
+from noninv.endo import EndoMap
 
 
 def run(capsys, *argv):
@@ -191,7 +192,11 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (bubble, "bubble_endomap"), (bubble, "word_bubble_endomap"),
          (hecke, "hecke_endomap"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
-         (extremal, "build_tree_map"))
+         (extremal, "build_tree_map"), (stacksort, "stack_fibers"),
+         (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
+         (extremal, "exhaustive_ratio_search"))
+# one more worker than this machine has cores; refused before any pool starts
+_TOO_MANY_THREADS = str((os.cpu_count() or 1) + 1)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -225,6 +230,18 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
     (("verify", "thm3", "--max-n", "0"), 2),
     (("verify", "prop1", "--k", "1"), 2),
     (("verify", "hecke_odd", "--max-n", "0"), 2),
+    (("degree", "bulgarian", "--n", "51"), 2),
+    (("degree", "bulgarian", "--n", "66", "--force"), 2),
+    (("degree", "carolina", "--n", "21"), 2),
+    (("degree", "carolina", "--n", "25", "--force"), 2),
+    (("degree", "stack", "--n", "4", "--threads", "0"), 2),
+    (("degree", "stack", "--n", "4", "--threads", _TOO_MANY_THREADS), 2),
+    (("degree", "stack", "--n", "4", "--threads", "-1"), 2),
+    (("search", "ratio", "--n", "3", "--threads", "0"), 2),
+    (("search", "ratio", "--n", "3", "--threads", _TOO_MANY_THREADS), 2),
+    (("verify", "thm3", "--threads", "0"), 2),
+    (("degree", "stack", "--n", "4", "--threads", "1"), 0),
+    (("search", "ratio", "--n", "3", "--threads", "1"), 0),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -284,3 +301,84 @@ def test_word_bubble_content_flag(capsys):
     assert code == 0
     assert payload["degree"] == "14/3"
     assert payload["content"] == [2, 1, 1]
+
+
+# Exact stdout and exit code of every degree system at small sizes, in json
+# and csv; default output must stay byte-identical across refactors.
+_GOLDEN = json.loads((Path(__file__).parent / "golden_degree.json").read_text())
+
+
+@pytest.mark.filterwarnings("ignore:n = 1 is outside")
+@pytest.mark.parametrize("command", sorted(_GOLDEN))
+def test_degree_output_is_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert [code, out] == _GOLDEN[command]
+
+
+def test_degree_mismatch_prints_both_values(capsys, monkeypatch):
+    real = bubble.bubble_degree_formula
+    monkeypatch.setattr(bubble, "bubble_degree_formula",
+                        lambda n, k=1: real(n, k) + 1)
+    code, payload = run_json(capsys, "degree", "bubble", "--n", "4")
+    assert code == 1
+    assert payload["degree"] == "6/1" and payload["engine_degree"] == "5/1"
+    assert payload["histogram"] == {"0": 18, "2": 2, "4": 3, "8": 1}
+
+
+def test_degree_tree_mismatch_prints_both_values(capsys, monkeypatch):
+    real = extremal.stratified_degree
+
+    def off_by_one_iterate(spec, r=1):
+        return real(spec, r) + (r == 2)
+
+    monkeypatch.setattr(extremal, "stratified_degree", off_by_one_iterate)
+    code, payload = run_json(capsys, "degree", "tree", "--b", "5")
+    assert code == 1
+    assert payload["degree"] == "19/9" and "engine_degree" not in payload
+    assert payload["iterate_degree"] == "161/18"
+    assert payload["engine_iterate_degree"] == "143/18"
+
+
+def test_degree_bulgarian_image_defect_prints_payload(capsys, monkeypatch):
+    # a rank off by one moves the rank >= -1 boundary, so the certificate fails
+    monkeypatch.setattr(solitaire, "_rank", lambda lam: lam[0] - len(lam) - 1)
+    code, payload = run_json(capsys, "degree", "bulgarian", "--n", "6")
+    assert code == 1
+    assert payload["degree"] == "17/11"
+    assert payload["image_defects"]["rank_below_minus_1_in_image"] > 0
+    assert payload["image_defects"]["rank_at_least_minus_1_missed"] == 0
+
+
+_ONE_BUILD = [
+    ("bubble", "--n", "4"), ("bubble_iter", "--n", "4", "--k", "2"),
+    ("word_bubble", "--content", "2,1,1"), ("stack", "--n", "4"),
+    ("nibble_perm", "--n", "4"), ("nibble_bin", "--n", "4"),
+    ("chip", "--n", "4"), ("bulgarian", "--n", "6"),
+    ("carolina", "--n", "5"), ("hecke", "--n", "4"), ("tree", "--b", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", _ONE_BUILD)
+def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
+    # the spans the benchmark counts as full-domain builds
+    builds = []
+    tabulate = EndoMap.from_function.__func__
+
+    def counted_tabulate(cls, codec, fn):
+        builds.append("tabulate")
+        return tabulate(cls, codec, fn)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            builds.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(EndoMap, "from_function", classmethod(counted_tabulate))
+    monkeypatch.setattr(stacksort, "stack_fibers",
+                        counted("fibers", stacksort.stack_fibers))
+    monkeypatch.setattr(extremal, "build_tree_map",
+                        counted("tree", extremal.build_tree_map))
+    code, _ = run(capsys, "degree", *argv, "--no-timestamp")
+    assert code == 0
+    assert len(builds) == 1, builds

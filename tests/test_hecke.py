@@ -35,6 +35,9 @@ def test_word_validation():
         HeckeWord(3, (0,))
     with pytest.raises(ValueError):
         hecke_apply(HeckeWord(3, (1,)), (1, 2))
+    for bad in [(1, 1, 2), (0, 1, 2), (1, 2, 3, 4), (2, 3, 4)]:
+        with pytest.raises(ValueError):
+            hecke_apply(HeckeWord(3, (1, 2)), bad)
 
 
 def test_bubble_word_is_one_pass():
@@ -141,3 +144,13 @@ def test_scan_sampled_mode_is_deterministic():
 def test_scan_rejects_trivial_n():
     with pytest.raises(ValueError):
         conjecture2_scan(1, 3)
+
+
+def test_endomap_matches_public_apply():
+    # the endomap skips the per-point checks; its table must not change
+    for n in range(1, 6):
+        reverse = HeckeWord(n, tuple(range(n - 1, 0, -1)) * 2)
+        for word in (bubble_word(n), t_alt_word(n), reverse):
+            dom = permutation_domain(n)
+            want = tuple(dom.rank(hecke_apply(word, pi)) for pi in dom.objects())
+            assert hecke_endomap(word).table == want

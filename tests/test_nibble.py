@@ -31,6 +31,9 @@ def test_nibble_examples():
     assert nibble((1, 3, 2)) == (1, 2, 3)
     assert nibble((3, 1, 2)) == (1, 3, 2)
     assert nibble((2, 3, 1)) == (2, 1, 3)
+    for bad in [(1, 1, 2), (0, 1), (1, 2, 4)]:
+        with pytest.raises(ValueError):
+            nibble(bad)
 
 
 def test_formula_small_values():
@@ -75,8 +78,9 @@ def test_chip_fire_examples():
     assert chip_fire(parse_bits("11")) == parse_bits("10")
     with pytest.raises(ValueError):
         chip_fire(())
-    with pytest.raises(ValueError):
-        chip_fire((0, 2, 0))
+    for bad in [(0, 2, 0), (0, -1), (1, 0, 3)]:
+        with pytest.raises(ValueError):
+            chip_fire(bad)
 
 
 def test_binary_domain_codec():
@@ -86,6 +90,9 @@ def test_binary_domain_codec():
         w = dom.unrank(r)
         assert dom.rank(w) == r
     assert dom.rank((1, 0, 1, 1)) == 0b1011
+    for n in range(0, 9):
+        d = BinaryDomain(n)
+        assert list(d.objects()) == [d.unrank(r) for r in range(d.size)]
     with pytest.raises(ValueError):
         dom.rank((0, 1))
     with pytest.raises(ValueError):

@@ -97,6 +97,14 @@ def test_domain_is_cached_and_checks_input():
         permutation_domain(3).rank((1, 2))
     with pytest.raises(ValueError):
         permutation_domain(3).rank((1, 1, 2))
+    dom = permutation_domain(4)
+    dom.rank((1, 2, 3, 4))  # materialized from here on
+    for bad in [(1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 4), (0, 1, 2, 3),
+                (2, 3, 4, 5), (), "1234"]:
+        with pytest.raises(ValueError):
+            dom.rank(bad)
+    # a list is accepted as the permutation it spells
+    assert dom.rank([4, 3, 2, 1]) == dom.rank((4, 3, 2, 1))
 
 
 def test_endomap_over_permutation_domain():
@@ -104,3 +112,15 @@ def test_endomap_over_permutation_domain():
     f = EndoMap.from_function(dom, lambda pi: apply_t(pi, 1))
     assert f.apply((2, 1, 3)) == (1, 2, 3)
     assert f.apply((1, 3, 2)) == (1, 3, 2)
+
+
+def test_materialized_order_is_inversion_table_order():
+    # the codec builds S_n level by level; rank order is lex order of the
+    # inversion table, as from_inversion_table spells it out
+    from noninv.perms import PermutationDomain
+    for n in range(0, 9):
+        ranges = [range(n - j + 1) for j in range(1, n + 1)]
+        want = [from_inversion_table(e) for e in itertools.product(*ranges)]
+        dom = PermutationDomain(n)
+        assert list(dom.objects()) == want
+        assert [dom.rank(pi) for pi in want] == list(range(len(want)))

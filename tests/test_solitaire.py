@@ -14,6 +14,7 @@ from noninv.solitaire import (
     bulgarian,
     bulgarian_degree,
     bulgarian_endomap,
+    bulgarian_image_defects,
     bulgarian_preimage_count,
     carolina,
     carolina_asymptotic_report,
@@ -53,12 +54,19 @@ def test_partition_domain_roundtrip():
         assert dom.rank(dom.unrank(i)) == i
     with pytest.raises(ValueError):
         dom.rank((6,))
+    for bad in [(1, 2, 4), (6, 2), (5,), (), [4, 4]]:
+        with pytest.raises(ValueError):
+            dom.rank(bad)
+    assert dom.rank([4, 3]) == dom.rank((4, 3))
 
 
 def test_bulgarian_examples():
     assert bulgarian((8, 3, 3, 1, 1)) == (7, 5, 2, 2)
     assert bulgarian((1, 1, 1, 1, 1)) == (5,)
     assert bulgarian((2, 1)) == (2, 1)
+    for bad in [(1, 2), (2, 0), (2, -1), (2.5, 1)]:
+        with pytest.raises(ValueError):
+            bulgarian(bad)
 
 
 def test_preimage_count_examples():
@@ -260,6 +268,9 @@ def test_carolina_examples():
     assert carolina((6,)) == (1, 5)
     assert carolina((1, 1)) == (2,)
     assert carolina((1,)) == (1,)
+    for bad in [(0, 2), (1, -1), (1.5,)]:
+        with pytest.raises(ValueError):
+            carolina(bad)
 
 
 def test_carolina_preimages_listing():
@@ -299,8 +310,10 @@ def test_composition_domain_roundtrip():
             assert dom.rank(c) == r
             seen.add(c)
         assert len(seen) == 1 << (n - 1)
-    with pytest.raises(ValueError):
-        CompositionDomain(3).rank((2, 2))
+        assert list(dom.objects()) == [dom.unrank(r) for r in range(dom.size)]
+    for bad in [(2, 2), (3, 0), (1, 0, 2), (4,)]:
+        with pytest.raises(ValueError):
+            CompositionDomain(3).rank(bad)
 
 
 def test_eta_series_prefix():
@@ -338,3 +351,34 @@ def test_growth_root_and_asymptotics():
     assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
     assert carolina_degree_asymptotic(40) == pytest.approx(
         rows[-1]["asymptotic"])
+
+
+def _partitions_recursive(n, max_part):
+    # the recursion partitions_desc replaced: first part, then the rest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions_recursive(n - first, first):
+            yield (first,) + rest
+
+
+def test_partitions_desc_matches_recursive_order():
+    for n in range(0, 31):
+        for max_part in range(0, n + 2):
+            assert list(partitions_desc(n, max_part)) == \
+                list(_partitions_recursive(n, max_part)), (n, max_part)
+        assert list(partitions_desc(n)) == list(_partitions_recursive(n, n))
+
+
+def test_bulgarian_image_defects_certify_and_catch():
+    from noninv.endo import EndoMap
+    for n in range(1, 13):
+        assert bulgarian_image_defects(bulgarian_endomap(n)) == (0, 0)
+    f = bulgarian_endomap(8)
+    dom = f.codec
+    # send one point to (1^8), of rank -7, which is never an image
+    low = dom.rank((1,) * 8)
+    moved = EndoMap(dom, (low,) + f.table[1:])
+    outside, missed = bulgarian_image_defects(moved)
+    assert outside == 1 and missed == (f.table[0] not in f.table[1:])

@@ -236,6 +236,11 @@ def _multinomial_raw(counts) -> int:
     return result
 
 
+# word count above which `degree word_bubble` needs --force and `verify
+# words` skips a content
+_WORD_LIMIT = 10 ** 4
+
+
 def word_bubble_endomap(a) -> EndoMap:
     return EndoMap.from_function(WordDomain(a), bubble_sort)
 

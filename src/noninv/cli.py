@@ -2,9 +2,9 @@
 
 Five subcommands: ``degree`` evaluates one system and prints its exact
 degree with the fiber histogram, ``verify`` runs a named formula-vs-oracle
-suite, ``search`` maximizes iterate ratios over all endofunctions,
-``sample`` runs the seeded partition experiment, and ``series`` expands the
-composition generating function.
+suite of ``noninv.suites``, ``search`` maximizes iterate ratios over all
+endofunctions, ``sample`` runs the seeded partition experiment, and
+``series`` expands the composition generating function.
 
 Output is deterministic for a fixed command line and seed: JSON is the
 canonical format (sorted keys, optional timestamp suppressed by
@@ -20,20 +20,17 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from math import factorial
 
 from . import bubble, extremal, hecke, nibble, solitaire, stacksort
-from .endo import (EndoMap, FiberHistogram, degree, fiber_sizes, is_bijection,
-                   is_constant, iterate, square_sum)
-from .perms import permutation_domain, reverse_complement
+from .endo import (FiberHistogram, dec_str, degree, fiber_sizes, frac_str,
+                   iterate, square_sum)
 
 _PERM_LIMIT = 8
 _PERM_HARD_LIMIT = 10
-_WORD_LIMIT = 10 ** 4
 _WORD_FORCED_LIMIT = 10 ** 6
 _BINARY_LIMIT = 16
 _BINARY_FORCED_LIMIT = 24
@@ -47,18 +44,6 @@ _SAMPLE_N_LIMIT = 10 ** 5
 _SAMPLE_COUNT_LIMIT = 10 ** 6
 # eta_series grows about cubically: --n 2000 took 22 s on 2 cores
 _SERIES_N_LIMIT = 2000
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def dec_str(x) -> str:
-    return format(float(x), ".12g")
-
-
-def _check(name: str, ok: bool, detail: str) -> dict:
-    return {"name": name, "ok": bool(ok), "detail": detail}
 
 
 class CLIError(Exception):
@@ -82,14 +67,6 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
         raise CLIError(f"{flag} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
         raise CLIError(f"{flag} {value} exceeds the hard limit {hi}")
-
-
-def _size(value: int | None, default: int, flag: str, lo: int = 1) -> int:
-    """A size flag of a verify suite: the default when absent, else >= lo."""
-    if value is None:
-        return default
-    _bounded(value, flag, lo)
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +118,8 @@ def cmd_degree(args) -> tuple[dict, int]:
         if len(content) < 2:
             raise CLIError("--content needs at least two letters")
         size = bubble.multinomial(content)
-        _guard(size, _WORD_LIMIT, "word count", args.force, _WORD_FORCED_LIMIT)
+        _guard(size, bubble._WORD_LIMIT, "word count", args.force,
+               _WORD_FORCED_LIMIT)
         f = bubble.word_bubble_endomap(content)
         payload["content"] = list(content)
         ok = _degree_payload(payload, fiber_sizes(f.table),
@@ -234,287 +212,52 @@ def cmd_degree(args) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify subcommand
 
 
-def _suite_thm1(args) -> list[dict]:
-    max_n = _size(args.max_n, 7, "--max-n")
-    k_max = _size(args.k, 3, "--k")
-    checks = []
-    for n in range(1, max_n + 1):
-        base = bubble.bubble_endomap(n)
-        for k in range(1, k_max + 1):
-            got = degree(iterate(base, k))
-            want = bubble.bubble_degree_formula(n, k)
-            checks.append(_check(f"iterated pass degree n={n} k={k}",
-                                 got == want, f"{frac_str(got)} vs {frac_str(want)}"))
-    return checks
-
-
-def _suite_moments(args) -> list[dict]:
-    max_n = _size(args.max_n, 6, "--max-n")
-    m_max = _size(args.m, 3, "--m")
-    checks = []
-    for n in range(1, max_n + 1):
-        f = bubble.bubble_endomap(n)
-        sizes = fiber_sizes(f.table)
-        for m in range(1, m_max + 1):
-            got = Fraction(sum(sizes[f.table[x]] ** m for x in range(f.n)), f.n)
-            want = bubble.bubble_moment(n, m)
-            checks.append(_check(f"fiber moment n={n} m={m}", got == want,
-                                 f"{frac_str(got)} vs {frac_str(want)}"))
-    for n in range(1, 41):
-        ok = bubble.bubble_moment(n, 1) == bubble.bubble_degree_formula(n, 1)
-        checks.append(_check(f"first moment equals degree n={n}", ok, "exact"))
-    return checks
-
-
-def _suite_lem2(args) -> list[dict]:
-    n = _size(args.n, 5, "--n")
-    k_max = _size(args.k, 2, "--k")
-    checks = []
-    base = bubble.bubble_endomap(n)
-    dom = permutation_domain(n)
-    for k in range(1, k_max + 1):
-        f = iterate(base, k)
-        sizes = fiber_sizes(f.table)
-        bad = 0
-        for idx in range(f.n):
-            if sizes[idx] != bubble.bubble_preimage_count(dom.unrank(idx), k):
-                bad += 1
-        checks.append(_check(f"fiber sizes match closed form n={n} k={k}",
-                             bad == 0, f"{bad} mismatches over {f.n} targets"))
-    return checks
-
-
-def _suite_words(args) -> list[dict]:
-    cap = _size(args.max_n, 8, "--max-n")
-    checks = []
-    from itertools import product
-    contents = []
-    for r in (2, 3, 4):
-        for a in product(range(1, cap), repeat=r):
-            if sum(a) <= cap and bubble.multinomial(a) <= _WORD_LIMIT:
-                contents.append(a)
-    contents += [(2, 120), (120, 2), (40, 2, 1)]
-    for a in contents:
-        got = degree(bubble.word_bubble_endomap(a))
-        want = bubble.word_degree_formula(a)
-        checks.append(_check(f"word degree content={a}", got == want,
-                             f"{frac_str(got)} vs {frac_str(want)}"))
-    return checks
-
-
-def _suite_thm4(args) -> list[dict]:
-    max_n = _size(args.max_n, 7, "--max-n")
-    checks = []
-    for n in range(1, max_n + 1):
-        got = degree(nibble.nibble_endomap(n))
-        want = nibble.nibble_degree_formula(n)
-        checks.append(_check(f"single-swap degree n={n}", got == want,
-                             f"{frac_str(got)} vs {frac_str(want)}"))
-    val = float(nibble.nibble_degree_formula(20))
-    lim = nibble.nibble_degree_limit()
-    checks.append(_check("partial sum at n=20 near the limit",
-                         abs(val - lim) < 1e-6, f"{val!r} vs {lim!r}"))
-    return checks
-
-
-def _suite_binary32(args) -> list[dict]:
-    max_n = _size(args.max_n, 12, "--max-n", lo=2)
-    checks = []
-    for n in range(2, max_n + 1):
-        nib_f = nibble.nibble_binary_endomap(n)
-        chi_f = nibble.chip_endomap(n)
-        expected = nibble.expected_binary_histogram(n)
-        ok = (degree(nib_f) == degree(chi_f) == Fraction(3, 2)
-              and FiberHistogram.from_map(nib_f).counts == expected
-              and FiberHistogram.from_map(chi_f).counts == expected)
-        fixed_ok = (any(i == v for i, v in enumerate(nib_f.table))
-                    and not any(i == v for i, v in enumerate(chi_f.table)))
-        checks.append(_check(f"degree 3/2 and histogram n={n}", ok, "exact"))
-        checks.append(_check(f"fixed points: nib yes, chip no n={n}",
-                             fixed_ok, "structural"))
-    return checks
-
-
-def _suite_thm5(args) -> list[dict]:
-    max_n = _size(args.max_n, 20, "--max-n")
-    checks = []
-    for n in range(1, max_n + 1):
-        elements = list(solitaire.partition_domain(n).objects())
-        sizes = {}
-        for lam in elements:
-            mu = solitaire.bulgarian(lam)
-            sizes[mu] = sizes.get(mu, 0) + 1
-        bound = solitaire.max_preimage_bound(n)
-        ok_bound = max(sizes.values()) <= bound
-        image = set(sizes)
-        ok_image = image == {lam for lam in elements
-                             if solitaire.partition_rank(lam) >= -1}
-        checks.append(_check(f"max fiber within bound n={n}", ok_bound,
-                             f"max {max(sizes.values())} <= {bound}"))
-        checks.append(_check(f"image is rank >= -1 n={n}", ok_image,
-                             f"{len(image)} image points"))
-    return checks
-
-
-def _suite_thm6(args) -> list[dict]:
-    max_n = _size(args.max_n, 14, "--max-n")
-    series_n = max(max_n, 40)
-    eta = solitaire.eta_series(series_n)
-    checks = []
-    for n in range(1, series_n + 1):
-        got = solitaire.carolina_degree(n)
-        want = Fraction(eta[n], 2 ** (n - 1))
-        checks.append(_check(f"double sum equals series n={n}", got == want,
-                             f"{frac_str(got)} vs {frac_str(want)}"))
-    for n in range(1, min(max_n, 14) + 1):
-        got = degree(solitaire.carolina_endomap(n))
-        want = solitaire.carolina_degree(n)
-        checks.append(_check(f"brute force agrees n={n}", got == want,
-                             f"{frac_str(got)} vs {frac_str(want)}"))
-    return checks
-
-
-def _suite_thm7(args) -> list[dict]:
-    checks = []
-    if args.exhaustive:
-        n = _size(args.n, 3, "--n")
-        if n > 4 and not args.force:
-            raise CLIError("exhaustive pair scan beyond n=4 needs --force")
-        holds = equalities = predicate_ok = 0
-        total = 0
-        maps = [EndoMap.from_table(t) for t in extremal.all_tables(n)]
-        for f in maps:
-            for g in maps:
-                h, eq = extremal.check_theorem7(f, g)
-                total += 1
-                holds += h
-                if eq:
-                    equalities += 1
-                    predicate_ok += is_constant(f) and is_bijection(g)
-        checks.append(_check(f"inequality over all {total} pairs n={n}",
-                             holds == total, f"{holds}/{total} hold"))
-        checks.append(_check("equality only for constant after bijection",
-                             equalities == predicate_ok,
-                             f"{equalities} equality pairs"))
-    else:
-        samples = _size(args.samples, 1000, "--samples")
-        rng = random.Random(args.seed)
-        for n in range(4, 11):
-            bad = 0
-            for _ in range(samples):
-                f = EndoMap.from_table(extremal.random_table(n, rng))
-                g = EndoMap.from_table(extremal.random_table(n, rng))
-                if not extremal.check_theorem7(f, g)[0]:
-                    bad += 1
-            checks.append(_check(f"random pairs n={n}", bad == 0,
-                                 f"{bad} failures in {samples}"))
-    return checks
-
-
-def _suite_thm3(args) -> list[dict]:
-    max_n = _size(args.max_n, 4, "--max-n")
-    k_max = _size(args.k, 4, "--k")
-    checks = []
-    for n in range(1, max_n + 1):
-        bad = 0
-        count = 0
-        for t in extremal.all_tables(n):
-            f = EndoMap.from_table(t)
-            count += 1
-            for k in range(1, k_max + 1):
-                if not extremal.check_theorem3_bound(f, k):
-                    bad += 1
-        checks.append(_check(f"powered bound over all maps n={n} k<={k_max}",
-                             bad == 0, f"{bad} failures over {count} maps"))
-    w = extremal.exhaustive_ratio_search(3, 2, 2)
-    checks.append(_check("collapse ratio maximum at n=3",
-                         w.ratio_pow >= Fraction(27, 25) and w.recompute(),
-                         f"ratio^1 = {frac_str(w.ratio_pow)}"))
-    return checks
-
-
-def _suite_prop1(args) -> list[dict]:
-    bs = (5, 10, 100, 1000)
-    k = _size(args.k, 2, "--k", lo=2)
-    checks = []
-    rows = []
-    for b in bs:
-        engine, closed = extremal.prop1_degrees(b, k)
-        deg_f, deg_fk = engine
-        n_b = extremal.tree_size(b, k)
-        # deg(F_b^k) grows like n_b^(1 - 1/2^(k-1))
-        rows.append((float(deg_f), float(deg_fk) / n_b ** (1 - 1 / 2 ** (k - 1))))
-        detail = f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"
-        if engine != closed:
-            detail += (f" vs stratified deg={frac_str(closed[0])} "
-                       f"iterate={frac_str(closed[1])}")
-        checks.append(_check(f"engine equals stratified b={b} k={k}",
-                             engine == closed, detail))
-    base = [r[0] for r in rows]
-    ratio = [r[1] for r in rows]
-    checks.append(_check("base degrees increase toward k+1",
-                         base == sorted(base) and base[-1] < k + 1,
-                         " -> ".join(dec_str(x) for x in base)))
-    checks.append(_check("normalized iterate degrees decrease toward 1",
-                         ratio == sorted(ratio, reverse=True) and ratio[-1] > 1,
-                         " -> ".join(dec_str(x) for x in ratio)))
-    return checks
-
-
-def _suite_hecke_odd(args) -> list[dict]:
-    max_n = _size(args.max_n, 6, "--max-n")
-    checks = []
-    for n in range(1, max_n + 1):
-        f = hecke.hecke_endomap(hecke.t_alt_word(n))
-        got = len(set(f.table))
-        want = hecke.updown_count(n)
-        checks.append(_check(f"image size is the zigzag number n={n}",
-                             got == want, f"{got} vs {want}"))
-    for n in (5, 7):
-        if n > max_n:
-            continue
-        alt = hecke.t_alt_word(n)
-        tla = hecke.t_tla_word(n)
-        ok = all(
-            hecke.hecke_apply(alt, reverse_complement(pi))
-            == reverse_complement(hecke.hecke_apply(tla, pi))
-            for pi in permutation_domain(n).objects())
-        checks.append(_check(f"reverse-complement intertwining n={n}", ok,
-                             "pointwise"))
-        da = degree(hecke.hecke_endomap(alt))
-        dt = degree(hecke.hecke_endomap(tla))
-        checks.append(_check(f"alternating operators share a degree n={n}",
-                             da == dt, f"{frac_str(da)} vs {frac_str(dt)}"))
-    report = hecke.conjecture2_scan(3, 4)
-    checks.append(_check(
-        "degree range scan (report only)", True,
-        f"{len(report.violations)} operators outside "
-        f"[{frac_str(report.bubble_degree)}, {frac_str(report.tla_degree)}] "
-        f"over {report.distinct_operators} distinct"))
-    return checks
-
-
+# suite -> (the name of its params class, minimum of each size flag it
+# reads); the suite and its params class are looked up in noninv.suites
 _SUITES = {
-    "thm1": _suite_thm1,
-    "moments": _suite_moments,
-    "lem2": _suite_lem2,
-    "words": _suite_words,
-    "thm4": _suite_thm4,
-    "binary32": _suite_binary32,
-    "thm5": _suite_thm5,
-    "thm6": _suite_thm6,
-    "thm7": _suite_thm7,
-    "thm3": _suite_thm3,
-    "prop1": _suite_prop1,
-    "hecke_odd": _suite_hecke_odd,
+    "thm1": ("Thm1Params", {"max_n": 1, "k": 1}),
+    "moments": ("MomentsParams", {"max_n": 1, "m": 1}),
+    "lem2": ("Lem2Params", {"n": 1, "k": 1}),
+    "words": ("WordsParams", {"max_n": 1}),
+    "thm4": ("Thm4Params", {"max_n": 1}),
+    "binary32": ("Binary32Params", {"max_n": 2}),
+    "stack": ("StackParams", {"max_n": 1}),
+    "thm5": ("Thm5Params", {"max_n": 1}),
+    "thm6": ("Thm6Params", {"max_n": 1}),
+    "thm7": ("Thm7Params", {"samples": 1}),
+    "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": 1}),
+    "thm3": ("Thm3Params", {"max_n": 1, "k": 1}),
+    "prop1": ("Prop1Params", {"k": 2}),
+    "hecke_odd": ("HeckeOddParams", {"max_n": 1}),
 }
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    checks = _SUITES[args.suite](args)
+    # imported here, so other commands skip its ~15 ms of dataclass creation
+    from . import suites
+
+    name = args.suite
+    if name == "thm7" and args.exhaustive:
+        name = "thm7_exhaustive"
+    params_name, minimum = _SUITES[name]
+    given = {"thm7": {"seed": args.seed},
+             "stack": {"workers": args.threads}}.get(name, {})
+    # a size flag left out keeps the params default; a given 0 is refused
+    for field, lo in minimum.items():
+        value = getattr(args, field)
+        if value is not None:
+            _bounded(value, "--" + field.replace("_", "-"), lo)
+            given[field] = value
+    params = getattr(suites, params_name)(**given)
+    if name == "thm7_exhaustive" and params.n > 4 and not args.force:
+        raise CLIError("exhaustive pair scan beyond n=4 needs --force")
+    if name == "stack":
+        _guard(params.max_n, stacksort._DEFAULT_LIMIT, "n", args.force,
+               _PERM_HARD_LIMIT)
+    checks = getattr(suites, name)(params)
     failed = sum(1 for c in checks if not c["ok"])
     payload = {
         "command": "verify",
@@ -660,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_degree.set_defaults(fn=cmd_degree)
 
     p_verify = sub.add_parser("verify", help="run a formula-vs-oracle suite")
-    p_verify.add_argument("suite", choices=sorted(_SUITES))
+    p_verify.add_argument("suite",
+                          choices=sorted(set(_SUITES) - {"thm7_exhaustive"}))
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--k", type=int, default=None)
     p_verify.add_argument("--m", type=int, default=None,

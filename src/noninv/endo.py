@@ -269,3 +269,13 @@ def collision_entropy(f: EndoMap) -> float:
     d = degree(f)
     # big-integer safe: log(n/d) with d = p/q is log(n*q) - log(p)
     return math.log(f.n * d.denominator) - math.log(d.numerator)
+
+
+def frac_str(x: Fraction) -> str:
+    """An exact rational as "p/q", integers included ("6/1")."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def dec_str(x) -> str:
+    """A display-only decimal at 12 significant digits."""
+    return format(float(x), ".12g")

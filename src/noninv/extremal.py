@@ -197,7 +197,18 @@ def all_tables(n: int):
 
 
 def random_table(n: int, rng: random.Random) -> tuple[int, ...]:
-    return tuple(rng.randrange(n) for _ in range(n))
+    """The values of n calls ``rng.randrange(n)``, drawn as CPython's
+    ``_randbelow_with_getrandbits`` draws them (k = n.bit_length() bits,
+    redrawn while >= n) without randrange's argument handling."""
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    table = []
+    for _ in range(n):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        table.append(r)
+    return tuple(table)
 
 
 def random_endomap(n: int, rng_seed: int) -> EndoMap:
@@ -319,7 +330,7 @@ def exhaustive_ratio_search(n: int, k: int, gamma, budget: int = _SEARCH_BUDGET,
     a, m = _normalize_gamma(gamma)
     jobs = [(n, k, a, m, first, canonical) for first in range(n)]
     if workers > 1 and n > 2:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_search_chunk, jobs))
     else:
         results = [_search_chunk(j) for j in jobs]

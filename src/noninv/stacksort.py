@@ -92,8 +92,9 @@ def stack_fibers(n: int, workers: int = 1) -> Counter:
             counts[stack_sort(p)] += 1
         return counts
     counts = Counter()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_fiber_chunk, [(n, v) for v in range(1, n + 1)]):
+    jobs = [(n, v) for v in range(1, n + 1)]
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        for part in pool.map(_fiber_chunk, jobs):
             counts.update(part)
     return counts
 
@@ -140,16 +141,19 @@ class StackDegreeTable:
         return self.degrees[n]
 
     def superadditivity_failures(self) -> list[tuple[int, int]]:
-        """Pairs (m, n) with d_{m-1} d_{n-1} > (m+n-1) d_{m+n-1}."""
-        out = []
-        known = self.degrees
-        for m in known:
-            for n in known:
-                k = m + n - 1
-                if m - 1 in known and n - 1 in known and k in known:
-                    if known[m - 1] * known[n - 1] > k * known[k]:
-                        out.append((m, n))
-        return out
+        return superadditivity_failures(self.degrees)
+
+
+def superadditivity_failures(known: dict[int, Fraction]) -> list[tuple[int, int]]:
+    """Pairs (m, n) with d_{m-1} d_{n-1} > (m+n-1) d_{m+n-1}."""
+    out = []
+    for m in known:
+        for n in known:
+            k = m + n - 1
+            if m - 1 in known and n - 1 in known and k in known:
+                if known[m - 1] * known[n - 1] > k * known[k]:
+                    out.append((m, n))
+    return out
 
 
 _A10_TARGET = Fraction(112462, 100000)

@@ -1,0 +1,388 @@
+"""Verification suites: each closed form against an independent enumeration.
+
+A suite is a function of one frozen params dataclass of sizes, whose
+defaults are the sizes ``noninv verify <suite>`` runs; the acceptance gate
+calls the same functions at wider sizes.  A suite returns its checks as
+dicts ``{"name", "ok", "detail"}``; a failed check names both values.
+The library is reached through module attributes (``bubble.bubble_endomap``)
+so that a test replacing an entry point on its module reaches every suite.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import factorial
+
+from . import bubble, extremal, hecke, nibble, solitaire, stacksort
+from .endo import (EndoMap, FiberHistogram, are_pseudoconjugate, dec_str,
+                   degree, fiber_sizes, frac_str, is_bijection, is_constant,
+                   iterate)
+from .perms import permutation_domain, reverse_complement
+
+
+def _check(name: str, ok: bool, detail: str) -> dict:
+    return {"name": name, "ok": bool(ok), "detail": detail}
+
+
+def _equal(name: str, got: Fraction, want: Fraction) -> dict:
+    return _check(name, got == want, f"{frac_str(got)} vs {frac_str(want)}")
+
+
+@dataclass(frozen=True)
+class Thm1Params:
+    max_n: int = 7
+    k: int = 3
+
+
+def thm1(p: Thm1Params = Thm1Params()) -> list[dict]:
+    """Theorem 1: degree of the k-th bubble-sort pass on S_n."""
+    checks = []
+    for n in range(1, p.max_n + 1):
+        base = bubble.bubble_endomap(n)
+        for k in range(1, p.k + 1):
+            checks.append(_equal(f"iterated pass degree n={n} k={k}",
+                                 degree(iterate(base, k)),
+                                 bubble.bubble_degree_formula(n, k)))
+    return checks
+
+
+@dataclass(frozen=True)
+class MomentsParams:
+    max_n: int = 6
+    m: int = 3
+    # the first moment is compared with the degree formula for n <= this
+    degree_max_n: int = 40
+
+
+def moments(p: MomentsParams = MomentsParams()) -> list[dict]:
+    """Moments of the preimage count of one bubble pass, by brute force."""
+    checks = []
+    for n in range(1, p.max_n + 1):
+        f = bubble.bubble_endomap(n)
+        sizes = fiber_sizes(f.table)
+        for m in range(1, p.m + 1):
+            got = Fraction(sum(sizes[y] ** m for y in f.table), f.n)
+            checks.append(_equal(f"fiber moment n={n} m={m}", got,
+                                 bubble.bubble_moment(n, m)))
+    for n in range(1, p.degree_max_n + 1):
+        got = bubble.bubble_moment(n, 1)
+        want = bubble.bubble_degree_formula(n, 1)
+        checks.append(_check(f"first moment equals degree n={n}", got == want,
+                             "exact" if got == want
+                             else f"{frac_str(got)} vs {frac_str(want)}"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Lem2Params:
+    n: int = 5
+    k: int = 2
+
+
+def lem2(p: Lem2Params = Lem2Params()) -> list[dict]:
+    """Lemma 2: every fiber size of the k-th bubble pass on S_n."""
+    checks = []
+    base = bubble.bubble_endomap(p.n)
+    dom = permutation_domain(p.n)
+    for k in range(1, p.k + 1):
+        sizes = fiber_sizes(iterate(base, k).table)
+        wants = [bubble.bubble_preimage_count(dom.unrank(idx), k)
+                 for idx in range(len(sizes))]
+        bad = [i for i, (s, w) in enumerate(zip(sizes, wants)) if s != w]
+        detail = f"{len(bad)} mismatches over {len(sizes)} targets"
+        if bad:
+            detail += f"; first at rank {bad[0]}: {sizes[bad[0]]} vs {wants[bad[0]]}"
+        checks.append(_check(f"fiber sizes match closed form n={p.n} k={k}",
+                             not bad, detail))
+    return checks
+
+
+@dataclass(frozen=True)
+class WordsParams:
+    # every content of 2 to 4 letters with total <= max_n and at most
+    # bubble._WORD_LIMIT words, then the heavy contents
+    max_n: int = 8
+    heavy: tuple[tuple[int, ...], ...] = ((2, 120), (120, 2), (40, 2, 1))
+
+
+def words(p: WordsParams = WordsParams()) -> list[dict]:
+    """Bubble sort on words: degree against the product formula."""
+    contents = []
+    for r in (2, 3, 4):
+        for a in product(range(1, p.max_n), repeat=r):
+            if (sum(a) <= p.max_n
+                    and bubble.multinomial(a) <= bubble._WORD_LIMIT):
+                contents.append(a)
+    contents += p.heavy
+    return [_equal(f"word degree content={a}",
+                   degree(bubble.word_bubble_endomap(a)),
+                   bubble.word_degree_formula(a))
+            for a in contents]
+
+
+@dataclass(frozen=True)
+class Thm4Params:
+    max_n: int = 7
+
+
+def thm4(p: Thm4Params = Thm4Params()) -> list[dict]:
+    """Theorem 4: the single-swap degree and its limit."""
+    checks = [_equal(f"single-swap degree n={n}",
+                     degree(nibble.nibble_endomap(n)),
+                     nibble.nibble_degree_formula(n))
+              for n in range(1, p.max_n + 1)]
+    val = float(nibble.nibble_degree_formula(20))
+    lim = nibble.nibble_degree_limit()
+    checks.append(_check("partial sum at n=20 near the limit",
+                         abs(val - lim) < 1e-6, f"{val!r} vs {lim!r}"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Binary32Params:
+    max_n: int = 12
+
+
+def binary32(p: Binary32Params = Binary32Params()) -> list[dict]:
+    """Binary nibble and chip firing: degree 3/2, one histogram, fixed points."""
+    checks = []
+    for n in range(2, p.max_n + 1):
+        nib_f = nibble.nibble_binary_endomap(n)
+        chi_f = nibble.chip_endomap(n)
+        expected = nibble.expected_binary_histogram(n)
+        degrees = (degree(nib_f), degree(chi_f))
+        hists = (FiberHistogram.from_map(nib_f).counts,
+                 FiberHistogram.from_map(chi_f).counts)
+        ok = (degrees == (Fraction(3, 2),) * 2 and hists == (expected,) * 2
+              and are_pseudoconjugate(nib_f, chi_f))
+        detail = "exact" if ok else (
+            f"degrees {frac_str(degrees[0])}, {frac_str(degrees[1])} vs 3/2; "
+            f"histograms {hists[0]}, {hists[1]} vs {expected}")
+        fixed_ok = (any(i == v for i, v in enumerate(nib_f.table))
+                    and not any(i == v for i, v in enumerate(chi_f.table)))
+        checks.append(_check(f"degree 3/2 and histogram n={n}", ok, detail))
+        checks.append(_check(f"fixed points: nib yes, chip no n={n}",
+                             fixed_ok, "structural"))
+    return checks
+
+
+@dataclass(frozen=True)
+class StackParams:
+    max_n: int = stacksort._DEFAULT_LIMIT
+    workers: int = 1
+
+
+def stack(p: StackParams = StackParams()) -> list[dict]:
+    """Stack sorting: d_n <= C_n, superadditivity, and the a_10 growth bound."""
+    degrees = {n: stacksort.stack_degree(n, limit=p.max_n, workers=p.workers)
+               for n in range(1, p.max_n + 1)}
+    checks = []
+    for n, d in degrees.items():
+        bound = stacksort.catalan(n)
+        checks.append(_check(f"degree within the Catalan bound n={n}",
+                             d <= bound, f"d_{n} = {frac_str(d)}, C_{n} = {bound}"))
+    failures = stacksort.superadditivity_failures(degrees)
+    checks.append(_check("d_(m-1) d_(n-1) <= (m+n-1) d_(m+n-1)", not failures,
+                         f"{len(failures)} failing pairs {failures}"))
+    if 9 in degrees:
+        checks.append(_check("(d_9/100)^(1/10) >= 1.12462",
+                             stacksort.a10_lower_bound_ok(degrees[9]),
+                             f"{dec_str(float(degrees[9] / 100) ** 0.1)} "
+                             f"from d_9 = {frac_str(degrees[9])}"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Thm5Params:
+    max_n: int = 20
+
+
+def thm5(p: Thm5Params = Thm5Params()) -> list[dict]:
+    """Theorem 5: Bulgarian solitaire's fiber bound and its image."""
+    checks = []
+    for n in range(1, p.max_n + 1):
+        elements = list(solitaire.partition_domain(n).objects())
+        sizes = Counter(map(solitaire.bulgarian, elements))
+        bound = solitaire.max_preimage_bound(n)
+        image = set(sizes)
+        want = {lam for lam in elements if solitaire.partition_rank(lam) >= -1}
+        checks.append(_check(f"max fiber within bound n={n}",
+                             max(sizes.values()) <= bound,
+                             f"max {max(sizes.values())} <= {bound}"))
+        checks.append(_check(f"image is rank >= -1 n={n}", image == want,
+                             f"{len(image)} image points"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Thm6Params:
+    # the series is checked to max(max_n, 40), brute force to min(max_n, 14)
+    max_n: int = 14
+
+
+def thm6(p: Thm6Params = Thm6Params()) -> list[dict]:
+    """Theorem 6: Carolina's degree as a double sum, a series and by brute force."""
+    series_n = max(p.max_n, 40)
+    eta = solitaire.eta_series(series_n)
+    checks = [_equal(f"double sum equals series n={n}",
+                     solitaire.carolina_degree(n),
+                     Fraction(eta[n], 2 ** (n - 1)))
+              for n in range(1, series_n + 1)]
+    checks += [_equal(f"brute force agrees n={n}",
+                      degree(solitaire.carolina_endomap(n)),
+                      solitaire.carolina_degree(n))
+               for n in range(1, min(p.max_n, 14) + 1)]
+    return checks
+
+
+@dataclass(frozen=True)
+class Thm7Params:
+    samples: int = 1000
+    seed: int = 0
+
+
+def thm7(p: Thm7Params = Thm7Params()) -> list[dict]:
+    """Theorem 7 on random pairs: `samples` pairs for each n in 4..10."""
+    rng = random.Random(p.seed)
+    checks = []
+    for n in range(4, 11):
+        bad = 0
+        for _ in range(p.samples):
+            f = EndoMap.from_table(extremal.random_table(n, rng))
+            g = EndoMap.from_table(extremal.random_table(n, rng))
+            if not extremal.check_theorem7(f, g)[0]:
+                bad += 1
+        checks.append(_check(f"random pairs n={n}", bad == 0,
+                             f"{bad} failures in {p.samples}"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Thm7ExhaustiveParams:
+    n: int = 3
+
+
+def thm7_exhaustive(p: Thm7ExhaustiveParams = Thm7ExhaustiveParams()) -> list[dict]:
+    """Theorem 7 on all pairs over n points; equality holds exactly when f
+    is constant and g a bijection, which is n * n! pairs."""
+    maps = [EndoMap.from_table(t) for t in extremal.all_tables(p.n)]
+    bijective = [is_bijection(g) for g in maps]
+    holds = equalities = agree = 0
+    for f in maps:
+        constant = is_constant(f)
+        for g, bij in zip(maps, bijective):
+            h, eq = extremal.check_theorem7(f, g)
+            holds += h
+            equalities += eq
+            agree += eq == (constant and bij)
+    total = len(maps) ** 2
+    want = p.n * factorial(p.n)
+    ok = agree == total and equalities == want
+    detail = f"{equalities} equality pairs"
+    if not ok:
+        detail += f" vs {want}; {total - agree} pairs disagree with the predicate"
+    return [_check(f"inequality over all {total} pairs n={p.n}",
+                   holds == total, f"{holds}/{total} hold"),
+            _check("equality only for constant after bijection", ok, detail)]
+
+
+@dataclass(frozen=True)
+class Thm3Params:
+    max_n: int = 4
+    k: int = 4
+
+
+def thm3(p: Thm3Params = Thm3Params()) -> list[dict]:
+    """Theorem 3 over all maps on n <= max_n points, and the 27/25 witness."""
+    checks = []
+    for n in range(1, p.max_n + 1):
+        bad = 0
+        for t in extremal.all_tables(n):
+            f = EndoMap.from_table(t)
+            bad += sum(not extremal.check_theorem3_bound(f, k)
+                       for k in range(1, p.k + 1))
+        checks.append(_check(f"powered bound over all maps n={n} k<={p.k}",
+                             bad == 0, f"{bad} failures over {n ** n} maps"))
+    w = extremal.exhaustive_ratio_search(3, 2, 2)
+    checks.append(_check("collapse ratio maximum at n=3",
+                         w.ratio_pow >= Fraction(27, 25) and w.recompute(),
+                         f"ratio^1 = {frac_str(w.ratio_pow)}"))
+    return checks
+
+
+@dataclass(frozen=True)
+class Prop1Params:
+    k: int = 2
+
+
+def prop1(p: Prop1Params = Prop1Params()) -> list[dict]:
+    """Proposition 1: the tree family F_b at b = 5, 10, 100, 1000."""
+    k = p.k
+    checks = []
+    base = []
+    ratio = []
+    for b in (5, 10, 100, 1000):
+        engine, closed = extremal.prop1_degrees(b, k)
+        deg_f, deg_fk = engine
+        n_b = extremal.tree_size(b, k)
+        base.append(float(deg_f))
+        # deg(F_b^k) grows like n_b^(1 - 1/2^(k-1))
+        ratio.append(float(deg_fk) / n_b ** (1 - 1 / 2 ** (k - 1)))
+        detail = f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"
+        if engine != closed:
+            detail += (f" vs stratified deg={frac_str(closed[0])} "
+                       f"iterate={frac_str(closed[1])}")
+        checks.append(_check(f"engine equals stratified b={b} k={k}",
+                             engine == closed, detail))
+    checks.append(_check("base degrees increase toward k+1",
+                         base == sorted(base) and base[-1] < k + 1,
+                         " -> ".join(dec_str(x) for x in base)))
+    checks.append(_check("normalized iterate degrees decrease toward 1",
+                         ratio == sorted(ratio, reverse=True) and ratio[-1] > 1,
+                         " -> ".join(dec_str(x) for x in ratio)))
+    return checks
+
+
+@dataclass(frozen=True)
+class HeckeOddParams:
+    max_n: int = 6
+    # (n, longest word) of each degree-range scan
+    scans: tuple[tuple[int, int], ...] = ((3, 4),)
+
+
+def hecke_odd(p: HeckeOddParams = HeckeOddParams()) -> list[dict]:
+    """Alternating sorting operators: image size, symmetry, equal degrees.
+
+    A degree-range scan only reports: fully sorting words exceed the
+    conjectured upper endpoint, so its check counts them and always passes.
+    """
+    checks = []
+    for n in range(1, p.max_n + 1):
+        got = len(set(hecke.hecke_endomap(hecke.t_alt_word(n)).table))
+        want = hecke.updown_count(n)
+        checks.append(_check(f"image size is the zigzag number n={n}",
+                             got == want, f"{got} vs {want}"))
+    for n in [n for n in (5, 7) if n <= p.max_n]:
+        alt = hecke.t_alt_word(n)
+        tla = hecke.t_tla_word(n)
+        ok = all(
+            hecke.hecke_apply(alt, reverse_complement(pi))
+            == reverse_complement(hecke.hecke_apply(tla, pi))
+            for pi in permutation_domain(n).objects())
+        checks.append(_check(f"reverse-complement intertwining n={n}", ok,
+                             "pointwise"))
+        checks.append(_equal(f"alternating operators share a degree n={n}",
+                             degree(hecke.hecke_endomap(alt)),
+                             degree(hecke.hecke_endomap(tla))))
+    for n, length in p.scans:
+        report = hecke.conjecture2_scan(n, length)
+        checks.append(_check(
+            "degree range scan (report only)", True,
+            f"{len(report.violations)} operators outside "
+            f"[{frac_str(report.bubble_degree)}, {frac_str(report.tla_degree)}] "
+            f"over {report.distinct_operators} distinct"))
+    return checks

@@ -1,186 +1,80 @@
 """Acceptance gate: fourteen end-to-end checks, one summary line each.
 
-Every check recomputes a closed form and an independent enumeration at the
-stated sizes and compares them exactly; the two floating-point checks carry
-their stated tolerances.  Each summary line prints before its assertion, so
-the verdict is visible even when a check fails (run with -s or -rA to see
-the lines for passing checks too).
+Every check but the ninth, a seeded sampling band, runs the suites of
+``noninv verify`` (``noninv.suites``) at the sizes below and passes when
+every check they return passed.  Each summary line prints before its
+assertion (run with -s or -rA to see the lines of passing checks too).
 """
 
-import random
 import time
-from fractions import Fraction
-from itertools import product
-from math import factorial
 
-from noninv.bubble import (bubble_degree_formula, bubble_endomap,
-                           bubble_moment, bubble_preimage_count, multinomial,
-                           word_bubble_endomap, word_degree_formula)
-from noninv.endo import (EndoMap, FiberHistogram, are_pseudoconjugate, degree,
-                         is_bijection, is_constant, iterate)
-from noninv.extremal import (all_tables, check_theorem3_bound, check_theorem7,
-                             exhaustive_ratio_search, prop1_exact_degrees,
-                             random_table, tree_size)
-from noninv.hecke import (conjecture2_scan, hecke_apply, hecke_endomap,
-                          t_alt_word, t_tla_word, updown_count)
-from noninv.nibble import (chip_endomap, expected_binary_histogram,
-                           nibble_binary_endomap, nibble_degree_formula,
-                           nibble_degree_limit, nibble_endomap)
-from noninv.perms import permutation_domain, reverse_complement
-from noninv.solitaire import (bulgarian, carolina_degree, carolina_endomap,
-                              eta_series, max_preimage_bound,
-                              monte_carlo_bulgarian, partition_domain,
-                              partition_rank)
-from noninv.stacksort import StackDegreeTable, a10_lower_bound_ok, catalan
+from noninv import suites
+from noninv.solitaire import monte_carlo_bulgarian
 
 
-def _verdict(index: int, ok: bool, what: str, t0: float,
-             extra: str = "") -> bool:
+def _verdict(index: int, ok: bool, what: str, t0: float, extra: str) -> bool:
     tag = "PASS" if ok else "FAIL"
-    tail = f" | {extra}" if extra else ""
     elapsed = time.perf_counter() - t0
-    print(f"[{tag}] acceptance {index}/14: {what}{tail} [{elapsed:.1f}s]",
+    print(f"[{tag}] acceptance {index}/14: {what} | {extra} [{elapsed:.1f}s]",
           flush=True)
     return ok
 
 
-def test_01_iterated_pass_degree_formula():
+def _gate(index: int, what: str, run) -> None:
     t0 = time.perf_counter()
-    bad = []
-    for n in range(1, 9):
-        base = bubble_endomap(n)
-        for k in (1, 2, 3):
-            if degree(iterate(base, k)) != bubble_degree_formula(n, k):
-                bad.append((n, k))
-    assert _verdict(1, not bad,
-                    "iterated bubble-pass degree equals closed form, n<=8 k<=3",
-                    t0, f"mismatches {bad}" if bad else "24 cases exact")
+    checks = run()
+    failed = [f"{c['name']}: {c['detail']}" for c in checks if not c["ok"]]
+    extra = f"failed {failed}" if failed else f"{len(checks)} checks pass"
+    assert _verdict(index, not failed, what, t0, extra)
+
+
+def test_01_iterated_pass_degree_formula():
+    _gate(1, "iterated bubble-pass degree equals closed form, n<=8 k<=3",
+          lambda: suites.thm1(suites.Thm1Params(max_n=8, k=3)))
 
 
 def test_02_fiber_size_closed_form():
-    t0 = time.perf_counter()
-    mismatches = 0
-    cases = 0
-    for n in range(1, 8):
-        base = bubble_endomap(n)
-        dom = permutation_domain(n)
-        for k in (1, 2, 3):
-            f = iterate(base, k)
-            sizes = [0] * f.n
-            for v in f.table:
-                sizes[v] += 1
-            for idx in range(f.n):
-                cases += 1
-                if sizes[idx] != bubble_preimage_count(dom.unrank(idx), k):
-                    mismatches += 1
-    assert _verdict(2, mismatches == 0,
-                    "per-target fiber sizes equal closed form, n<=7 k<=3", t0,
-                    f"{mismatches} mismatches over {cases} fibers")
+    _gate(2, "per-target fiber sizes equal closed form, n<=7 k<=3",
+          lambda: [c for n in range(1, 8)
+                   for c in suites.lem2(suites.Lem2Params(n=n, k=3))])
 
 
 def test_03_preimage_count_moments():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 8):
-        f = bubble_endomap(n)
-        sizes = [0] * f.n
-        for v in f.table:
-            sizes[v] += 1
-        for m in (1, 2, 3):
-            got = Fraction(sum(sizes[f.table[x]] ** m for x in range(f.n)),
-                           f.n)
-            ok = ok and got == bubble_moment(n, m)
-    consistent = all(bubble_moment(n, 1) == bubble_degree_formula(n, 1)
-                     for n in range(1, 51))
-    assert _verdict(3, ok and consistent,
-                    "preimage-count moments match product form, n<=7 m<=3; "
-                    "first moment equals degree to n=50", t0)
+    _gate(3, "preimage-count moments match product form, n<=7 m<=3; "
+             "first moment equals degree to n=50",
+          lambda: suites.moments(
+              suites.MomentsParams(max_n=7, m=3, degree_max_n=50)))
 
 
 def test_04_word_degree_product():
-    # exhaustive over every content with at most 4 letters, total <= 12 and
-    # word count <= 10^4, plus heavy two- and three-letter spot checks
-    t0 = time.perf_counter()
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    contents = []
-    for r in (2, 3, 4):
-        for s in range(r, 13):
-            for a in compositions(s, r):
-                if multinomial(a) <= 10 ** 4:
-                    contents.append(a)
-    contents += [(1, 500), (500, 1), (2, 120), (120, 2), (40, 2, 1)]
-    bad = [a for a in contents
-           if degree(word_bubble_endomap(a)) != word_degree_formula(a)]
-    assert _verdict(4, not bad,
-                    "word-sorting degree equals product form", t0,
-                    f"{len(contents)} contents, mismatches {bad}"
-                    if bad else f"{len(contents)} contents exact")
+    # every content with 2 to 4 letters, total <= 12 and at most 10^4 words,
+    # plus heavy two- and three-letter contents
+    heavy = ((1, 500), (500, 1), (2, 120), (120, 2), (40, 2, 1))
+    _gate(4, "word-sorting degree equals product form",
+          lambda: suites.words(suites.WordsParams(max_n=12, heavy=heavy)))
 
 
 def test_05_single_swap_degree_series():
-    t0 = time.perf_counter()
-    exact = all(degree(nibble_endomap(n)) == nibble_degree_formula(n)
-                for n in range(1, 9))
-    tail_gap = abs(float(nibble_degree_formula(20)) - nibble_degree_limit())
-    assert _verdict(5, exact and tail_gap < 1e-6,
-                    "first-descent swap degree: formula equals brute force "
-                    "n<=8; value at n=20 within 1e-6 of the limit", t0,
-                    f"gap {tail_gap:.2e}")
+    _gate(5, "first-descent swap degree: formula equals brute force n<=8; "
+             "value at n=20 within 1e-6 of the limit",
+          lambda: suites.thm4(suites.Thm4Params(max_n=8)))
 
 
 def test_06_binary_maps_degree_three_halves():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(2, 17):
-        nib = nibble_binary_endomap(n)
-        chi = chip_endomap(n)
-        expected = expected_binary_histogram(n)
-        ok = ok and degree(nib) == degree(chi) == Fraction(3, 2)
-        ok = ok and FiberHistogram.from_map(nib).counts == expected
-        ok = ok and FiberHistogram.from_map(chi).counts == expected
-        ok = ok and any(i == v for i, v in enumerate(nib.table))
-        ok = ok and all(i != v for i, v in enumerate(chi.table))
-        ok = ok and are_pseudoconjugate(nib, chi)
-    assert _verdict(6, ok,
-                    "binary swap and chip maps: degree 3/2, matching "
-                    "histograms, fixed-point contrast, 2<=n<=16", t0)
+    _gate(6, "binary swap and chip maps: degree 3/2, matching histograms, "
+             "pseudoconjugate, fixed-point contrast, 2<=n<=16",
+          lambda: suites.binary32(suites.Binary32Params(max_n=16)))
 
 
 def test_07_stack_degree_growth():
-    t0 = time.perf_counter()
-    table = StackDegreeTable.compute(9)
-    bounded = all(table[n] <= catalan(n) for n in range(1, 10))
-    super_ok = not table.superadditivity_failures()
-    a10_ok = a10_lower_bound_ok(table[9])
-    assert _verdict(7, bounded and super_ok and a10_ok,
-                    "stack-sorting degrees to n=9: Catalan bound, "
-                    "superadditivity, tenth-root growth bound", t0,
-                    f"d_9 = {table[9]} ~ {float(table[9]):.4f}")
+    _gate(7, "stack-sorting degrees to n=9: Catalan bound, superadditivity, "
+             "tenth-root growth bound",
+          lambda: suites.stack(suites.StackParams(max_n=9)))
 
 
 def test_08_partition_shift_bound_and_image():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 46):
-        elements = list(partition_domain(n).objects())
-        fibers = {}
-        for lam in elements:
-            mu = bulgarian(lam)
-            fibers[mu] = fibers.get(mu, 0) + 1
-        ok = ok and max(fibers.values()) <= max_preimage_bound(n)
-        ok = ok and set(fibers) == {lam for lam in elements
-                                    if partition_rank(lam) >= -1}
-    assert _verdict(8, ok,
-                    "partition dynamics: fiber bound and rank >= -1 image, "
-                    "n<=45", t0)
+    _gate(8, "partition dynamics: fiber bound and rank >= -1 image, n<=45",
+          lambda: suites.thm5(suites.Thm5Params(max_n=45)))
 
 
 def test_09_large_partition_sample_mean():
@@ -194,102 +88,43 @@ def test_09_large_partition_sample_mean():
 
 
 def test_10_composition_shift_degree_series():
-    t0 = time.perf_counter()
-    eta = eta_series(40)
-    series_ok = all(carolina_degree(n) == Fraction(eta[n], 2 ** (n - 1))
-                    for n in range(1, 41))
-    brute_ok = all(degree(carolina_endomap(n)) == carolina_degree(n)
-                   for n in range(1, 15))
-    assert _verdict(10, series_ok and brute_ok,
-                    "composition-shift degree: double sum equals series "
-                    "coefficients n<=40 and brute force n<=14", t0)
+    # max_n 14 checks the series to n = 40 and brute force to n = 14
+    _gate(10, "composition-shift degree: double sum equals series "
+              "coefficients n<=40 and brute force n<=14",
+          lambda: suites.thm6(suites.Thm6Params(max_n=14)))
 
 
 def test_11_composition_degree_inequality():
-    t0 = time.perf_counter()
-    equalities = 0
-    ok = True
-    for tf in all_tables(3):
-        f = EndoMap.from_table(tf)
-        for tg in all_tables(3):
-            g = EndoMap.from_table(tg)
-            holds, equal = check_theorem7(f, g)
-            ok = ok and holds
-            predicate = is_constant(f) and is_bijection(g)
-            ok = ok and equal == predicate
-            equalities += equal
-    ok = ok and equalities == 18
-    rng = random.Random(0)
-    for n in range(4, 11):
-        for _ in range(10 ** 5):
-            f = EndoMap.from_table(random_table(n, rng))
-            g = EndoMap.from_table(random_table(n, rng))
-            ok = ok and check_theorem7(f, g)[0]
-    assert _verdict(11, ok,
-                    "composition inequality: all 729 pairs at n=3 with "
-                    "exactly 18 equalities; 10^5 random pairs per n in 4..10",
-                    t0)
+    _gate(11, "composition inequality: all 729 pairs at n=3 with exactly 18 "
+              "equalities; 10^5 random pairs per n in 4..10",
+          lambda: suites.thm7_exhaustive(suites.Thm7ExhaustiveParams(n=3))
+          + suites.thm7(suites.Thm7Params(samples=10 ** 5, seed=0)))
 
 
 def test_12_iterate_inequality_and_search():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(1, 6):
-        for t in all_tables(n):
-            f = EndoMap.from_table(t)
-            for k in (1, 2, 3, 4):
-                ok = ok and check_theorem3_bound(f, k)
-    w = exhaustive_ratio_search(3, 2, 2)
-    ok = ok and w.ratio_pow >= Fraction(27, 25) and w.recompute()
-    assert _verdict(12, ok,
-                    "iterate-versus-base powered inequality, all maps n<=5 "
-                    "k<=4; ratio search at n=3 attains 27/25", t0,
-                    f"max ratio {w.ratio_pow}")
+    _gate(12, "iterate-versus-base powered inequality, all maps n<=5 k<=4; "
+              "ratio search at n=3 attains 27/25",
+          lambda: suites.thm3(suites.Thm3Params(max_n=5, k=4)))
 
 
 def test_13_tree_family_degrees():
-    t0 = time.perf_counter()
-    base_trend = []
-    iter_trend = []
-    for b in (5, 10, 100, 1000):
-        deg_f, deg_fk = prop1_exact_degrees(b, 2)  # raises on route mismatch
-        n_b = tree_size(b, 2)
-        base_trend.append(float(deg_f))
-        iter_trend.append(float(deg_fk) / n_b ** 0.5)
-    ok = base_trend == sorted(base_trend) and base_trend[-1] < 3
-    ok = ok and iter_trend == sorted(iter_trend, reverse=True)
-    ok = ok and iter_trend[-1] > 1
-    assert _verdict(13, ok,
-                    "tree family k=2: engine equals stratified form at "
-                    "b in {5,10,100,1000}; trends rise toward 3 and fall "
-                    "toward 1", t0,
-                    f"base {[round(x, 3) for x in base_trend]}, "
-                    f"normalized {[round(x, 3) for x in iter_trend]}")
+    _gate(13, "tree family k=2: engine equals stratified form at "
+              "b in {5,10,100,1000}; trends rise toward 3 and fall toward 1",
+          lambda: suites.prop1(suites.Prop1Params(k=2)))
 
 
 def test_14_sorting_operator_census():
-    t0 = time.perf_counter()
-    census_ok = all(
-        len(set(hecke_endomap(t_alt_word(n)).table)) == updown_count(n)
-        for n in range(1, 8))
-    inter_ok = True
-    for n in (5, 7):
-        alt, tla = t_alt_word(n), t_tla_word(n)
-        inter_ok = inter_ok and all(
-            hecke_apply(alt, reverse_complement(pi))
-            == reverse_complement(hecke_apply(tla, pi))
-            for pi in permutation_domain(n).objects())
-        inter_ok = inter_ok and (degree(hecke_endomap(alt))
-                                 == degree(hecke_endomap(tla)))
-    # the degree-range scan is informational: violations are reported, not
-    # gated, since fully sorting operators exceed the conjectured upper end
-    for n in (3, 4):
-        report = conjecture2_scan(n, 6)
-        print(f"[REPORT] operator scan n={n}, words to length 6: "
-              f"{len(report.violations)} of {report.distinct_operators} "
-              f"distinct operators outside "
-              f"[{report.bubble_degree}, {report.tla_degree}]", flush=True)
-    assert _verdict(14, census_ok and inter_ok,
-                    "alternating-operator census matches zigzag counts n<=7; "
-                    "reverse-complement symmetry and equal degrees at n=5,7",
-                    t0)
+    scans = ((3, 6), (4, 6))
+
+    def census():
+        checks = suites.hecke_odd(suites.HeckeOddParams(max_n=7, scans=scans))
+        # the degree-range scans come last and are informational: fully
+        # sorting operators exceed the conjectured upper end
+        for (n, length), c in zip(scans, checks[-len(scans):]):
+            print(f"[REPORT] operator scan n={n}, words to length {length}: "
+                  f"{c['detail']}", flush=True)
+        return checks
+
+    _gate(14, "alternating-operator census matches zigzag counts n<=7; "
+              "reverse-complement symmetry and equal degrees at n=5,7",
+          census)

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from noninv import bubble, cli, extremal, hecke, solitaire, stacksort
+from noninv import (bubble, cli, extremal, hecke, solitaire, stacksort,
+                    suites)
 from noninv.endo import EndoMap
 
 
@@ -124,13 +125,29 @@ def test_verify_suite_passes(capsys):
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
-    def broken(args):
+    # verify dispatches to the suite on the suites module, at its defaults
+    def broken(params):
+        assert params == suites.Lem2Params()
         return [{"name": "always fails", "ok": False, "detail": "forced"}]
 
-    monkeypatch.setitem(cli._SUITES, "lem2", broken)
+    monkeypatch.setattr(suites, "lem2", broken)
     code, payload = run_json(capsys, "verify", "lem2")
     assert code == 1
     assert payload["ok"] is False and payload["failed"] == 1
+
+
+def test_verify_stack_suite(capsys, monkeypatch):
+    code, payload = run_json(capsys, "verify", "stack", "--max-n", "6")
+    assert code == 0 and payload["passed"] == 7
+    assert [c["name"] for c in payload["checks"]][-1] == \
+        "d_(m-1) d_(n-1) <= (m+n-1) d_(m+n-1)"
+    # --threads reaches the suite as its worker count
+    seen = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(suites, "stack",
+                        lambda params: seen.append(params) or [])
+    run(capsys, "verify", "stack", "--threads", "3")
+    assert seen == [suites.StackParams(max_n=9, workers=3)]
 
 
 def test_verify_prop1_mismatch_is_a_failed_check(capsys, monkeypatch):
@@ -242,6 +259,11 @@ _TOO_MANY_THREADS = str((os.cpu_count() or 1) + 1)
     (("verify", "thm3", "--threads", "0"), 2),
     (("degree", "stack", "--n", "4", "--threads", "1"), 0),
     (("search", "ratio", "--n", "3", "--threads", "1"), 0),
+    (("verify", "stack", "--max-n", "0"), 2),
+    (("verify", "stack", "--max-n", "10"), 2),
+    (("verify", "stack", "--max-n", "11", "--force"), 2),
+    (("verify", "thm7", "--exhaustive", "--n", "5"), 2),
+    (("verify", "stack", "--max-n", "3"), 0),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -313,6 +335,18 @@ _GOLDEN = json.loads((Path(__file__).parent / "golden_degree.json").read_text())
 def test_degree_output_is_pinned(capsys, command):
     code, out = run(capsys, *command.split())
     assert [code, out] == _GOLDEN[command]
+
+
+# Exact stdout and exit code of every verify suite at its defaults, plus the
+# exhaustive thm7 scan and one csv case.
+_GOLDEN_VERIFY = json.loads(
+    (Path(__file__).parent / "golden_verify.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_VERIFY))
+def test_verify_output_is_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert [code, out] == _GOLDEN_VERIFY[command]
 
 
 def test_degree_mismatch_prints_both_values(capsys, monkeypatch):

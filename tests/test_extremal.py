@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from noninv import extremal, stacksort, suites
 from noninv.endo import (EndoMap, compose, degree, is_bijection, is_constant,
                          iterate)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
                              canonical_table, check_theorem3_bound,
                              check_theorem7, exhaustive_ratio_search,
                              padded_family_map, prop1_exact_degrees,
-                             random_endomap, ratio_bound_report,
+                             random_endomap, random_table, ratio_bound_report,
                              stratified_degree, tree_branching, tree_size,
                              tree_spec)
 
@@ -279,6 +280,50 @@ def test_random_endomap_is_seeded():
     b = random_endomap(9, rng_seed=42)
     assert a.table == b.table
     assert a.n == 9
+
+
+def test_random_table_is_the_randrange_stream():
+    # one generator per side carried across every n, so the state after each
+    # table must match too
+    for seed in range(5):
+        fast, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 13):
+            assert random_table(n, fast) == tuple(ref.randrange(n)
+                                                  for _ in range(n))
+        assert fast.getstate() == ref.getstate()
+
+
+class _InlinePool:
+    """Runs map() in this process and records the requested pool size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("module, run, sizes", [
+    (stacksort, lambda: stacksort.stack_fibers(5, workers=8), [5]),
+    (extremal, lambda: exhaustive_ratio_search(3, 2, 2, workers=8), [3]),
+    # the verify stack suite hands its workers on; n <= 3 runs in-process
+    (stacksort, lambda: suites.stack(suites.StackParams(max_n=4, workers=2)),
+     [2]),
+])
+def test_process_pool_is_capped_at_the_chunk_count(monkeypatch, module, run,
+                                                   sizes):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(module, "ProcessPoolExecutor", _InlinePool)
+    run()
+    assert _InlinePool.sizes == sizes
 
 
 def test_ratio_bound_report():

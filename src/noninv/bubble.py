@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .endo import DomainCodec, EndoMap
+from .endo import EndoMap, EnumeratedDomain
 from .perms import Perm, check_perm, lmax, permutation_domain, tail_length
 
 
@@ -122,7 +122,12 @@ def check_content(a) -> tuple[int, ...]:
 
 
 def multinomial(a) -> int:
-    return _multinomial_raw(check_content(a))
+    """(sum a)! / prod a_i! for a content a."""
+    a = check_content(a)
+    result = factorial(sum(a))
+    for x in a:
+        result //= factorial(x)
+    return result
 
 
 def words_of_content(a):
@@ -152,88 +157,32 @@ def _words(content):
         w[j + 1:] = w[:j:-1]
 
 
-class WordDomain(DomainCodec):
-    """Words with letter multiplicities a, ranked lexicographically."""
+# the most words the codec enumerates: `degree word_bubble --content 8,4,4
+# --force` (900,900 words) takes 5 s and peaks at 262 MB on 2 cores,
+# Python 3.11
+_WORD_HARD_LIMIT = 10 ** 6
 
-    _MATERIALIZE_MAX = 10**5
+
+class WordDomain(EnumeratedDomain):
+    """Words with letter multiplicities a, ranked lexicographically."""
 
     def __init__(self, a):
         self.content = check_content(a)
-        self.size = multinomial(self.content)
-        self._objs: list[tuple[int, ...]] | None = None
-        self._idx: dict[tuple[int, ...], int] | None = None
+        size = multinomial(self.content)
+        if size > _WORD_HARD_LIMIT:
+            raise ValueError(
+                f"{size} words of content {self.content} exceed the "
+                f"enumeration limit {_WORD_HARD_LIMIT}")
+        super().__init__(list(_words(self.content)))
 
     def _key(self) -> tuple[int, ...]:
         return self.content
 
-    def _materialize(self) -> None:
-        self._objs = list(_words(self.content))
-        self._idx = {w: i for i, w in enumerate(self._objs)}
-
-    def rank(self, obj) -> int:
-        if self._idx is not None:
-            # the keys are exactly the words of this content, so a hit is
-            # the word_content verdict without its count
-            try:
-                return self._idx[obj]
-            except (KeyError, TypeError):
-                pass
+    def _check(self, obj) -> tuple[int, ...]:
         w = tuple(obj)
         if word_content(w) != self.content:
             raise ValueError(f"word {w!r} does not have content {self.content}")
-        if self._idx is None and self.size <= self._MATERIALIZE_MAX:
-            self._materialize()
-        if self._idx is not None:
-            return self._idx[w]
-        return self._arithmetic_rank(w)
-
-    def _arithmetic_rank(self, w) -> int:
-        counts = list(self.content)
-        rank = 0
-        for letter in w:
-            for c in range(1, letter):
-                if counts[c - 1]:
-                    counts[c - 1] -= 1
-                    rank += _multinomial_raw(counts)
-                    counts[c - 1] += 1
-            counts[letter - 1] -= 1
-        return rank
-
-    def unrank(self, index: int):
-        self._check_index(index)
-        if self._objs is None and self.size <= self._MATERIALIZE_MAX:
-            self._materialize()
-        if self._objs is not None:
-            return self._objs[index]
-        counts = list(self.content)
-        out = []
-        for _ in range(sum(self.content)):
-            for letter in range(1, len(counts) + 1):
-                if not counts[letter - 1]:
-                    continue
-                counts[letter - 1] -= 1
-                block = _multinomial_raw(counts)
-                if index < block:
-                    out.append(letter)
-                    break
-                index -= block
-                counts[letter - 1] += 1
-        return tuple(out)
-
-    def objects(self):
-        if self._objs is None and self.size <= self._MATERIALIZE_MAX:
-            self._materialize()
-        if self._objs is not None:
-            return iter(self._objs)
-        return _words(self.content)
-
-
-def _multinomial_raw(counts) -> int:
-    """(sum counts)! / prod counts_i!; zero counts allowed."""
-    result = factorial(sum(counts))
-    for x in counts:
-        result //= factorial(x)
-    return result
+        return w
 
 
 # word count above which `degree word_bubble` needs --force and `verify

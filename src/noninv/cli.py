@@ -25,19 +25,15 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from math import factorial
 
-from . import bubble, extremal, hecke, nibble, solitaire, stacksort
+from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
 from .endo import (FiberHistogram, dec_str, degree, fiber_sizes, frac_str,
                    iterate, square_sum)
 
 _PERM_LIMIT = 8
-_PERM_HARD_LIMIT = 10
-_WORD_FORCED_LIMIT = 10 ** 6
 _BINARY_LIMIT = 16
 _BINARY_FORCED_LIMIT = 24
-# --force ceilings, measured on 2 cores, Python 3.11: bulgarian --n 65 takes
-# 11 s and peaks at 661 MB (p(65) = 2,012,558 partitions), carolina --n 24
-# 48 s and 408 MB (2^23 compositions)
-_PARTITION_HARD_LIMIT = 65
+# --force ceiling, measured on 2 cores, Python 3.11: carolina --n 24 takes
+# 48 s and peaks at 408 MB (2^23 compositions)
 _COMPOSITION_HARD_LIMIT = 24
 _TREE_LIMIT = 10 ** 6
 _SAMPLE_N_LIMIT = 10 ** 5
@@ -104,7 +100,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         if k is None:
             raise CLIError("degree bubble_iter requires --k")
         _bounded(k, "--k", 1)
-        _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
+        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         f = iterate(bubble.bubble_endomap(args.n), k)
         payload["n"] = args.n
         payload["k"] = k
@@ -119,14 +115,14 @@ def cmd_degree(args) -> tuple[dict, int]:
             raise CLIError("--content needs at least two letters")
         size = bubble.multinomial(content)
         _guard(size, bubble._WORD_LIMIT, "word count", args.force,
-               _WORD_FORCED_LIMIT)
+               bubble._WORD_HARD_LIMIT)
         f = bubble.word_bubble_endomap(content)
         payload["content"] = list(content)
         ok = _degree_payload(payload, fiber_sizes(f.table),
                              bubble.word_degree_formula(content))
     elif system == "stack":
         _guard(args.n, stacksort._DEFAULT_LIMIT, "n", args.force,
-               _PERM_HARD_LIMIT)
+               perms._PERM_HARD_LIMIT)
         fibers = stacksort.stack_fibers(args.n, workers=args.threads)
         # the Counter keys the image only; every other point has fiber 0
         sizes = list(fibers.values())
@@ -134,7 +130,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         payload["n"] = args.n
         ok = _degree_payload(payload, sizes)
     elif system == "nibble_perm":
-        _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
+        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         f = nibble.nibble_endomap(args.n)
         payload["n"] = args.n
         ok = _degree_payload(payload, fiber_sizes(f.table),
@@ -153,7 +149,7 @@ def cmd_degree(args) -> tuple[dict, int]:
                 FiberHistogram.from_sizes(sizes).counts == expected)
     elif system == "bulgarian":
         limit = _guard(args.n, solitaire._PARTITION_LIMIT, "n", args.force,
-                       _PARTITION_HARD_LIMIT)
+                       solitaire._PARTITION_HARD_LIMIT)
         f = solitaire.bulgarian_endomap(args.n, limit=limit)
         payload["n"] = args.n
         ok = _degree_payload(payload, fiber_sizes(f.table))
@@ -170,7 +166,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok = _degree_payload(payload, fiber_sizes(f.table),
                              solitaire.carolina_degree(args.n))
     elif system == "hecke":
-        _guard(args.n, _PERM_LIMIT, "n", args.force, _PERM_HARD_LIMIT)
+        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         gens = _parse_ints(args.word, "--word") if args.word else tuple(
             range(1, args.n))
         try:
@@ -215,23 +211,28 @@ def cmd_degree(args) -> tuple[dict, int]:
 # verify subcommand
 
 
-# suite -> (the name of its params class, minimum of each size flag it
-# reads); the suite and its params class are looked up in noninv.suites
+# suite -> (the name of its params class, (minimum, maximum) of each size
+# flag it reads); the suite and its params class are looked up in
+# noninv.suites.  Flags that size an S_n stop at the codec's ceiling, where
+# each such suite took 11-30 s and about 950 MB.  Every other maximum was
+# measured with the suite's other flags at their defaults; its time is
+# noted beside it (2 cores, Python 3.11).
+_S_N = (1, perms._PERM_HARD_LIMIT)
 _SUITES = {
-    "thm1": ("Thm1Params", {"max_n": 1, "k": 1}),
-    "moments": ("MomentsParams", {"max_n": 1, "m": 1}),
-    "lem2": ("Lem2Params", {"n": 1, "k": 1}),
-    "words": ("WordsParams", {"max_n": 1}),
-    "thm4": ("Thm4Params", {"max_n": 1}),
-    "binary32": ("Binary32Params", {"max_n": 2}),
-    "stack": ("StackParams", {"max_n": 1}),
-    "thm5": ("Thm5Params", {"max_n": 1}),
-    "thm6": ("Thm6Params", {"max_n": 1}),
-    "thm7": ("Thm7Params", {"samples": 1}),
-    "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": 1}),
-    "thm3": ("Thm3Params", {"max_n": 1, "k": 1}),
-    "prop1": ("Prop1Params", {"k": 2}),
-    "hecke_odd": ("HeckeOddParams", {"max_n": 1}),
+    "thm1": ("Thm1Params", {"max_n": _S_N, "k": (1, 20)}),  # k: 0.3 s
+    "moments": ("MomentsParams", {"max_n": _S_N, "m": (1, 1000)}),  # m: 2 s
+    "lem2": ("Lem2Params", {"n": _S_N, "k": (1, 20)}),  # k: 0.2 s
+    "words": ("WordsParams", {"max_n": (1, 32)}),  # 11 s
+    "thm4": ("Thm4Params", {"max_n": _S_N}),
+    "binary32": ("Binary32Params", {"max_n": (2, 20)}),  # 23 s
+    "stack": ("StackParams", {"max_n": _S_N}),
+    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 15 s, 360 MB
+    "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 31 s
+    "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 21 s
+    "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
+    "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 1.5 s
+    "prop1": ("Prop1Params", {"k": (2, 30)}),  # 10 s, 490 MB
+    "hecke_odd": ("HeckeOddParams", {"max_n": _S_N}),
 }
 
 
@@ -242,21 +243,21 @@ def cmd_verify(args) -> tuple[dict, int]:
     name = args.suite
     if name == "thm7" and args.exhaustive:
         name = "thm7_exhaustive"
-    params_name, minimum = _SUITES[name]
+    params_name, bounds = _SUITES[name]
     given = {"thm7": {"seed": args.seed},
              "stack": {"workers": args.threads}}.get(name, {})
     # a size flag left out keeps the params default; a given 0 is refused
-    for field, lo in minimum.items():
+    for field, (lo, hi) in bounds.items():
         value = getattr(args, field)
         if value is not None:
-            _bounded(value, "--" + field.replace("_", "-"), lo)
+            _bounded(value, "--" + field.replace("_", "-"), lo, hi)
             given[field] = value
     params = getattr(suites, params_name)(**given)
     if name == "thm7_exhaustive" and params.n > 4 and not args.force:
         raise CLIError("exhaustive pair scan beyond n=4 needs --force")
     if name == "stack":
         _guard(params.max_n, stacksort._DEFAULT_LIMIT, "n", args.force,
-               _PERM_HARD_LIMIT)
+               perms._PERM_HARD_LIMIT)
     checks = getattr(suites, name)(params)
     failed = sum(1 for c in checks if not c["ok"])
     payload = {

@@ -78,6 +78,41 @@ class IndexDomain(DomainCodec):
         return index
 
 
+class EnumeratedDomain(DomainCodec):
+    """Codec over a materialized list of its objects in rank order.
+
+    Subclasses pass the list of their objects to ``__init__``, after
+    refusing any domain too large to hold in memory, and implement
+    ``_check``, which returns the canonical object for a valid input and
+    raises ValueError otherwise.
+    """
+
+    def __init__(self, objects: list):
+        self._objs = objects
+        self._idx = dict(zip(objects, range(len(objects))))
+        self.size = len(objects)
+
+    def _check(self, obj):
+        raise NotImplementedError
+
+    def rank(self, obj) -> int:
+        # the keys are exactly the domain's objects, so a hit is the whole
+        # check; a miss or an unhashable list runs the full check, which
+        # raises ValueError or returns the object's canonical tuple
+        try:
+            return self._idx[obj]
+        except (KeyError, TypeError):
+            pass
+        return self._idx[self._check(obj)]
+
+    def unrank(self, index: int):
+        self._check_index(index)
+        return self._objs[index]
+
+    def objects(self) -> Iterator:
+        return iter(self._objs)
+
+
 @dataclass(frozen=True)
 class EndoMap:
     """A self-map of a finite domain, tabulated as index -> index."""

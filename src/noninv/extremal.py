@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .endo import (EndoMap, collisions, compose, degree, iterate,
+from .endo import (EndoMap, collisions, compose_tables, degree, iterate,
                    iterate_table)
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,10 @@ def check_theorem7(f: EndoMap, g: EndoMap) -> tuple[bool, bool]:
     """Exact check of deg(f o g)^2 <= n deg(f) deg(g)^2, plus equality flag."""
     if f.n == 0:
         raise ValueError("degree is undefined on the empty domain")
+    if f.codec != g.codec:
+        raise ValueError("cannot compose maps over different domains")
     sg = collisions(g.table)
-    lhs = collisions(compose(f, g).table) ** 2
+    lhs = collisions(compose_tables(f.table, g.table)) ** 2
     rhs = collisions(f.table) * sg * sg
     return lhs <= rhs, lhs == rhs
 
@@ -215,20 +217,6 @@ def random_endomap(n: int, rng_seed: int) -> EndoMap:
     return EndoMap.from_table(random_table(n, random.Random(rng_seed)))
 
 
-def canonical_table(table: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically smallest relabeling-conjugate of a table."""
-    n = len(table)
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        cand = [0] * n
-        for i in range(n):
-            cand[sigma[i]] = sigma[table[i]]
-        cand = tuple(cand)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _normalize_gamma(gamma) -> tuple[int, int]:
     """Return (a, m) with gamma = a / 2^m for dyadic gamma."""
     if isinstance(gamma, tuple):
@@ -254,12 +242,10 @@ def _ratio_terms(table: tuple[int, ...], k: int, a: int,
 
 
 def _search_chunk(args) -> tuple[int, int, tuple[int, ...]]:
-    n, k, a, m, first, canonical = args
+    n, k, a, m, first = args
     best_num, best_den, best_table = 0, 1, None
     for rest in itertools.product(range(n), repeat=n - 1):
         table = (first,) + rest
-        if canonical and canonical_table(table) != table:
-            continue
         num, den = _ratio_terms(table, k, a, m)
         diff = num * best_den - best_num * den
         if diff > 0 or (diff == 0 and (best_table is None or table < best_table)):
@@ -310,14 +296,11 @@ _SEARCH_BUDGET = 7
 
 
 def exhaustive_ratio_search(n: int, k: int, gamma, budget: int = _SEARCH_BUDGET,
-                            canonical: bool = False,
                             workers: int = 1) -> RatioWitness:
     """Maximize deg(f^k)/deg(f)^gamma over all n^n endofunctions.
 
     Ratios are compared exactly through their 2^m-th powers.  Ties go to the
     lexicographically smallest table, so the result is schedule-independent.
-    ``canonical`` restricts the scan to lexicographically minimal
-    relabeling-representatives (same maximum, fewer degree evaluations).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -328,7 +311,7 @@ def exhaustive_ratio_search(n: int, k: int, gamma, budget: int = _SEARCH_BUDGET,
             f"n = {n} exceeds the search budget {budget}; "
             f"pass budget={n} explicitly to scan {n}^{n} tables")
     a, m = _normalize_gamma(gamma)
-    jobs = [(n, k, a, m, first, canonical) for first in range(n)]
+    jobs = [(n, k, a, m, first) for first in range(n)]
     if workers > 1 and n > 2:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_search_chunk, jobs))
@@ -336,8 +319,6 @@ def exhaustive_ratio_search(n: int, k: int, gamma, budget: int = _SEARCH_BUDGET,
         results = [_search_chunk(j) for j in jobs]
     best_num, best_den, best_table = 0, 1, None
     for num, den, table in results:
-        if table is None:
-            continue
         diff = num * best_den - best_num * den
         if diff > 0 or (diff == 0 and (best_table is None or table < best_table)):
             best_num, best_den, best_table = num, den, table

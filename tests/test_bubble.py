@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from noninv import bubble
 from noninv.bubble import (
     bubble_degree_formula,
     bubble_endomap,
@@ -175,24 +176,36 @@ def test_words_of_content_enumeration():
         assert ws == sorted(ws)
 
 
-def test_word_domain_rank_round_trip():
+def test_word_domain_rank_round_trip(monkeypatch):
     for a in [(2, 1), (2, 2), (1, 2, 1), (3, 2)]:
         dom = WordDomain(a)
         for i in range(dom.size):
             assert dom.rank(dom.unrank(i)) == i
-    # arithmetic path must agree with the materialized one
-    dom = WordDomain((2, 2, 1))
-    for i in range(dom.size):
-        w = dom.unrank(i)
-        assert dom._arithmetic_rank(w) == i
     with pytest.raises(ValueError):
         WordDomain((2, 1)).rank((1, 1, 1))
     dom = WordDomain((2, 1))
-    dom.rank((1, 1, 2))  # materialized from here on
     for bad in [(1, 1), (1, 2, 2), (1, 1, 3), (0, 1, 2), (), (1, 1, 2, 1)]:
         with pytest.raises(ValueError):
             dom.rank(bad)
     assert dom.rank([2, 1, 1]) == 2
+    # 168,168 words, above the 10^5 words the codec once ranked
+    # arithmetically instead of materializing
+    a = (6, 5, 3)
+    f = word_bubble_endomap(a)
+    assert f.n == multinomial(a) == 168168
+    assert degree(f) == word_degree_formula(a)
+    words = list(words_of_content(a))
+    for i in range(0, f.n, 997):
+        assert f.codec.unrank(i) == words[i]
+        assert f.codec.rank(words[i]) == i
+    # a domain above the ceiling is refused before any word is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a domain above the ceiling")
+
+    monkeypatch.setattr(bubble, "_words", no_enumeration)
+    assert multinomial((6, 6, 6)) > bubble._WORD_HARD_LIMIT
+    with pytest.raises(ValueError, match="enumeration limit"):
+        WordDomain((6, 6, 6))
 
 
 def test_two_letter_gap_tuple_action():

@@ -211,9 +211,31 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (stacksort, "stack_fibers"),
          (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
-         (extremal, "exhaustive_ratio_search"))
+         (extremal, "exhaustive_ratio_search"),
+         *((suites, name) for name in cli._SUITES))
 # one more worker than this machine has cores; refused before any pool starts
 _TOO_MANY_THREADS = str((os.cpu_count() or 1) + 1)
+# the largest size each verify flag accepts; the suite is stubbed, not run
+_VERIFY_MAX = [
+    ("verify", "thm1", "--max-n", "10"),
+    ("verify", "thm1", "--k", "20"),
+    ("verify", "moments", "--max-n", "10"),
+    ("verify", "moments", "--m", "1000"),
+    ("verify", "lem2", "--n", "10"),
+    ("verify", "lem2", "--k", "20"),
+    ("verify", "words", "--max-n", "32"),
+    ("verify", "thm4", "--max-n", "10"),
+    ("verify", "binary32", "--max-n", "20"),
+    ("verify", "stack", "--max-n", "10", "--force"),
+    ("verify", "thm5", "--max-n", "50"),
+    ("verify", "thm6", "--max-n", "400"),
+    ("verify", "thm7", "--samples", "200000"),
+    ("verify", "thm7", "--exhaustive", "--n", "5", "--force"),
+    ("verify", "thm3", "--max-n", "7"),
+    ("verify", "thm3", "--k", "16"),
+    ("verify", "prop1", "--k", "30"),
+    ("verify", "hecke_odd", "--max-n", "10"),
+]
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -264,6 +286,24 @@ _TOO_MANY_THREADS = str((os.cpu_count() or 1) + 1)
     (("verify", "stack", "--max-n", "11", "--force"), 2),
     (("verify", "thm7", "--exhaustive", "--n", "5"), 2),
     (("verify", "stack", "--max-n", "3"), 0),
+    (("verify", "thm1", "--max-n", "11"), 2),
+    (("verify", "thm1", "--k", "21"), 2),
+    (("verify", "moments", "--max-n", "11"), 2),
+    (("verify", "moments", "--m", "1001"), 2),
+    (("verify", "lem2", "--n", "11"), 2),
+    (("verify", "lem2", "--k", "21"), 2),
+    (("verify", "words", "--max-n", "33"), 2),
+    (("verify", "thm4", "--max-n", "11"), 2),
+    (("verify", "binary32", "--max-n", "21"), 2),
+    (("verify", "thm5", "--max-n", "51"), 2),
+    (("verify", "thm6", "--max-n", "401"), 2),
+    (("verify", "thm7", "--samples", "200001"), 2),
+    (("verify", "thm7", "--exhaustive", "--n", "6", "--force"), 2),
+    (("verify", "thm3", "--max-n", "8"), 2),
+    (("verify", "thm3", "--k", "17"), 2),
+    (("verify", "prop1", "--k", "31"), 2),
+    (("verify", "hecke_odd", "--max-n", "11"), 2),
+    *((argv, 0) for argv in _VERIFY_MAX),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -271,6 +311,9 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     if want == 2:
         for module, name in _WORK:
             monkeypatch.setattr(module, name, _refuse)
+    elif argv in _VERIFY_MAX:
+        suite = "thm7_exhaustive" if "--exhaustive" in argv else argv[1]
+        monkeypatch.setattr(suites, suite, lambda params: [])
     elif "100000" in argv:
         monkeypatch.setattr(solitaire, "monte_carlo_bulgarian",
                             lambda n, samples, rng_seed: (0.0, 0.0))

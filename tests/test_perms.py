@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from noninv import perms
 from noninv.endo import EndoMap
 from noninv.perms import (
     apply_t,
@@ -91,20 +92,27 @@ def test_domain_agrees_with_arithmetic_rank():
     assert len(list(dom.objects())) == 120
 
 
-def test_domain_is_cached_and_checks_input():
+def test_domain_is_cached_and_checks_input(monkeypatch):
     assert permutation_domain(4) is permutation_domain(4)
     with pytest.raises(ValueError):
         permutation_domain(3).rank((1, 2))
     with pytest.raises(ValueError):
         permutation_domain(3).rank((1, 1, 2))
     dom = permutation_domain(4)
-    dom.rank((1, 2, 3, 4))  # materialized from here on
     for bad in [(1, 2, 3), (1, 2, 3, 4, 5), (1, 2, 2, 4), (0, 1, 2, 3),
                 (2, 3, 4, 5), (), "1234"]:
         with pytest.raises(ValueError):
             dom.rank(bad)
     # a list is accepted as the permutation it spells
     assert dom.rank([4, 3, 2, 1]) == dom.rank((4, 3, 2, 1))
+    # S_11 is refused before any permutation is enumerated
+    def no_enumeration(n):
+        raise AssertionError(f"enumerated S_{n}")
+
+    monkeypatch.setattr(perms, "_rank_order", no_enumeration)
+    for make in (perms.PermutationDomain, permutation_domain):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            make(perms._PERM_HARD_LIMIT + 1)
 
 
 def test_endomap_over_permutation_domain():

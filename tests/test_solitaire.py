@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from noninv import solitaire
 from noninv.endo import degree, degree_bounds
 from noninv.solitaire import (
     CompositionDomain,
@@ -48,7 +49,7 @@ def test_partition_enumeration():
         check_partition((2, 0))
 
 
-def test_partition_domain_roundtrip():
+def test_partition_domain_roundtrip(monkeypatch):
     dom = partition_domain(7)
     for i in range(dom.size):
         assert dom.rank(dom.unrank(i)) == i
@@ -58,6 +59,14 @@ def test_partition_domain_roundtrip():
         with pytest.raises(ValueError):
             dom.rank(bad)
     assert dom.rank([4, 3]) == dom.rank((4, 3))
+    # Part(66) is refused before any partition is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a domain above the ceiling")
+
+    monkeypatch.setattr(solitaire, "partitions_desc", no_enumeration)
+    for make in (solitaire.PartitionDomain, partition_domain):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            make(solitaire._PARTITION_HARD_LIMIT + 1)
 
 
 def test_bulgarian_examples():

@@ -6,6 +6,12 @@ entry, and becomes the constant map at the identity after n - 1 passes.  On
 words with content a = (a_1, ..., a_r) (a_j copies of letter j) the same
 sweep acts on W_a.
 
+The decrement lemma (Knuth, TAOCP 3, 5.2.2) gives a second tabulation of
+B^k on S_n: a permutation's rank is its inversion table read as a
+mixed-radix numeral, so ``bubble_rank_table`` builds the table of B^k from
+ranks alone, each digit e becoming max(e - k, 0), without enumerating S_n.
+The object-level map ``bubble_endomap`` stays the oracle that checks it.
+
 Closed forms implemented here:
 
 * |B^-k(pi)|: 0 if the fixed suffix of pi is shorter than k, else
@@ -27,7 +33,8 @@ from fractions import Fraction
 from math import factorial
 
 from .endo import EndoMap, EnumeratedDomain
-from .perms import Perm, check_perm, lmax, permutation_domain, tail_length
+from .perms import (_PERM_HARD_LIMIT, Perm, check_perm, lmax,
+                    permutation_domain, tail_length)
 
 
 def bubble_sort(seq) -> tuple:
@@ -57,6 +64,33 @@ def _bubble_rec(seq: tuple) -> tuple:
 
 def bubble_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(permutation_domain(n), bubble_sort)
+
+
+def bubble_rank_table(n: int, k: int = 1) -> list[int]:
+    """The index table of B^k over S_n, in inversion-table rank order.
+
+    Pass k lowers every inversion-table digit e to max(e - k, 0).  Digits
+    are added from the least significant (radix 2) up: for a new digit of
+    radix r over the previous table T of size P, value e contributes a copy
+    of T shifted by max(e - k, 0) * P, so digits e <= k repeat T as is.
+    Equals ``iterate(bubble_endomap(n), k).table``.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > _PERM_HARD_LIMIT:
+        raise ValueError(f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
+    if k < 0:
+        raise ValueError("iterate order must be nonnegative")
+    table = [0]
+    size = 1
+    for radix in range(2, n + 1):
+        prev = table
+        table = prev * min(radix, k + 1)
+        for e in range(k + 1, radix):
+            shift = (e - k) * size
+            table += [t + shift for t in prev]
+        size *= radix
+    return table
 
 
 def bubble_preimage_count(pi: Perm, k: int = 1) -> int:

@@ -101,10 +101,10 @@ def cmd_degree(args) -> tuple[dict, int]:
             raise CLIError("degree bubble_iter requires --k")
         _bounded(k, "--k", 1)
         _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        f = iterate(bubble.bubble_endomap(args.n), k)
+        table = bubble.bubble_rank_table(args.n, k)
         payload["n"] = args.n
         payload["k"] = k
-        ok = _degree_payload(payload, fiber_sizes(f.table),
+        ok = _degree_payload(payload, fiber_sizes(table),
                              bubble.bubble_degree_formula(args.n, k))
     elif system == "word_bubble":
         try:
@@ -226,8 +226,8 @@ _SUITES = {
     "thm4": ("Thm4Params", {"max_n": _S_N}),
     "binary32": ("Binary32Params", {"max_n": (2, 20)}),  # 23 s
     "stack": ("StackParams", {"max_n": _S_N}),
-    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 15 s, 360 MB
-    "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 31 s
+    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 10 s, 150 MB
+    "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 4 s
     "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 21 s
     "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
     "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 1.5 s

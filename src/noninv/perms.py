@@ -112,8 +112,8 @@ def perm_unrank(r: int, n: int) -> Perm:
     return from_inversion_table(e)
 
 
-# the largest S_n the codec enumerates: `degree bubble --n 10 --force`
-# takes 10-14 s and peaks at 837 MB on 2 cores, Python 3.11
+# the largest S_n the codec enumerates: `verify thm1 --max-n 10`
+# takes 11-13 s and peaks at 916 MB on 2 cores, Python 3.11
 _PERM_HARD_LIMIT = 10
 
 
@@ -152,7 +152,12 @@ class PermutationDomain(EnumeratedDomain):
         return pi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def permutation_domain(n: int) -> PermutationDomain:
-    """Shared S_n codec, cached so tabulated maps can be composed."""
+    """The S_n codec, shared by the maps of one command.
+
+    Only the latest domain is kept, so a sweep over n holds one S_n at a
+    time.  Maps tabulated over separately built codecs still compose,
+    since equal codecs compare equal by class and n.
+    """
     return PermutationDomain(n)

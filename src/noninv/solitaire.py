@@ -122,8 +122,9 @@ class PartitionDomain(EnumeratedDomain):
         return lam
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def partition_domain(n: int) -> PartitionDomain:
+    """The Part(n) codec; only the latest is kept, as for S_n."""
     return PartitionDomain(n)
 
 
@@ -464,14 +465,20 @@ def carolina_degree(n: int) -> Fraction:
     Groups compositions by first part c_1 and length ell; each contributes
     binom(n-c_1-1, ell-2) * binom(c_1, ell-1)^2 ordered collision pairs.
     The single-part composition (n) is the ell = 1 boundary term and is
-    added explicitly as 1.
+    added explicitly as 1.  Both binomials roll along ell with one multiply
+    and one exact divide each, and ell stops where binom(c_1, ell-1) is 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 1
     for c1 in range(1, n):
-        for ell in range(2, n - c1 + 2):
-            total += comb(n - c1 - 1, ell - 2) * comb(c1, ell - 1) ** 2
+        m = n - c1 - 1
+        # a = binom(m, j) and b = binom(c1, j + 1) at j = ell - 2
+        a, b = 1, c1
+        for j in range(min(m, c1 - 1) + 1):
+            total += a * b * b
+            a = a * (m - j) // (j + 1)
+            b = b * (c1 - 1 - j) // (j + 2)
     return Fraction(total, 1 << (n - 1))
 
 

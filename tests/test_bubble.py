@@ -11,6 +11,7 @@ from noninv.bubble import (
     bubble_endomap,
     bubble_moment,
     bubble_preimage_count,
+    bubble_rank_table,
     bubble_sort,
     bubble_sort_recursive,
     multinomial,
@@ -95,6 +96,23 @@ def test_sorted_count_identity():
         for k in range(0, n):
             count = bubble_preimage_count(identity_perm(n), k)
             assert count == (k + 1) ** (n - k - 1) * factorial(k + 1)
+
+
+def test_rank_table_equals_iterated_object_map():
+    for n in range(9):
+        f = bubble_endomap(n)
+        for k in range(n + 2):
+            assert bubble_rank_table(n, k) == list(iterate(f, k).table), (n, k)
+    assert bubble_rank_table(9, 1) == list(bubble_endomap(9).table)
+
+
+def test_rank_table_refusals():
+    with pytest.raises(ValueError, match="enumeration limit"):
+        bubble_rank_table(11)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bubble_rank_table(5, -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bubble_rank_table(-1)
 
 
 def test_degree_formula_small_values():

@@ -206,7 +206,8 @@ def _refuse(*args, **kwargs):
 
 # the first call of real work for each refused row below
 _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
-         (bubble, "bubble_endomap"), (bubble, "word_bubble_endomap"),
+         (bubble, "bubble_endomap"), (bubble, "bubble_rank_table"),
+         (bubble, "word_bubble_endomap"),
          (hecke, "hecke_endomap"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (stacksort, "stack_fibers"),
@@ -335,22 +336,46 @@ sys.stderr.write(f"{proc.returncode} {usage.ru_maxrss}\\n")
 """
 
 
-def test_sample_peak_rss_is_linear():
-    # the quadratic count table peaked at 541 MB for this command
+def _peak_rss(*argv):
+    """The JSON payload and peak RSS in MB of one CLI child."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-c", _RSS_LAUNCHER, sys.executable, "-m",
-         "noninv.cli", "sample", "bulgarian", "--n", "3000", "--count", "10"],
+         "noninv.cli", *argv, "--no-timestamp"],
         capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     code, maxrss_kib = map(int, done.stderr.split())
     assert code == 0
-    assert json.loads(done.stdout)["n"] == 3000
-    peak_mb = maxrss_kib * 1024 / 1e6
+    return json.loads(done.stdout), maxrss_kib * 1024 / 1e6
+
+
+def test_sample_peak_rss_is_linear():
+    # the quadratic count table peaked at 541 MB for this command
+    payload, peak_mb = _peak_rss("sample", "bulgarian", "--n", "3000",
+                                 "--count", "10")
+    assert payload["n"] == 3000
     assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_bubble_s10_peak_rss_is_a_third_of_the_object_map():
+    # tabulating the object map over S_10 peaked at 837 MB
+    payload, peak_mb = _peak_rss("degree", "bubble", "--n", "10", "--force")
+    assert payload["degree"] == "22/1" and payload["domain_size"] == 3628800
+    assert "engine_degree" not in payload
+    assert peak_mb < 279, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_bubble_iter_order_costs_one_build(capsys):
+    # every pass from the (n-1)-st on is constant; 10^9 compositions of the
+    # object map would not finish
+    code, payload = run_json(capsys, "degree", "bubble_iter", "--n", "8",
+                             "--k", "1000000000")
+    assert code == 0
+    assert payload["degree"] == "40320/1" and payload["k"] == 10 ** 9
+    assert payload["histogram"] == {"0": 40319, "40320": 1}
 
 
 def test_series_eta_prefix(capsys):
@@ -456,6 +481,9 @@ def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
                         counted("fibers", stacksort.stack_fibers))
     monkeypatch.setattr(extremal, "build_tree_map",
                         counted("tree", extremal.build_tree_map))
+    # bubble and bubble_iter build their one table from ranks
+    monkeypatch.setattr(bubble, "bubble_rank_table",
+                        counted("rank_table", bubble.bubble_rank_table))
     code, _ = run(capsys, "degree", *argv, "--no-timestamp")
     assert code == 0
     assert len(builds) == 1, builds

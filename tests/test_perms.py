@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from noninv import perms
-from noninv.endo import EndoMap
+from noninv.endo import EndoMap, compose
 from noninv.perms import (
     apply_t,
     descents,
@@ -113,6 +113,20 @@ def test_domain_is_cached_and_checks_input(monkeypatch):
     for make in (perms.PermutationDomain, permutation_domain):
         with pytest.raises(ValueError, match="enumeration limit"):
             make(perms._PERM_HARD_LIMIT + 1)
+
+
+def test_domain_cache_keeps_one_domain():
+    # a sweep over n holds one S_n at a time
+    for n in range(8):
+        permutation_domain(n)
+    assert permutation_domain.cache_info().currsize == 1
+    assert permutation_domain(4) is permutation_domain(4)
+    # a map over an evicted codec still composes with one over its rebuild
+    f = EndoMap.from_function(permutation_domain(4), lambda pi: apply_t(pi, 1))
+    permutation_domain(3)
+    g = EndoMap.from_function(permutation_domain(4), lambda pi: apply_t(pi, 2))
+    assert f.codec is not g.codec
+    assert compose(f, g).apply((3, 2, 1, 4)) == (1, 3, 2, 4)
 
 
 def test_endomap_over_permutation_domain():

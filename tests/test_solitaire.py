@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from noninv import solitaire
-from noninv.endo import degree, degree_bounds
+from noninv.endo import compose, degree, degree_bounds
 from noninv.solitaire import (
     CompositionDomain,
     PartitionSampler,
@@ -67,6 +67,19 @@ def test_partition_domain_roundtrip(monkeypatch):
     for make in (solitaire.PartitionDomain, partition_domain):
         with pytest.raises(ValueError, match="enumeration limit"):
             make(solitaire._PARTITION_HARD_LIMIT + 1)
+
+
+def test_partition_domain_cache_keeps_one_domain():
+    for n in range(1, 12):
+        partition_domain(n)
+    assert partition_domain.cache_info().currsize == 1
+    assert partition_domain(7) is partition_domain(7)
+    # a map over an evicted codec still composes with one over its rebuild
+    f = bulgarian_endomap(6)
+    partition_domain(5)
+    g = bulgarian_endomap(6)
+    assert f.codec is not g.codec
+    assert compose(f, g).apply((6,)) == bulgarian(bulgarian((6,)))
 
 
 def test_bulgarian_examples():
@@ -346,6 +359,20 @@ def test_eta_identity_holds_deeper():
     eta = eta_series(40)
     for n in range(1, 41):
         assert carolina_degree(n) == Fraction(eta[n], 1 << (n - 1))
+
+
+def _carolina_degree_by_comb(n):
+    # the double sum with one math.comb call per binomial
+    total = 1
+    for c1 in range(1, n):
+        for ell in range(2, n - c1 + 2):
+            total += math.comb(n - c1 - 1, ell - 2) * math.comb(c1, ell - 1) ** 2
+    return Fraction(total, 1 << (n - 1))
+
+
+def test_rolling_binomials_match_comb_reference():
+    for n in range(1, 121):
+        assert carolina_degree(n) == _carolina_degree_by_comb(n), n
 
 
 def test_growth_root_and_asymptotics():

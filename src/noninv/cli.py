@@ -29,13 +29,25 @@ from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
 from .endo import (FiberHistogram, dec_str, degree, fiber_sizes, frac_str,
                    iterate, square_sum)
 
+# sizes above these need --force; the hard ceiling --force stops at sits
+# beside the codec or enumerator it protects
 _PERM_LIMIT = 8
+_STACK_LIMIT = 9
 _BINARY_LIMIT = 16
-_BINARY_FORCED_LIMIT = 24
-# --force ceiling, measured on 2 cores, Python 3.11: carolina --n 24 takes
-# 48 s and peaks at 408 MB (2^23 compositions)
-_COMPOSITION_HARD_LIMIT = 24
+_PARTITION_LIMIT = 50
+_COMPOSITION_LIMIT = 20
+
+# hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
+# iterating costs k steps per vertex: the largest tree at --k 1024
+# (--b 63, 902,791 vertices) takes 15 s and 67 MB
+_TREE_K_LIMIT = 1024
+# each maximum measured at --n 7, the largest search without --force, with
+# the other flags at their defaults (4.7 s): --k 32 takes 11 s, a --gamma
+# numerator of 512 15 s and a denominator of 2^8 9 s (511/256: 31 s)
+_SEARCH_K_LIMIT = 32
+_GAMMA_NUM_LIMIT = 512
+_GAMMA_LOG2_DEN_LIMIT = 8
 _SAMPLE_N_LIMIT = 10 ** 5
 _SAMPLE_COUNT_LIMIT = 10 ** 6
 # eta_series grows about cubically: --n 2000 took 22 s on 2 cores
@@ -46,16 +58,15 @@ class CLIError(Exception):
     """Bad arguments or a size that needs --force; exits with code 2."""
 
 
-def _guard(n: int, limit: int, what: str, force: bool, forced_limit: int) -> int:
+def _guard(n: int, limit: int, what: str, force: bool, forced_limit: int):
     if n <= limit:
-        return limit
+        return
     if not force:
         raise CLIError(
             f"{what} {n} exceeds the default limit {limit}; pass --force "
             f"to compute up to {forced_limit}")
     if n > forced_limit:
         raise CLIError(f"{what} {n} exceeds the hard limit {forced_limit}")
-    return forced_limit
 
 
 def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
@@ -121,8 +132,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok = _degree_payload(payload, fiber_sizes(f.table),
                              bubble.word_degree_formula(content))
     elif system == "stack":
-        _guard(args.n, stacksort._DEFAULT_LIMIT, "n", args.force,
-               perms._PERM_HARD_LIMIT)
+        _guard(args.n, _STACK_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         fibers = stacksort.stack_fibers(args.n, workers=args.threads)
         # the Counter keys the image only; every other point has fiber 0
         sizes = list(fibers.values())
@@ -136,10 +146,10 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok = _degree_payload(payload, fiber_sizes(f.table),
                              nibble.nibble_degree_formula(args.n))
     elif system in ("nibble_bin", "chip"):
-        limit = _guard(args.n, _BINARY_LIMIT, "n", args.force,
-                       _BINARY_FORCED_LIMIT)
+        _guard(args.n, _BINARY_LIMIT, "n", args.force,
+               nibble._BINARY_HARD_LIMIT)
         f = nibble.binary_endomap("nib" if system == "nibble_bin" else "chi",
-                                  args.n, limit=limit)
+                                  args.n)
         sizes = fiber_sizes(f.table)
         payload["n"] = args.n
         ok = _degree_payload(payload, sizes)
@@ -148,9 +158,9 @@ def cmd_degree(args) -> tuple[dict, int]:
             payload["matches_three_halves_histogram"] = (
                 FiberHistogram.from_sizes(sizes).counts == expected)
     elif system == "bulgarian":
-        limit = _guard(args.n, solitaire._PARTITION_LIMIT, "n", args.force,
-                       solitaire._PARTITION_HARD_LIMIT)
-        f = solitaire.bulgarian_endomap(args.n, limit=limit)
+        _guard(args.n, _PARTITION_LIMIT, "n", args.force,
+               solitaire._PARTITION_HARD_LIMIT)
+        f = solitaire.bulgarian_endomap(args.n)
         payload["n"] = args.n
         ok = _degree_payload(payload, fiber_sizes(f.table))
         outside, missed = solitaire.bulgarian_image_defects(f)
@@ -159,9 +169,9 @@ def cmd_degree(args) -> tuple[dict, int]:
                                         "rank_at_least_minus_1_missed": missed}
             ok = False
     elif system == "carolina":
-        limit = _guard(args.n, solitaire._COMPOSITION_LIMIT, "n", args.force,
-                       _COMPOSITION_HARD_LIMIT)
-        f = solitaire.carolina_endomap(args.n, limit=limit)
+        _guard(args.n, _COMPOSITION_LIMIT, "n", args.force,
+               solitaire._COMPOSITION_HARD_LIMIT)
+        f = solitaire.carolina_endomap(args.n)
         payload["n"] = args.n
         ok = _degree_payload(payload, fiber_sizes(f.table),
                              solitaire.carolina_degree(args.n))
@@ -185,7 +195,7 @@ def cmd_degree(args) -> tuple[dict, int]:
             raise CLIError("degree tree requires --b")
         k = args.k if args.k is not None else 2
         _bounded(args.b, "--b", 2)
-        _bounded(k, "--k", 2)
+        _bounded(k, "--k", 2, _TREE_K_LIMIT)
         size = extremal.tree_size(args.b, k)
         if size > _TREE_LIMIT:
             raise CLIError(
@@ -256,7 +266,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if name == "thm7_exhaustive" and params.n > 4 and not args.force:
         raise CLIError("exhaustive pair scan beyond n=4 needs --force")
     if name == "stack":
-        _guard(params.max_n, stacksort._DEFAULT_LIMIT, "n", args.force,
+        _guard(params.max_n, _STACK_LIMIT, "n", args.force,
                perms._PERM_HARD_LIMIT)
     checks = getattr(suites, name)(params)
     failed = sum(1 for c in checks if not c["ok"])
@@ -277,14 +287,12 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_search(args) -> tuple[dict, int]:
     gamma = _parse_gamma(args.gamma)
-    budget = max(args.n, extremal._SEARCH_BUDGET) if args.force else \
-        extremal._SEARCH_BUDGET
-    try:
-        w = extremal.exhaustive_ratio_search(args.n, args.k, gamma,
-                                             budget=budget,
-                                             workers=args.threads)
-    except ValueError as exc:
-        raise CLIError(str(exc))
+    _bounded(args.n, "--n", 1)
+    _bounded(args.k, "--k", 1, _SEARCH_K_LIMIT)
+    _guard(args.n, extremal._SEARCH_BUDGET, "n", args.force,
+           extremal._SEARCH_HARD_LIMIT)
+    w = extremal.exhaustive_ratio_search(args.n, args.k, gamma,
+                                         workers=args.threads)
     payload = {"command": "search", "target": "ratio", "n": args.n}
     payload.update(w.to_json())
     payload["ratio_pow"] = frac_str(w.ratio_pow)
@@ -333,14 +341,23 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise CLIError(f"could not parse {flag} value {text!r}")
 
 
-def _parse_gamma(text: str):
+def _parse_gamma(text: str) -> Fraction:
+    """--gamma as a dyadic a/2^m >= 0 within the measured maxima."""
+    num, _, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return (int(num), int(den))
-        return int(text)
+        gamma = Fraction(int(num), int(den) if den else 1)
     except ValueError:
         raise CLIError(f"could not parse --gamma value {text!r}")
+    except ZeroDivisionError:
+        raise CLIError(f"--gamma {text} has a zero denominator")
+    m = gamma.denominator.bit_length() - 1
+    if gamma < 0 or gamma.denominator != 1 << m:
+        raise CLIError(f"--gamma must be a dyadic a/2^m >= 0, got {text}")
+    if gamma.numerator > _GAMMA_NUM_LIMIT or m > _GAMMA_LOG2_DEN_LIMIT:
+        raise CLIError(
+            f"--gamma {text} exceeds the hard limits a <= {_GAMMA_NUM_LIMIT}, "
+            f"m <= {_GAMMA_LOG2_DEN_LIMIT}")
+    return gamma
 
 
 def _flatten(obj, prefix: str = ""):

@@ -24,9 +24,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .endo import EndoMap, square_sum
-from .perms import Perm, check_perm, permutation_domain
-
-_DEFAULT_LIMIT = 9
+from .perms import _PERM_HARD_LIMIT, Perm, check_perm, permutation_domain
 
 
 def stack_sort(seq) -> tuple:
@@ -86,6 +84,9 @@ def stack_fibers(n: int, workers: int = 1) -> Counter:
     """Fiber sizes of stack sorting on S_n, keyed by image permutation."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > _PERM_HARD_LIMIT:
+        raise ValueError(
+            f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
     if workers <= 1 or n <= 3:
         counts: Counter = Counter()
         for p in permutations(range(1, n + 1)):
@@ -99,19 +100,8 @@ def stack_fibers(n: int, workers: int = 1) -> Counter:
     return counts
 
 
-def stack_degree(n: int, limit: int = _DEFAULT_LIMIT, workers: int = 1) -> Fraction:
-    """Exact degree d_n of stack sorting on S_n, by full enumeration.
-
-    Values of n above ``limit`` are rejected so that a factorial-sized sweep
-    cannot start by accident; pass a larger ``limit`` explicitly to go higher.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > limit:
-        raise ValueError(
-            f"n = {n} exceeds the exhaustive limit {limit}; "
-            f"pass limit={n} explicitly to enumerate all {n}! permutations"
-        )
+def stack_degree(n: int, workers: int = 1) -> Fraction:
+    """Exact degree d_n of stack sorting on S_n, by full enumeration."""
     counts = stack_fibers(n, workers=workers)
     return Fraction(square_sum(counts.values()), math.factorial(n))
 
@@ -132,9 +122,8 @@ class StackDegreeTable:
                 raise ValueError(f"d_{n} = {d} violates 1 <= d_n <= C_n")
 
     @classmethod
-    def compute(cls, max_n: int, limit: int = _DEFAULT_LIMIT,
-                workers: int = 1) -> "StackDegreeTable":
-        return cls({n: stack_degree(n, limit=limit, workers=workers)
+    def compute(cls, max_n: int, workers: int = 1) -> "StackDegreeTable":
+        return cls({n: stack_degree(n, workers=workers)
                     for n in range(1, max_n + 1)})
 
     def __getitem__(self, n: int) -> Fraction:
@@ -176,8 +165,7 @@ class GrowthReport:
     a10_ok: bool | None
 
 
-def stack_growth_diagnostics(max_n: int, limit: int = _DEFAULT_LIMIT,
-                             workers: int = 1) -> GrowthReport:
+def stack_growth_diagnostics(max_n: int, workers: int = 1) -> GrowthReport:
     """Tabulate degree growth for stack sorting up to ``max_n``.
 
     Each row carries n, d_n, d_n^(1/n), and the shifted ratio
@@ -186,7 +174,7 @@ def stack_growth_diagnostics(max_n: int, limit: int = _DEFAULT_LIMIT,
     whether all roots stay below 4, and, once max_n >= 9, the exact
     a_10^(1/10) >= 1.12462 bound.
     """
-    table = StackDegreeTable.compute(max_n, limit=limit, workers=workers)
+    table = StackDegreeTable.compute(max_n, workers=workers)
     rows = []
     for n in range(1, max_n + 1):
         d = table[n]

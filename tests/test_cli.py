@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from noninv import (bubble, cli, extremal, hecke, solitaire, stacksort,
-                    suites)
+from noninv import (bubble, cli, extremal, hecke, nibble, solitaire,
+                    stacksort, suites)
 from noninv.endo import EndoMap
 
 
@@ -210,7 +210,8 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (bubble, "word_bubble_endomap"),
          (hecke, "hecke_endomap"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
-         (extremal, "build_tree_map"), (stacksort, "stack_fibers"),
+         (extremal, "build_tree_map"), (extremal, "tree_branching"),
+         (stacksort, "stack_fibers"), (nibble, "binary_endomap"),
          (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
          (extremal, "exhaustive_ratio_search"),
          *((suites, name) for name in cli._SUITES))
@@ -237,6 +238,17 @@ _VERIFY_MAX = [
     ("verify", "prop1", "--k", "30"),
     ("verify", "hecke_odd", "--max-n", "10"),
 ]
+# the largest searches each flag accepts; the search is stubbed, not run
+_SEARCH_MAX = [
+    ("search", "ratio", "--n", "8", "--force"),
+    ("search", "ratio", "--k", "32"),
+    ("search", "ratio", "--gamma", "512"),
+    ("search", "ratio", "--gamma", "511/256"),
+]
+
+
+def _stub_search(n, k, gamma, workers):
+    return extremal.RatioWitness(EndoMap.from_table([0] * n), k, 2, 0, 1, 1)
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -305,6 +317,25 @@ _VERIFY_MAX = [
     (("verify", "prop1", "--k", "31"), 2),
     (("verify", "hecke_odd", "--max-n", "11"), 2),
     *((argv, 0) for argv in _VERIFY_MAX),
+    (("degree", "stack", "--n", "10"), 2),
+    (("degree", "chip", "--n", "17"), 2),
+    (("degree", "chip", "--n", "25", "--force"), 2),
+    (("degree", "nibble_bin", "--n", "25", "--force"), 2),
+    (("search", "ratio", "--n", "9", "--force"), 2),
+    (("search", "ratio", "--n", "0"), 2),
+    (("search", "ratio", "--k", "0"), 2),
+    (("search", "ratio", "--k", "33"), 2),
+    (("search", "ratio", "--n", "3", "--k", "100000000"), 2),
+    (("search", "ratio", "--gamma", "1/0"), 2),
+    (("search", "ratio", "--gamma", "-2"), 2),
+    (("search", "ratio", "--gamma=-1/2"), 2),
+    (("search", "ratio", "--gamma", "513"), 2),
+    (("search", "ratio", "--gamma", "1/512"), 2),
+    (("search", "ratio", "--n", "3", "--gamma", "1/16777216"), 2),
+    (("degree", "tree", "--b", "2", "--k", "1025"), 2),
+    (("degree", "tree", "--b", "2", "--k", "4000000"), 2),
+    (("degree", "tree", "--b", "2", "--k", "1024"), 0),
+    *((argv, 0) for argv in _SEARCH_MAX),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -315,6 +346,8 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     elif argv in _VERIFY_MAX:
         suite = "thm7_exhaustive" if "--exhaustive" in argv else argv[1]
         monkeypatch.setattr(suites, suite, lambda params: [])
+    elif argv in _SEARCH_MAX:
+        monkeypatch.setattr(extremal, "exhaustive_ratio_search", _stub_search)
     elif "100000" in argv:
         monkeypatch.setattr(solitaire, "monte_carlo_bulgarian",
                             lambda n, samples, rng_seed: (0.0, 0.0))

@@ -241,9 +241,14 @@ def test_ratio_search_canonical_and_parallel_agree():
     assert par.map.table == full.map.table
 
 
-def test_ratio_search_budget_guard():
-    with pytest.raises(ValueError, match="budget"):
-        exhaustive_ratio_search(8, 2, 2)
+def test_ratio_search_budget_guard(monkeypatch):
+    # 9^9 tables are refused before any chunk is scanned
+    def no_scan(*args):
+        raise AssertionError("scanned tables above the ceiling")
+
+    monkeypatch.setattr(extremal, "_search_chunk", no_scan)
+    with pytest.raises(ValueError, match="search limit"):
+        exhaustive_ratio_search(extremal._SEARCH_HARD_LIMIT + 1, 2, 2)
     with pytest.raises(ValueError):
         exhaustive_ratio_search(0, 2, 2)
 

@@ -9,6 +9,7 @@ import pytest
 
 from noninv.endo import are_pseudoconjugate, degree, fiber_histogram
 from noninv.nibble import (
+    _BINARY_HARD_LIMIT,
     BinaryDomain,
     binary_degree,
     chip_endomap,
@@ -83,7 +84,11 @@ def test_chip_fire_examples():
             chip_fire(bad)
 
 
-def test_binary_domain_codec():
+def _no_enumeration(self):
+    raise AssertionError("enumerated a domain above the ceiling")
+
+
+def test_binary_domain_codec(monkeypatch):
     dom = BinaryDomain(4)
     assert dom.size == 16
     for r in range(16):
@@ -97,6 +102,12 @@ def test_binary_domain_codec():
         dom.rank((0, 1))
     with pytest.raises(ValueError):
         BinaryDomain(-1)
+    # words of length 25 are refused before any word is enumerated
+    monkeypatch.setattr(BinaryDomain, "objects", _no_enumeration)
+    assert BinaryDomain(_BINARY_HARD_LIMIT).size == 1 << 24
+    for make in (BinaryDomain, chip_endomap, nibble_binary_endomap):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            make(_BINARY_HARD_LIMIT + 1)
 
 
 def test_bits_strings():
@@ -150,11 +161,13 @@ def test_stabilization_is_abelian():
             assert chip_fire(w, pick=rng.choice) == baseline
 
 
-def test_binary_degree_guards():
+def test_binary_degree_guards(monkeypatch):
     with pytest.raises(ValueError):
         binary_degree("bogus", 3)
-    with pytest.raises(ValueError, match="limit"):
-        binary_degree("nib", 25)
+    with monkeypatch.context() as m:
+        m.setattr(BinaryDomain, "objects", _no_enumeration)
+        with pytest.raises(ValueError, match="limit"):
+            binary_degree("nib", 25)
     with pytest.warns(UserWarning, match="theorem scope"):
         assert binary_degree("nib", 1) == 1
     with pytest.warns(UserWarning, match="theorem scope"):

@@ -141,13 +141,18 @@ def test_max_preimage_bound():
         assert max(Counter(f.table).values()) <= max_preimage_bound(n)
 
 
-def test_bulgarian_degree():
+def test_bulgarian_degree(monkeypatch):
     assert bulgarian_degree(1) == 1
     assert bulgarian_degree(3) == Fraction(5, 3)
     lo, hi = degree_bounds(bulgarian_endomap(10))
     assert lo <= bulgarian_degree(10) <= hi
-    with pytest.raises(ValueError, match="limit"):
-        bulgarian_degree(51)
+    # Part(66) is refused before any partition is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a domain above the ceiling")
+
+    monkeypatch.setattr(solitaire, "partitions_desc", no_enumeration)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        bulgarian_degree(66)
 
 
 def test_sampler_uniformity_small():
@@ -322,7 +327,7 @@ def test_carolina_fibers_match_brute_force():
         assert total == dom.size
 
 
-def test_composition_domain_roundtrip():
+def test_composition_domain_roundtrip(monkeypatch):
     for n in range(1, 9):
         dom = CompositionDomain(n)
         seen = set()
@@ -336,6 +341,15 @@ def test_composition_domain_roundtrip():
     for bad in [(2, 2), (3, 0), (1, 0, 2), (4,)]:
         with pytest.raises(ValueError):
             CompositionDomain(3).rank(bad)
+    # Comp(25) is refused before any composition is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated a domain above the ceiling")
+
+    monkeypatch.setattr(solitaire, "_compositions", no_enumeration)
+    assert CompositionDomain(solitaire._COMPOSITION_HARD_LIMIT).size == 1 << 23
+    for make in (CompositionDomain, carolina_endomap):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            make(solitaire._COMPOSITION_HARD_LIMIT + 1)
 
 
 def test_eta_series_prefix():

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from noninv import stacksort
 from noninv.endo import degree, iterate
 from noninv.perms import identity_perm, permutation_domain
 from noninv.stacksort import (
@@ -68,11 +69,15 @@ def test_catalan_values():
         catalan(-1)
 
 
-def test_limit_guard():
-    with pytest.raises(ValueError, match="limit"):
-        stack_degree(10)
-    # raising the limit explicitly re-enables the computation
-    assert stack_degree(5, limit=5) == stack_degree(5)
+def test_limit_guard(monkeypatch):
+    # S_11 is refused before any permutation is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumerated S_n above the ceiling")
+
+    monkeypatch.setattr(stacksort, "permutations", no_enumeration)
+    for count in (stack_degree, stack_fibers):
+        with pytest.raises(ValueError, match="enumeration limit"):
+            count(11)
 
 
 def test_parallel_matches_serial():

@@ -19,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -43,8 +42,8 @@ _TREE_LIMIT = 10 ** 6
 # (--b 63, 902,791 vertices) takes 15 s and 67 MB
 _TREE_K_LIMIT = 1024
 # each maximum measured at --n 7, the largest search without --force, with
-# the other flags at their defaults (4.7 s): --k 32 takes 11 s, a --gamma
-# numerator of 512 15 s and a denominator of 2^8 9 s (511/256: 31 s)
+# the other flags at their defaults (3.4 s): --k 32 takes 12 s, a --gamma
+# numerator of 512 3.3 s and a denominator of 2^8 3.4 s (511/256: 3.2 s)
 _SEARCH_K_LIMIT = 32
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
@@ -133,7 +132,7 @@ def cmd_degree(args) -> tuple[dict, int]:
                              bubble.word_degree_formula(content))
     elif system == "stack":
         _guard(args.n, _STACK_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        fibers = stacksort.stack_fibers(args.n, workers=args.threads)
+        fibers = stacksort.stack_fibers(args.n)
         # the Counter keys the image only; every other point has fiber 0
         sizes = list(fibers.values())
         sizes += [0] * (factorial(args.n) - len(sizes))
@@ -254,8 +253,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     if name == "thm7" and args.exhaustive:
         name = "thm7_exhaustive"
     params_name, bounds = _SUITES[name]
-    given = {"thm7": {"seed": args.seed},
-             "stack": {"workers": args.threads}}.get(name, {})
+    given = {"seed": args.seed} if name == "thm7" else {}
     # a size flag left out keeps the params default; a given 0 is refused
     for field, (lo, hi) in bounds.items():
         value = getattr(args, field)
@@ -291,8 +289,7 @@ def cmd_search(args) -> tuple[dict, int]:
     _bounded(args.k, "--k", 1, _SEARCH_K_LIMIT)
     _guard(args.n, extremal._SEARCH_BUDGET, "n", args.force,
            extremal._SEARCH_HARD_LIMIT)
-    w = extremal.exhaustive_ratio_search(args.n, args.k, gamma,
-                                         workers=args.threads)
+    w = extremal.exhaustive_ratio_search(args.n, args.k, gamma)
     payload = {"command": "search", "target": "ratio", "n": args.n}
     payload.update(w.to_json())
     payload["ratio_pow"] = frac_str(w.ratio_pow)
@@ -416,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_degree.add_argument("--word", type=str, default=None,
                           help="sorting-operator word i1,i2,...")
     p_degree.add_argument("--force", action="store_true")
-    p_degree.add_argument("--threads", type=int, default=1)
     common(p_degree)
     p_degree.set_defaults(fn=cmd_degree)
 
@@ -432,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.add_argument("--force", action="store_true")
-    p_verify.add_argument("--threads", type=int, default=1)
     common(p_verify)
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -443,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--gamma", type=str, default="2",
                           help="dyadic exponent, e.g. 2 or 3/2")
     p_search.add_argument("--force", action="store_true")
-    p_search.add_argument("--threads", type=int, default=1)
     common(p_search)
     p_search.set_defaults(fn=cmd_search)
 
@@ -469,8 +463,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if "threads" in args:
-            _bounded(args.threads, "--threads", 1, os.cpu_count() or 1)
         payload, code = args.fn(args)
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -191,11 +191,6 @@ class FiberHistogram:
     def degree(self) -> Fraction:
         return Fraction(sum(s * s * c for s, c in self.counts.items()), self.n)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiberHistogram):
-            return NotImplemented
-        return self.counts == other.counts
-
 
 def fiber_sizes(table) -> list[int]:
     """sizes[y] = |f^-1(y)| for an index table over 0..len(table)-1."""

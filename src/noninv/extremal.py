@@ -13,8 +13,8 @@ The composition inequality deg(f o g)^2 <= n deg(f) deg(g)^2 holds with
 equality exactly when f is constant and g is a bijection.
 
 The ratio search maximizes deg(f^k)/deg(f)^gamma over all endofunctions of
-[n] for dyadic gamma = a/2^m; ratios are compared by their 2^m-th powers so
-every comparison stays in integer arithmetic.
+[n] for dyadic gamma = a/2^m; ratios are compared by their 2^m-th powers,
+which are exact rationals.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -219,11 +218,7 @@ def random_endomap(n: int, rng_seed: int) -> EndoMap:
 
 def _normalize_gamma(gamma) -> tuple[int, int]:
     """Return (a, m) with gamma = a / 2^m for dyadic gamma."""
-    if isinstance(gamma, tuple):
-        a, den = gamma
-        frac = Fraction(a, den)
-    else:
-        frac = Fraction(gamma)
+    frac = Fraction(gamma)
     den = frac.denominator
     m = den.bit_length() - 1
     if 1 << m != den:
@@ -231,26 +226,16 @@ def _normalize_gamma(gamma) -> tuple[int, int]:
     return frac.numerator, m
 
 
-def _ratio_terms(table: tuple[int, ...], k: int, a: int,
-                 m: int) -> tuple[int, int]:
-    """Numerator and denominator of (deg(f^k)/deg(f)^(a/2^m))^(2^m)."""
-    n = len(table)
-    s1 = collisions(table)
-    sk = collisions(iterate_table(table, k))
+def _collision_pair(table: tuple[int, ...], k: int) -> tuple[int, int]:
+    """The collision counts (S(f), S(f^k)) of one table."""
+    return collisions(table), collisions(iterate_table(table, k))
+
+
+def _ratio_terms(n: int, s1: int, sk: int, a: int, m: int) -> tuple[int, int]:
+    """Numerator and denominator of (deg(f^k)/deg(f)^(a/2^m))^(2^m), from
+    the collision counts s1 = S(f) and sk = S(f^k) on n points."""
     p = 1 << m
     return sk ** p * n ** a, s1 ** a * n ** p
-
-
-def _search_chunk(args) -> tuple[int, int, tuple[int, ...]]:
-    n, k, a, m, first = args
-    best_num, best_den, best_table = 0, 1, None
-    for rest in itertools.product(range(n), repeat=n - 1):
-        table = (first,) + rest
-        num, den = _ratio_terms(table, k, a, m)
-        diff = num * best_den - best_num * den
-        if diff > 0 or (diff == 0 and (best_table is None or table < best_table)):
-            best_num, best_den, best_table = num, den, table
-    return best_num, best_den, best_table
 
 
 @dataclass
@@ -278,9 +263,9 @@ class RatioWitness:
         return float(self.ratio_pow) ** (1.0 / (1 << self.gamma_log2_den))
 
     def recompute(self) -> bool:
-        num, den = _ratio_terms(self.map.table, self.k, self.gamma_num,
-                                self.gamma_log2_den)
-        return Fraction(num, den) == self.ratio_pow
+        pair = _collision_pair(self.map.table, self.k)
+        return Fraction(*_ratio_terms(self.map.n, *pair, self.gamma_num,
+                                      self.gamma_log2_den)) == self.ratio_pow
 
     def to_json(self) -> dict:
         return {
@@ -295,18 +280,18 @@ class RatioWitness:
 # the largest n that ratio_bound_report, and `search ratio` without
 # --force, scan exhaustively; beyond it the report takes the tree family
 _SEARCH_BUDGET = 7
-# the largest n the search scans: n = 7 (7^7 tables) takes 4.7 s and
-# n = 8 (8^8 tables) 92 s serially, at k = 2 and gamma = 2 on 2 cores,
-# Python 3.11
+# the largest n the search scans: n = 7 (7^7 tables) takes 3.4 s and
+# n = 8 (8^8 tables) 65 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
 _SEARCH_HARD_LIMIT = 8
 
 
-def exhaustive_ratio_search(n: int, k: int, gamma,
-                            workers: int = 1) -> RatioWitness:
+def exhaustive_ratio_search(n: int, k: int, gamma) -> RatioWitness:
     """Maximize deg(f^k)/deg(f)^gamma over all n^n endofunctions.
 
-    Ratios are compared exactly through their 2^m-th powers.  Ties go to the
-    lexicographically smallest table, so the result is schedule-independent.
+    The ratio depends on a table only through its collision counts
+    (S(f), S(f^k)), so one pass keeps the first table of each distinct pair,
+    which is the lexicographically smallest, and compares the pairs exactly
+    through their 2^m-th powers.  Ties go to the smallest table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -316,20 +301,14 @@ def exhaustive_ratio_search(n: int, k: int, gamma,
         raise ValueError(f"{n}^{n} tables exceed the search limit "
                          f"n <= {_SEARCH_HARD_LIMIT}")
     a, m = _normalize_gamma(gamma)
-    jobs = [(n, k, a, m, first) for first in range(n)]
-    if workers > 1 and n > 2:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_search_chunk, jobs))
-    else:
-        results = [_search_chunk(j) for j in jobs]
-    best_num, best_den, best_table = 0, 1, None
-    for num, den, table in results:
-        diff = num * best_den - best_num * den
-        if diff > 0 or (diff == 0 and (best_table is None or table < best_table)):
-            best_num, best_den, best_table = num, den, table
-    frac = Fraction(best_num, best_den)
-    return RatioWitness(EndoMap.from_table(best_table), k, a, m,
-                        frac.numerator, frac.denominator)
+    first: dict[tuple[int, int], tuple[int, ...]] = {}
+    for table in all_tables(n):
+        first.setdefault(_collision_pair(table, k), table)
+    ratios = {pair: Fraction(*_ratio_terms(n, *pair, a, m)) for pair in first}
+    best = max(ratios.values())
+    table = min(first[pair] for pair, r in ratios.items() if r == best)
+    return RatioWitness(EndoMap.from_table(table), k, a, m,
+                        best.numerator, best.denominator)
 
 
 def ratio_bound_report(n_list, k: int, gamma=None) -> list[dict]:
@@ -348,15 +327,15 @@ def ratio_bound_report(n_list, k: int, gamma=None) -> list[dict]:
     rows = []
     for n in n_list:
         if n <= _SEARCH_BUDGET:
-            witness = exhaustive_ratio_search(n, k, (a, 1 << m))
+            witness = exhaustive_ratio_search(n, k, gamma)
             method = "exhaustive"
             f = witness.map
             ratio_pow = witness.ratio_pow
         else:
             f = padded_family_map(n, k)
             method = "tree-family"
-            num, den = _ratio_terms(f.table, k, a, m)
-            ratio_pow = Fraction(num, den)
+            ratio_pow = Fraction(
+                *_ratio_terms(n, *_collision_pair(f.table, k), a, m))
         ratio = float(ratio_pow) ** (1.0 / (1 << m))
         normalized = ratio / n ** (1 - 1 / (1 << (k - 1)))
         rows.append({

@@ -14,7 +14,6 @@ reverse-complementation, hence share a fiber histogram.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -114,14 +113,13 @@ class ScanReport:
     upper_attained: bool = False
 
 
-def conjecture2_scan(n: int, max_word_length: int, samples: int | None = None, seed: int = 0) -> ScanReport:
+def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
     """Scan eventually constant words, checking deg(bubble) <= deg(T) <= deg(T_tla).
 
-    Words are visited in length-lexicographic order (or sampled uniformly per
-    length when ``samples`` is given); operators are deduplicated by their
-    full table before degrees are computed.  The bubble and T_tla words are
-    always included.  Any operator whose degree falls outside the conjectured
-    interval is recorded in ``violations``.
+    Words are visited in length-lexicographic order; operators are
+    deduplicated by their full table before degrees are computed.  The
+    bubble and T_tla words are always included.  Any operator whose degree
+    falls outside the conjectured interval is recorded in ``violations``.
     """
     if n < 2:
         raise ValueError("scan needs n >= 2")
@@ -147,14 +145,8 @@ def conjecture2_scan(n: int, max_word_length: int, samples: int | None = None, s
     def words():
         yield bubble_word(n).gens
         yield t_tla_word(n).gens
-        alphabet = range(1, n)
-        rng = random.Random(seed)
         for length in range(1, max_word_length + 1):
-            if samples is None:
-                yield from itertools.product(alphabet, repeat=length)
-            else:
-                for _ in range(samples):
-                    yield tuple(rng.choice(alphabet) for _ in range(length))
+            yield from itertools.product(range(1, n), repeat=length)
 
     seen: set[tuple[int, ...]] = set()
     for gens in words():

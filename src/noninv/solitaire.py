@@ -48,29 +48,21 @@ def check_partition(lam: Sequence[int]) -> Partition:
     return lam
 
 
-def partitions_desc(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_desc(n: int) -> Iterator[Partition]:
     """All partitions of n, largest part first, in reverse lexicographic order.
 
-    With ``max_part`` only the partitions whose parts are all at most
-    max_part, in the same order.  Knuth's Algorithm P (TAOCP 4A, 7.2.1.4)
-    steps from each partition to the next in place.
+    Knuth's Algorithm P (TAOCP 4A, 7.2.1.4) steps from each partition to
+    the next in place.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if max_part is None:
-        max_part = n
     if n == 0:
         yield ()
-        return
-    if max_part < 1:
-        return
-    if max_part == 1:
-        yield (1,) * n
         return
     # a[1..m] is the partition and a[q] its last part above 1; a[0] = 0
     # stops the search for that part once only ones are left
     a = [0] * (n + 1)
-    m, rest, x = 1, n, min(n, max_part)
+    m, rest, x = 1, n, n
     while True:
         # fill with copies of x, then the remainder as the final part
         while rest > x:
@@ -383,13 +375,16 @@ def _carolina(c: Composition) -> Composition:
 
 def carolina_preimage_count(c: Sequence[int]) -> int:
     c = check_composition(c)
-    return comb(c[0], len(c) - 1)
+    # the empty composition is its own and only preimage
+    return comb(c[0], len(c) - 1) if c else 1
 
 
 def carolina_preimages(c: Sequence[int]) -> list[Composition]:
     """All preimages: the parts c_2+1, ..., c_ell+1 kept in order, with
     c_1 - (ell - 1) ones interleaved."""
     c = check_composition(c)
+    if not c:
+        return [()]
     ell = len(c)
     if c[0] < ell - 1:
         return []

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -70,39 +69,19 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _fiber_chunk(args: tuple[int, int]) -> Counter:
-    # one parallel work unit: all permutations starting with a fixed value
-    n, first = args
-    rest = [v for v in range(1, n + 1) if v != first]
-    counts: Counter = Counter()
-    for tail in permutations(rest):
-        counts[stack_sort((first,) + tail)] += 1
-    return counts
-
-
-def stack_fibers(n: int, workers: int = 1) -> Counter:
+def stack_fibers(n: int) -> Counter:
     """Fiber sizes of stack sorting on S_n, keyed by image permutation."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _PERM_HARD_LIMIT:
         raise ValueError(
             f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
-    if workers <= 1 or n <= 3:
-        counts: Counter = Counter()
-        for p in permutations(range(1, n + 1)):
-            counts[stack_sort(p)] += 1
-        return counts
-    counts = Counter()
-    jobs = [(n, v) for v in range(1, n + 1)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        for part in pool.map(_fiber_chunk, jobs):
-            counts.update(part)
-    return counts
+    return Counter(map(stack_sort, permutations(range(1, n + 1))))
 
 
-def stack_degree(n: int, workers: int = 1) -> Fraction:
+def stack_degree(n: int) -> Fraction:
     """Exact degree d_n of stack sorting on S_n, by full enumeration."""
-    counts = stack_fibers(n, workers=workers)
+    counts = stack_fibers(n)
     return Fraction(square_sum(counts.values()), math.factorial(n))
 
 
@@ -122,9 +101,8 @@ class StackDegreeTable:
                 raise ValueError(f"d_{n} = {d} violates 1 <= d_n <= C_n")
 
     @classmethod
-    def compute(cls, max_n: int, workers: int = 1) -> "StackDegreeTable":
-        return cls({n: stack_degree(n, workers=workers)
-                    for n in range(1, max_n + 1)})
+    def compute(cls, max_n: int) -> "StackDegreeTable":
+        return cls({n: stack_degree(n) for n in range(1, max_n + 1)})
 
     def __getitem__(self, n: int) -> Fraction:
         return self.degrees[n]
@@ -165,7 +143,7 @@ class GrowthReport:
     a10_ok: bool | None
 
 
-def stack_growth_diagnostics(max_n: int, workers: int = 1) -> GrowthReport:
+def stack_growth_diagnostics(max_n: int) -> GrowthReport:
     """Tabulate degree growth for stack sorting up to ``max_n``.
 
     Each row carries n, d_n, d_n^(1/n), and the shifted ratio
@@ -174,7 +152,7 @@ def stack_growth_diagnostics(max_n: int, workers: int = 1) -> GrowthReport:
     whether all roots stay below 4, and, once max_n >= 9, the exact
     a_10^(1/10) >= 1.12462 bound.
     """
-    table = StackDegreeTable.compute(max_n, workers=workers)
+    table = StackDegreeTable.compute(max_n)
     rows = []
     for n in range(1, max_n + 1):
         d = table[n]

@@ -173,13 +173,11 @@ def binary32(p: Binary32Params = Binary32Params()) -> list[dict]:
 @dataclass(frozen=True)
 class StackParams:
     max_n: int = 9
-    workers: int = 1
 
 
 def stack(p: StackParams = StackParams()) -> list[dict]:
     """Stack sorting: d_n <= C_n, superadditivity, and the a_10 growth bound."""
-    degrees = {n: stacksort.stack_degree(n, workers=p.workers)
-               for n in range(1, p.max_n + 1)}
+    degrees = {n: stacksort.stack_degree(n) for n in range(1, p.max_n + 1)}
     checks = []
     for n, d in degrees.items():
         bound = stacksort.catalan(n)

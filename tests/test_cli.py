@@ -141,13 +141,12 @@ def test_verify_stack_suite(capsys, monkeypatch):
     assert code == 0 and payload["passed"] == 7
     assert [c["name"] for c in payload["checks"]][-1] == \
         "d_(m-1) d_(n-1) <= (m+n-1) d_(m+n-1)"
-    # --threads reaches the suite as its worker count
+    # without --max-n the suite runs at its default size
     seen = []
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(suites, "stack",
                         lambda params: seen.append(params) or [])
-    run(capsys, "verify", "stack", "--threads", "3")
-    assert seen == [suites.StackParams(max_n=9, workers=3)]
+    run(capsys, "verify", "stack")
+    assert seen == [suites.StackParams(max_n=9)]
 
 
 def test_verify_prop1_mismatch_is_a_failed_check(capsys, monkeypatch):
@@ -215,8 +214,6 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
          (extremal, "exhaustive_ratio_search"),
          *((suites, name) for name in cli._SUITES))
-# one more worker than this machine has cores; refused before any pool starts
-_TOO_MANY_THREADS = str((os.cpu_count() or 1) + 1)
 # the largest size each verify flag accepts; the suite is stubbed, not run
 _VERIFY_MAX = [
     ("verify", "thm1", "--max-n", "10"),
@@ -247,7 +244,7 @@ _SEARCH_MAX = [
 ]
 
 
-def _stub_search(n, k, gamma, workers):
+def _stub_search(n, k, gamma):
     return extremal.RatioWitness(EndoMap.from_table([0] * n), k, 2, 0, 1, 1)
 
 
@@ -286,14 +283,15 @@ def _stub_search(n, k, gamma, workers):
     (("degree", "bulgarian", "--n", "66", "--force"), 2),
     (("degree", "carolina", "--n", "21"), 2),
     (("degree", "carolina", "--n", "25", "--force"), 2),
-    (("degree", "stack", "--n", "4", "--threads", "0"), 2),
-    (("degree", "stack", "--n", "4", "--threads", _TOO_MANY_THREADS), 2),
-    (("degree", "stack", "--n", "4", "--threads", "-1"), 2),
-    (("search", "ratio", "--n", "3", "--threads", "0"), 2),
-    (("search", "ratio", "--n", "3", "--threads", _TOO_MANY_THREADS), 2),
-    (("verify", "thm3", "--threads", "0"), 2),
-    (("degree", "stack", "--n", "4", "--threads", "1"), 0),
-    (("search", "ratio", "--n", "3", "--threads", "1"), 0),
+    # --threads is no option of any command: a usage error
+    (("degree", "stack", "--n", "4", "--threads", "2"), 2),
+    (("search", "ratio", "--n", "3", "--threads", "2"), 2),
+    (("verify", "stack", "--threads", "2"), 2),
+    (("degree", "stack", "--n", "0"), 2),
+    (("degree", "hecke", "--n", "9"), 2),
+    (("degree", "bubble_iter", "--n", "4", "--k", "0"), 2),
+    (("degree", "stack", "--n", "4"), 0),
+    (("search", "ratio", "--n", "3"), 0),
     (("verify", "stack", "--max-n", "0"), 2),
     (("verify", "stack", "--max-n", "10"), 2),
     (("verify", "stack", "--max-n", "11", "--force"), 2),
@@ -353,7 +351,10 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
                             lambda n, samples, rng_seed: (0.0, 0.0))
     elif "2000" in argv:
         monkeypatch.setattr(solitaire, "eta_series", lambda n: [1] * (n + 1))
-    code, _ = run(capsys, *argv, "--no-timestamp")
+    try:
+        code, _ = run(capsys, *argv, "--no-timestamp")
+    except SystemExit as exc:  # argparse refuses an unknown option
+        code = exc.code
     assert code == want
 
 
@@ -383,6 +384,20 @@ def _peak_rss(*argv):
     code, maxrss_kib = map(int, done.stderr.split())
     assert code == 0
     return json.loads(done.stdout), maxrss_kib * 1024 / 1e6
+
+
+def test_cli_import_starts_no_process_machinery():
+    # every command runs in one process, so importing the CLI must not load
+    # the process-pool modules
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, noninv.cli; print(sorted(m for m in sys.modules if "
+         "m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_sample_peak_rss_is_linear():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from noninv import extremal, stacksort, suites
+from noninv import extremal
 from noninv.endo import (EndoMap, compose, degree, is_bijection, is_constant,
                          iterate)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
@@ -209,7 +209,7 @@ def test_ratio_search_finds_collapse_maximum():
 
 
 def test_ratio_search_gamma_forms_agree():
-    a = exhaustive_ratio_search(3, 2, (3, 2))
+    a = exhaustive_ratio_search(3, 2, 1.5)
     b = exhaustive_ratio_search(3, 2, Fraction(3, 2))
     assert a.gamma == b.gamma == Fraction(3, 2)
     assert a.ratio_pow == b.ratio_pow
@@ -234,19 +234,32 @@ def test_ratio_search_four_point_oracle():
     assert w.ratio_pow == best == Fraction(10, 9)
 
 
-def test_ratio_search_canonical_and_parallel_agree():
-    full = exhaustive_ratio_search(4, 2, 2)
-    par = exhaustive_ratio_search(4, 2, 2, workers=2)
-    assert par.ratio_pow == full.ratio_pow
-    assert par.map.table == full.map.table
+@pytest.mark.parametrize("gamma", [0, Fraction(1, 2), Fraction(3, 2), 2,
+                                   Fraction(511, 256)])
+def test_ratio_search_matches_direct_scan(gamma):
+    # each table's ratio as a Fraction; the largest wins, ties to the
+    # lexicographically smallest table, which all_tables yields first
+    a, p = Fraction(gamma).numerator, Fraction(gamma).denominator
+    for n in range(1, 6):
+        for k in range(1, 4):
+            best, best_table = None, None
+            for t in all_tables(n):
+                f = EndoMap.from_table(t)
+                # (deg(f^k)/deg(f)^gamma)^p, exact for gamma = a/p
+                ratio = degree(iterate(f, k)) ** p / degree(f) ** a
+                if best is None or ratio > best:
+                    best, best_table = ratio, t
+            w = exhaustive_ratio_search(n, k, gamma)
+            assert (w.ratio_pow, w.map.table) == (best, best_table), (n, k)
+            assert w.recompute()
 
 
 def test_ratio_search_budget_guard(monkeypatch):
-    # 9^9 tables are refused before any chunk is scanned
+    # 9^9 tables are refused before any table is enumerated
     def no_scan(*args):
         raise AssertionError("scanned tables above the ceiling")
 
-    monkeypatch.setattr(extremal, "_search_chunk", no_scan)
+    monkeypatch.setattr(extremal, "all_tables", no_scan)
     with pytest.raises(ValueError, match="search limit"):
         exhaustive_ratio_search(extremal._SEARCH_HARD_LIMIT + 1, 2, 2)
     with pytest.raises(ValueError):
@@ -280,39 +293,6 @@ def test_random_table_is_the_randrange_stream():
             assert random_table(n, fast) == tuple(ref.randrange(n)
                                                   for _ in range(n))
         assert fast.getstate() == ref.getstate()
-
-
-class _InlinePool:
-    """Runs map() in this process and records the requested pool size."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-@pytest.mark.parametrize("module, run, sizes", [
-    (stacksort, lambda: stacksort.stack_fibers(5, workers=8), [5]),
-    (extremal, lambda: exhaustive_ratio_search(3, 2, 2, workers=8), [3]),
-    # the verify stack suite hands its workers on; n <= 3 runs in-process
-    (stacksort, lambda: suites.stack(suites.StackParams(max_n=4, workers=2)),
-     [2]),
-])
-def test_process_pool_is_capped_at_the_chunk_count(monkeypatch, module, run,
-                                                   sizes):
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(module, "ProcessPoolExecutor", _InlinePool)
-    run()
-    assert _InlinePool.sizes == sizes
 
 
 def test_ratio_bound_report():

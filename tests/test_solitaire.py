@@ -311,6 +311,10 @@ def test_carolina_preimages_listing():
 
 
 def test_carolina_fibers_match_brute_force():
+    # Comp(0) = {()} and carolina(()) = (), so () is its own only preimage
+    assert carolina(()) == ()
+    assert carolina_preimage_count(()) == 1
+    assert carolina_preimages(()) == [()]
     for n in range(1, 13):
         f = carolina_endomap(n)
         dom = f.codec
@@ -415,10 +419,7 @@ def _partitions_recursive(n, max_part):
 
 def test_partitions_desc_matches_recursive_order():
     for n in range(0, 31):
-        for max_part in range(0, n + 2):
-            assert list(partitions_desc(n, max_part)) == \
-                list(_partitions_recursive(n, max_part)), (n, max_part)
-        assert list(partitions_desc(n)) == list(_partitions_recursive(n, n))
+        assert list(partitions_desc(n)) == list(_partitions_recursive(n, n)), n
 
 
 def test_bulgarian_image_defects_certify_and_catch():

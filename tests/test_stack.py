@@ -80,10 +80,6 @@ def test_limit_guard(monkeypatch):
             count(11)
 
 
-def test_parallel_matches_serial():
-    assert stack_degree(6, workers=2) == stack_degree(6)
-
-
 def test_degree_table_validates():
     table = StackDegreeTable.compute(6)
     assert table[3] == Fraction(13, 3)

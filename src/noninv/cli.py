@@ -42,14 +42,15 @@ _TREE_LIMIT = 10 ** 6
 # (--b 63, 902,791 vertices) takes 15 s and 67 MB
 _TREE_K_LIMIT = 1024
 # each maximum measured at --n 7, the largest search without --force, with
-# the other flags at their defaults (3.4 s): --k 32 takes 12 s, a --gamma
+# the other flags at their defaults (3.4 s): --k 32 takes 5.1 s, a --gamma
 # numerator of 512 3.3 s and a denominator of 2^8 3.4 s (511/256: 3.2 s)
 _SEARCH_K_LIMIT = 32
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
 _SAMPLE_N_LIMIT = 10 ** 5
 _SAMPLE_COUNT_LIMIT = 10 ** 6
-# eta_series grows about cubically: --n 2000 took 22 s on 2 cores
+# the eta recurrence takes O(n) big-integer steps: --n 2000 takes 0.16 s
+# on 2 cores
 _SERIES_N_LIMIT = 2000
 
 
@@ -237,7 +238,7 @@ _SUITES = {
     "stack": ("StackParams", {"max_n": _S_N}),
     "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 10 s, 150 MB
     "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 4 s
-    "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 21 s
+    "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 11 s
     "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
     "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 1.5 s
     "prop1": ("Prop1Params", {"k": (2, 30)}),  # 10 s, 490 MB

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Callable, Iterator
 
 
@@ -201,8 +201,12 @@ def fiber_sizes(table) -> list[int]:
 
 
 def square_sum(sizes) -> int:
-    """Sum of squared fiber sizes, for fibers counted by any means."""
-    return sum(c * c for c in sizes)
+    """Sum of squared fiber sizes, for fibers counted by any means.
+
+    sizes is iterated twice, so it must be a collection (a list or a dict
+    values view), not an iterator.
+    """
+    return sum(map(mul, sizes, sizes))
 
 
 def collisions(table) -> int:

@@ -165,15 +165,19 @@ def padded_family_map(n: int, k: int) -> EndoMap:
 # with p = 2^(k-1).
 
 
-def check_theorem7(f: EndoMap, g: EndoMap) -> tuple[bool, bool]:
-    """Exact check of deg(f o g)^2 <= n deg(f) deg(g)^2, plus equality flag."""
-    if f.n == 0:
+def check_theorem7(ft, gt) -> tuple[bool, bool]:
+    """Exact check of deg(f o g)^2 <= n deg(f) deg(g)^2, plus equality flag.
+
+    f and g are index tables over 0..n-1, taken as they are: the entries
+    are not range-checked.
+    """
+    if not ft:
         raise ValueError("degree is undefined on the empty domain")
-    if f.codec != g.codec:
+    if len(ft) != len(gt):
         raise ValueError("cannot compose maps over different domains")
-    sg = collisions(g.table)
-    lhs = collisions(compose_tables(f.table, g.table)) ** 2
-    rhs = collisions(f.table) * sg * sg
+    sg = collisions(gt)
+    lhs = collisions(compose_tables(ft, gt)) ** 2
+    rhs = collisions(ft) * sg * sg
     return lhs <= rhs, lhs == rhs
 
 
@@ -227,8 +231,13 @@ def _normalize_gamma(gamma) -> tuple[int, int]:
 
 
 def _collision_pair(table: tuple[int, ...], k: int) -> tuple[int, int]:
-    """The collision counts (S(f), S(f^k)) of one table."""
-    return collisions(table), collisions(iterate_table(table, k))
+    """The collision counts (S(f), S(f^k)) of one table.
+
+    S(f^k) is constant once k >= n - 1: f^(n-1) maps onto the cycle points,
+    which f only permutes, so f^k is iterated at most n times.
+    """
+    return (collisions(table),
+            collisions(iterate_table(table, min(k, len(table)))))
 
 
 def _ratio_terms(n: int, s1: int, sk: int, a: int, m: int) -> tuple[int, int]:

@@ -11,6 +11,8 @@ number of parts, decrement every original part, drop zeros.  A composition
 with first part c_1 and ell parts has exactly binom(c_1, ell-1) preimages,
 which makes the degree on Comp(n) equal to eta_n / 2^(n-1), where eta_n is
 the coefficient series of (1 - x)/sqrt(1 - 4x + 4x^2 - 4x^3 + 4x^4).
+The series comes from the linear recurrence of the inverse square root, in
+exact integers with O(N) steps.
 
 Uniform random partitions come from Nijenhuis and Wilf's RANPAR, which
 draws with exact integer weights from the partition numbers p(0..n) and the
@@ -136,7 +138,10 @@ def _bulgarian(lam: Partition) -> Partition:
 
 def bulgarian_preimage_count(lam: Sequence[int]) -> int:
     """Number of preimages: distinct part values that are >= ell - 1."""
-    lam = check_partition(lam)
+    return _preimage_count(check_partition(lam))
+
+
+def _preimage_count(lam: Partition) -> int:
     ell = len(lam)
     return len({p for p in lam if p >= ell - 1})
 
@@ -285,7 +290,8 @@ def monte_carlo_bulgarian(n: int, samples: int,
         raise ValueError("samples must be >= 1")
     rng = random.Random(rng_seed)
     sampler = _sampler(n)
-    vals = [bulgarian_preimage_count(bulgarian(sampler.sample(rng)))
+    # the sampler's own partitions need no input check
+    vals = [_preimage_count(_bulgarian(sampler.sample(rng)))
             for _ in range(samples)]
     mean = statistics.fmean(vals)
     stddev = statistics.stdev(vals) if samples > 1 else 0.0
@@ -406,45 +412,34 @@ def carolina_endomap(n: int) -> EndoMap:
 # the eta series and the exact Carolina degree
 
 
-def _series_mul(a: list[Fraction], b: list[Fraction], prec: int) -> list[Fraction]:
-    out = [Fraction(0)] * prec
-    for i, ai in enumerate(a[:prec]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[:prec - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
+# Q(x) = 1 - 4x + 4x^2 - 4x^3 + 4x^4, lowest coefficient first; the
+# recurrence in eta_series needs the constant term 1
+_ETA_Q = (1, -4, 4, -4, 4)
 
 
 def eta_series(N: int) -> list[int]:
     """Integer coefficients of (1-x)/sqrt(1 - 4x + 4x^2 - 4x^3 + 4x^4).
 
-    The inverse square root is computed by Newton iteration on truncated
-    series in exact rationals; integrality of the result is asserted, so a
-    wrong expansion cannot pass silently.
+    y = Q^(-1/2) satisfies 2 Q y' + Q' y = 0, whose coefficient of x^(M-1)
+    is the recurrence 2M y_M = -sum_{i=1..min(4,M)} q_i (2M - i) y_{M-i}
+    (Stanley, EC2 6.4), and eta_M = y_M - y_{M-1}.  Every step is one exact
+    integer division whose remainder must be zero, so a wrong expansion
+    raises ArithmeticError instead of passing silently.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    prec = N + 1
-    q = [Fraction(v) for v in (1, -4, 4, -4, 4)][:prec]
-    q += [Fraction(0)] * (prec - len(q))
-    z = [Fraction(1)]
-    cur = 1
-    while cur < prec:
-        cur = min(2 * cur, prec)
-        z = z + [Fraction(0)] * (cur - len(z))
-        z3 = _series_mul(_series_mul(z, z, cur), z, cur)
-        qz3 = _series_mul(q, z3, cur)
-        z = [(3 * zi - ti) / 2 for zi, ti in zip(z, qz3)]
-    z = z + [Fraction(0)] * (prec - len(z))
-    out = []
-    for i in range(prec):
-        coeff = z[i] - (z[i - 1] if i else Fraction(0))
-        if coeff.denominator != 1:
-            raise ArithmeticError(f"coefficient {i} is not an integer: {coeff}")
-        out.append(int(coeff))
-    return out
+    q = _ETA_Q[1:]
+    y = [1]
+    for M in range(1, N + 1):
+        s = 0
+        for i, qi in enumerate(q[:M], 1):
+            s -= qi * (2 * M - i) * y[M - i]
+        yM, rem = divmod(s, 2 * M)
+        if rem:
+            raise ArithmeticError(f"coefficient {M} of Q^(-1/2) is not an "
+                                  f"integer: {Fraction(s, 2 * M)}")
+        y.append(yM)
+    return y[:1] + [b - a for a, b in zip(y, y[1:])]
 
 
 def carolina_degree(n: int) -> Fraction:

@@ -250,9 +250,9 @@ def thm7(p: Thm7Params = Thm7Params()) -> list[dict]:
     for n in range(4, 11):
         bad = 0
         for _ in range(p.samples):
-            f = EndoMap.from_table(extremal.random_table(n, rng))
-            g = EndoMap.from_table(extremal.random_table(n, rng))
-            if not extremal.check_theorem7(f, g)[0]:
+            # f's table is drawn first, then g's
+            if not extremal.check_theorem7(extremal.random_table(n, rng),
+                                           extremal.random_table(n, rng))[0]:
                 bad += 1
         checks.append(_check(f"random pairs n={n}", bad == 0,
                              f"{bad} failures in {p.samples}"))
@@ -273,7 +273,7 @@ def thm7_exhaustive(p: Thm7ExhaustiveParams = Thm7ExhaustiveParams()) -> list[di
     for f in maps:
         constant = is_constant(f)
         for g, bij in zip(maps, bijective):
-            h, eq = extremal.check_theorem7(f, g)
+            h, eq = extremal.check_theorem7(f.table, g.table)
             holds += h
             equalities += eq
             agree += eq == (constant and bij)

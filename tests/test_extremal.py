@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from noninv import extremal
-from noninv.endo import (EndoMap, compose, degree, is_bijection, is_constant,
-                         iterate)
+from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
+                         is_bijection, is_constant, iterate)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
                              check_theorem3_bound, check_theorem7,
                              exhaustive_ratio_search,
@@ -103,7 +103,7 @@ def test_composition_inequality_exhaustive_n3():
         f = EndoMap.from_table(tf)
         for tg in all_tables(3):
             g = EndoMap.from_table(tg)
-            holds, equal = check_theorem7(f, g)
+            holds, equal = check_theorem7(tf, tg)
             assert holds
             if equal:
                 equalities += 1
@@ -136,17 +136,15 @@ def fraction_theorem3(table, k):
 
 def test_integer_theorem7_matches_fraction_formula():
     for tf in all_tables(3):
-        f = EndoMap.from_table(tf)
         for tg in all_tables(3):
-            assert check_theorem7(f, EndoMap.from_table(tg)) == \
-                fraction_theorem7(tf, tg)
+            assert check_theorem7(tf, tg) == fraction_theorem7(tf, tg)
     rng = random.Random(2)
     seen = set()
     for i in range(10 ** 4):
         n = 4 + i % 7
         tf = tuple(rng.randrange(n) for _ in range(n))
         tg = tuple(rng.randrange(n) for _ in range(n))
-        got = check_theorem7(EndoMap.from_table(tf), EndoMap.from_table(tg))
+        got = check_theorem7(tf, tg)
         assert got == fraction_theorem7(tf, tg)
         seen.add(got)
     assert (True, False) in seen
@@ -159,20 +157,20 @@ def test_integer_theorem3_matches_fraction_formula():
             for k in range(1, 5):
                 assert check_theorem3_bound(f, k) == fraction_theorem3(t, k)
     with pytest.raises(ValueError):
-        check_theorem7(EndoMap.from_table(()), EndoMap.from_table(()))
+        check_theorem7((), ())
     with pytest.raises(ValueError):
         check_theorem3_bound(EndoMap.from_table(()), 1)
 
 
 def test_composition_inequality_edge_pairs():
-    const = EndoMap.from_table((2, 2, 2, 2))
-    cyc = EndoMap.from_table((1, 2, 3, 0))
+    const = (2, 2, 2, 2)
+    cyc = (1, 2, 3, 0)
     assert check_theorem7(const, cyc) == (True, True)
     assert check_theorem7(cyc, const) == (True, False)
-    ident = EndoMap.from_table((0, 1, 2, 3))
+    ident = (0, 1, 2, 3)
     assert check_theorem7(ident, ident) == (True, False)
     with pytest.raises(ValueError, match="different domains"):
-        check_theorem7(const, EndoMap.from_table((0, 1, 2)))
+        check_theorem7(const, (0, 1, 2))
 
 
 def test_iterate_inequality_exhaustive_small():
@@ -186,6 +184,20 @@ def test_iterate_inequality_exhaustive_small():
                 assert degree(iterate(f, k)) >= d1
     with pytest.raises(ValueError):
         check_theorem3_bound(EndoMap.from_table((0,)), 0)
+
+
+def test_iterate_collisions_settle_within_n_steps():
+    # f^(n-1) maps onto the cycle points, which f only permutes, so S(f^k)
+    # is constant from k = n - 1 on and the search iterates min(k, n) times
+    for n in range(1, 6):
+        for t in all_tables(n):
+            s, fk = [], tuple(range(n))
+            for _ in range(n + 4):
+                s.append(collisions(fk))
+                fk = compose_tables(t, fk)
+            for k in range(1, n + 4):
+                assert s[k] == s[min(k, n)], (t, k)
+                assert extremal._collision_pair(t, k) == (s[1], s[k])
 
 
 def test_iterate_inequality_on_collapse_example():

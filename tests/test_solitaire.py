@@ -374,9 +374,18 @@ def test_degree_three_routes_agree():
 
 
 def test_eta_identity_holds_deeper():
-    eta = eta_series(40)
-    for n in range(1, 41):
-        assert carolina_degree(n) == Fraction(eta[n], 1 << (n - 1))
+    eta = eta_series(300)
+    for n in range(1, 301):
+        assert carolina_degree(n) == Fraction(eta[n], 1 << (n - 1)), n
+
+
+def test_eta_recurrence_refuses_a_fraction(monkeypatch):
+    # (1 - 3x)^(-1/2) = 1 + 3x/2 + ...: the recurrence's first division
+    # leaves a remainder
+    monkeypatch.setattr(solitaire, "_ETA_Q", (1, -3, 0, 0, 0))
+    assert eta_series(0) == [1]
+    with pytest.raises(ArithmeticError, match="coefficient 1"):
+        eta_series(2)
 
 
 def _carolina_degree_by_comb(n):

@@ -148,9 +148,9 @@ def cmd_degree(args) -> tuple[dict, int]:
     elif system in ("nibble_bin", "chip"):
         _guard(args.n, _BINARY_LIMIT, "n", args.force,
                nibble._BINARY_HARD_LIMIT)
-        f = nibble.binary_endomap("nib" if system == "nibble_bin" else "chi",
-                                  args.n)
-        sizes = fiber_sizes(f.table)
+        table = nibble.binary_rank_table(
+            "nib" if system == "nibble_bin" else "chi", args.n)
+        sizes = fiber_sizes(table)
         payload["n"] = args.n
         ok = _degree_payload(payload, sizes)
         if args.n >= 2:
@@ -171,9 +171,9 @@ def cmd_degree(args) -> tuple[dict, int]:
     elif system == "carolina":
         _guard(args.n, _COMPOSITION_LIMIT, "n", args.force,
                solitaire._COMPOSITION_HARD_LIMIT)
-        f = solitaire.carolina_endomap(args.n)
+        table = solitaire.carolina_rank_table(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fiber_sizes(f.table),
+        ok = _degree_payload(payload, fiber_sizes(table),
                              solitaire.carolina_degree(args.n))
     elif system == "hecke":
         _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
@@ -240,7 +240,7 @@ _SUITES = {
     "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 4 s
     "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 11 s
     "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
-    "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 1.5 s
+    "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 0.6 s
     "prop1": ("Prop1Params", {"k": (2, 30)}),  # 10 s, 490 MB
     "hecke_odd": ("HeckeOddParams", {"max_n": _S_N}),
 }

@@ -77,17 +77,23 @@ def tree_size(b: int, k: int) -> int:
 
 
 def build_tree_map(b: int, k: int) -> EndoMap:
-    """Parent map of T_b with vertices in depth-lexicographic order."""
+    """Parent map of T_b with vertices in depth-lexicographic order.
+
+    Vertex j of level t has parent j // branching[t-1] of level t - 1, so
+    level t's slice of the table lists level t - 1's vertices, each
+    repeated branching[t-1] times, and is appended in one C-level pass.
+    """
     spec = tree_spec(b, k)
-    sizes = spec.level_sizes
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    table = [0] * spec.size
-    for t in range(1, len(sizes)):
-        width = spec.branching[t - 1]
-        for j in range(sizes[t]):
-            table[offsets[t] + j] = offsets[t - 1] + j // width
+    table = [0]
+    start = 0
+    for width, size in zip(spec.branching, spec.level_sizes):
+        parents = range(start, start + size)
+        if width == 1:
+            table.extend(parents)
+        else:
+            table.extend(itertools.chain.from_iterable(
+                map(itertools.repeat, parents, itertools.repeat(width))))
+        start += size
     return EndoMap.from_table(table)
 
 
@@ -188,8 +194,26 @@ def check_theorem3_bound(f: EndoMap, k: int) -> bool:
     if f.n == 0:
         raise ValueError("degree is undefined on the empty domain")
     p = 1 << (k - 1)
-    return (collisions(iterate_table(f.table, k)) ** p
-            <= collisions(f.table) ** (2 * p - 1))
+    return _power_le(collisions(iterate_table(f.table, k)), p,
+                     collisions(f.table), 2 * p - 1)
+
+
+def _power_le(a: int, p: int, b: int, q: int) -> bool:
+    """a^p <= b^q, exactly, for integers a, b >= 1 and q >= p >= 1.
+
+    It holds when a <= b.  Otherwise bit lengths bracket the powers,
+    2^(p (bl(a) - 1)) <= a^p < 2^(p bl(a)) and likewise for b^q, which
+    decides every pair whose brackets do not overlap; only the rest are
+    raised to their powers.
+    """
+    if a <= b:
+        return True
+    bits_a, bits_b = a.bit_length(), b.bit_length()
+    if p * bits_a <= q * (bits_b - 1):
+        return True
+    if p * (bits_a - 1) >= q * bits_b:
+        return False
+    return a ** p <= b ** q
 
 
 # ---------------------------------------------------------------------------

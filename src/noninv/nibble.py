@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from array import array
 from collections import deque
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -63,9 +64,10 @@ def nibble_degree_limit() -> float:
     return 4 * math.e - 9
 
 
-# the longest words the codec tabulates: `degree chip --n 24 --force`
-# (2^24 words) takes 130 s and `nibble_bin` 89 s, each peaking at 790 MB
-# on 2 cores, Python 3.11
+# the longest words the codec and the rank kernels tabulate: `degree chip
+# --n 24 --force` (2^24 words, from chip_rank_table) takes 4.4 s and
+# `nibble_bin` 4.4 s, each peaking at 210 MB, on 2 cores, Python 3.11;
+# tabulating either object map at n = 24 takes 90-120 s and 790 MB
 _BINARY_HARD_LIMIT = 24
 
 
@@ -181,10 +183,70 @@ def chip_endomap(n: int) -> EndoMap:
                                  lambda word: _chip_fire(list(word)))
 
 
-_BINARY_MAPS = {
-    "nib": nibble_binary_endomap,
-    "chi": chip_endomap,
-}
+def nibble_rank_table(n: int) -> array:
+    """The index table of nibble sort on {0,1}^n, from ranks alone.
+
+    Lemma.  With big-endian ranks, the word 0^a 1^b 0 r (b >= 1) goes to
+    0^a 1^(b-1) 0 1 r, rank x - 2^(n-a-b-1), and the words 0^a 1^(n-a)
+    are fixed.  Proof: the first factor 10 of 0^a 1^b 0 r is the last 1
+    of 1^b with the 0 after it, and only the words 0^a 1^(n-a) have none.
+
+    For fixed a and b the words 0^a 1^b 0 r fill one run of consecutive
+    ranks that shifts by a constant, so in rank order (a from n down to 0,
+    then b up, then the fixed word) the table is a concatenation of ranges.
+    Equals ``nibble_binary_endomap(n).table``.
+    """
+    _check_rank_length(n)
+    table = array("I", [0])
+    for a in range(n - 1, -1, -1):
+        for b in range(1, n - a):
+            lo = ((1 << b) - 1) << (n - a - b)
+            table.extend(range(lo - (1 << (n - a - b - 1)), lo))
+        table.append((1 << (n - a)) - 1)
+    return table
+
+
+def chip_rank_table(n: int) -> array:
+    """The index table of chip-firing on {0,1}^n, from ranks alone.
+
+    Lemma.  With big-endian ranks, 0 r goes to 1 r (rank x + 2^(n-1)),
+    1^k 0 r with k >= 1 to 1^(k-1) 0 1 r (rank x - 2^(n-k-1)), and 1^n to
+    1^(n-1) 0.  Proof: after the chip lands on site 0, fire sites 0, 1,
+    ..., k-1 once each, left to right.  Each holds two chips when its turn
+    comes (site i gets its second chip from site i-1).  Sites 0..k-2 end
+    with one chip, site k - 1 with none and site k, which held none, with
+    one; one chip leaves at the left end.  For 1^n (k = n) the chip site
+    n - 1 fires to the right leaves instead.  That word is stable, so by
+    the abelian property it is the stabilization.  A word 0 r fires
+    nothing.
+
+    For each k the words 1^k 0 r fill one run of consecutive ranks that
+    shifts by a constant, so the table is a concatenation of ranges.
+    Equals ``chip_endomap(n).table``.
+    """
+    _check_rank_length(n)
+    size = 1 << n
+    table = array("I", range(size >> 1, size))
+    for k in range(1, n):
+        lo = size - (size >> k)
+        table.extend(range(lo - (size >> (k + 1)), lo))
+    table.append(size - 2)
+    return table
+
+
+def _check_rank_length(n: int) -> None:
+    if not 1 <= n <= _BINARY_HARD_LIMIT:
+        raise ValueError(f"words of length {n} are outside the tabulation "
+                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
+
+
+def _check_binary_map(map_id: str, n: int) -> None:
+    # warns on behalf of the caller of binary_endomap or binary_rank_table
+    if map_id not in ("nib", "chi"):
+        raise ValueError(f"unknown binary map {map_id!r}; use 'nib' or 'chi'")
+    if n < 2:
+        warnings.warn(f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)",
+                      stacklevel=3)
 
 
 def binary_endomap(map_id: str, n: int) -> EndoMap:
@@ -193,12 +255,14 @@ def binary_endomap(map_id: str, n: int) -> EndoMap:
     The degree-3/2 theorems assume n >= 2; smaller n is tabulated anyway but
     flagged with a warning as outside theorem scope.
     """
-    if map_id not in _BINARY_MAPS:
-        raise ValueError(f"unknown binary map {map_id!r}; use 'nib' or 'chi'")
-    if n < 2:
-        warnings.warn(f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)",
-                      stacklevel=2)
-    return _BINARY_MAPS[map_id](n)
+    _check_binary_map(map_id, n)
+    return nibble_binary_endomap(n) if map_id == "nib" else chip_endomap(n)
+
+
+def binary_rank_table(map_id: str, n: int) -> array:
+    """The table of ``binary_endomap(map_id, n)``, from its rank kernel."""
+    _check_binary_map(map_id, n)
+    return nibble_rank_table(n) if map_id == "nib" else chip_rank_table(n)
 
 
 def binary_degree(map_id: str, n: int) -> Fraction:

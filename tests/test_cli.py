@@ -211,7 +211,9 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
          (stacksort, "stack_fibers"), (nibble, "binary_endomap"),
+         (nibble, "chip_rank_table"), (nibble, "nibble_rank_table"),
          (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
+         (solitaire, "carolina_rank_table"),
          (extremal, "exhaustive_ratio_search"),
          *((suites, name) for name in cli._SUITES))
 # the largest size each verify flag accepts; the suite is stubbed, not run
@@ -529,9 +531,13 @@ def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
                         counted("fibers", stacksort.stack_fibers))
     monkeypatch.setattr(extremal, "build_tree_map",
                         counted("tree", extremal.build_tree_map))
-    # bubble and bubble_iter build their one table from ranks
-    monkeypatch.setattr(bubble, "bubble_rank_table",
-                        counted("rank_table", bubble.bubble_rank_table))
+    # bubble, bubble_iter, carolina, chip and nibble_bin build their one
+    # table from ranks
+    for module, name in ((bubble, "bubble_rank_table"),
+                         (solitaire, "carolina_rank_table"),
+                         (nibble, "chip_rank_table"),
+                         (nibble, "nibble_rank_table")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code, _ = run(capsys, "degree", *argv, "--no-timestamp")
     assert code == 0
     assert len(builds) == 1, builds

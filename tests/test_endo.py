@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,13 @@ def oracle_compose(ft, gt):
     for v in gt:
         out.append(ft[v])
     return tuple(out)
+
+
+def test_fiber_kernels_accept_compact_tables():
+    for table in ([0], [2, 2, 0, 1], [3, 3, 3, 3], list(range(5))[::-1]):
+        compact = array("I", table)
+        assert fiber_sizes(compact) == fiber_sizes(table)
+        assert collisions(compact) == collisions(table)
 
 
 def test_compose_and_iterate_match_loop_oracle_on_small_domains():

@@ -8,7 +8,7 @@ import pytest
 
 from noninv import extremal
 from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
-                         is_bijection, is_constant, iterate)
+                         is_bijection, is_constant, iterate, iterate_table)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
                              check_theorem3_bound, check_theorem7,
                              exhaustive_ratio_search,
@@ -40,6 +40,22 @@ def test_tree_map_structure():
     # every non-root vertex reaches the root in at most depth steps
     depth = 2 + 2
     assert iterate(f, depth).table == (0,) * 36
+
+
+@pytest.mark.parametrize("b, k", [(2, 2), (5, 2), (10, 3), (16, 3), (63, 5),
+                                  (100, 2), (300, 4)])
+def test_tree_map_matches_parent_definition(b, k):
+    # vertex offsets[t] + j has parent offsets[t-1] + j // branching[t-1]
+    spec = tree_spec(b, k)
+    sizes = spec.level_sizes
+    offsets = [0]
+    for s in sizes:
+        offsets.append(offsets[-1] + s)
+    want = [0] * spec.size
+    for t in range(1, len(sizes)):
+        for j in range(sizes[t]):
+            want[offsets[t] + j] = offsets[t - 1] + j // spec.branching[t - 1]
+    assert list(build_tree_map(b, k).table) == want
 
 
 def test_frozen_degrees_b5_k2():
@@ -160,6 +176,26 @@ def test_integer_theorem3_matches_fraction_formula():
         check_theorem7((), ())
     with pytest.raises(ValueError):
         check_theorem3_bound(EndoMap.from_table(()), 1)
+
+
+def test_theorem3_brackets_match_exact_powers():
+    for n in range(1, 5):
+        for t in all_tables(n):
+            s1 = collisions(t)
+            f = EndoMap.from_table(t)
+            for k in range(1, 13):
+                p = 1 << (k - 1)
+                sk = collisions(iterate_table(t, k))
+                assert check_theorem3_bound(f, k) == (sk ** p <= s1 ** (2 * p - 1))
+    # real maps never fail, so the refuting bracket is checked on raw pairs
+    verdicts = set()
+    for a in range(1, 70):
+        for b in range(1, 40):
+            for p, q in ((1, 1), (2, 3), (3, 4), (8, 15), (64, 127)):
+                verdict = extremal._power_le(a, p, b, q)
+                assert verdict == (a ** p <= b ** q), (a, p, b, q)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_composition_inequality_edge_pairs():

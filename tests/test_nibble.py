@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+from noninv import nibble as nibble_module
 from noninv.endo import are_pseudoconjugate, degree, fiber_histogram
 from noninv.nibble import (
     _BINARY_HARD_LIMIT,
     BinaryDomain,
     binary_degree,
+    binary_rank_table,
     chip_endomap,
     chip_fire,
+    chip_rank_table,
     chip_two_preimage_words,
     expected_binary_histogram,
     format_bits,
@@ -23,6 +26,7 @@ from noninv.nibble import (
     nibble_degree_formula,
     nibble_degree_limit,
     nibble_endomap,
+    nibble_rank_table,
     parse_bits,
 )
 
@@ -172,3 +176,30 @@ def test_binary_degree_guards(monkeypatch):
         assert binary_degree("nib", 1) == 1
     with pytest.warns(UserWarning, match="theorem scope"):
         assert binary_degree("chi", 1) == 1
+
+
+def test_rank_kernels_match_object_maps():
+    for n in range(1, 17):
+        assert list(nibble_rank_table(n)) == list(nibble_binary_endomap(n).table)
+        assert list(chip_rank_table(n)) == list(chip_endomap(n).table)
+
+
+def _no_array(*args):
+    raise AssertionError("allocated a table above the ceiling")
+
+
+def test_rank_kernels_refuse_sizes_before_allocating(monkeypatch):
+    monkeypatch.setattr(nibble_module, "array", _no_array)
+    for kernel in (nibble_rank_table, chip_rank_table):
+        for n in (0, _BINARY_HARD_LIMIT + 1):
+            with pytest.raises(ValueError, match="tabulation range"):
+                kernel(n)
+
+
+def test_binary_rank_table_dispatch():
+    assert list(binary_rank_table("nib", 5)) == list(nibble_rank_table(5))
+    assert list(binary_rank_table("chi", 5)) == list(chip_rank_table(5))
+    with pytest.raises(ValueError, match="unknown binary map"):
+        binary_rank_table("bogus", 3)
+    with pytest.warns(UserWarning, match="theorem scope"):
+        assert list(binary_rank_table("chi", 1)) == [1, 0]

@@ -25,6 +25,7 @@ from noninv.solitaire import (
     carolina_growth_root,
     carolina_preimage_count,
     carolina_preimages,
+    carolina_rank_table,
     check_partition,
     conjugate,
     eta_series,
@@ -354,6 +355,21 @@ def test_composition_domain_roundtrip(monkeypatch):
     for make in (CompositionDomain, carolina_endomap):
         with pytest.raises(ValueError, match="enumeration limit"):
             make(solitaire._COMPOSITION_HARD_LIMIT + 1)
+
+
+def test_carolina_rank_table_matches_object_map():
+    for n in range(1, 17):
+        assert list(carolina_rank_table(n)) == list(carolina_endomap(n).table)
+
+
+def test_carolina_rank_table_refuses_before_allocating(monkeypatch):
+    def no_array(*args):
+        raise AssertionError("allocated a table above the ceiling")
+
+    monkeypatch.setattr(solitaire, "array", no_array)
+    for n in (0, solitaire._COMPOSITION_HARD_LIMIT + 1):
+        with pytest.raises(ValueError, match="tabulation range"):
+            carolina_rank_table(n)
 
 
 def test_eta_series_prefix():

@@ -10,15 +10,13 @@ dynamics, always two ways: a closed form and an independent brute-force
 enumeration over the explicit transition table.
 """
 
-from .endo import (EndoMap, FiberHistogram, are_pseudoconjugate,
-                   collision_entropy, collisions, compose, degree,
-                   degree_bounds, fiber_histogram, fiber_sizes, is_bijection,
-                   is_constant, iterate, pair_collision_count)
+from .endo import (EndoMap, FiberHistogram, are_pseudoconjugate, collisions,
+                   compose, degree, degree_bounds, fiber_histogram,
+                   fiber_sizes, is_bijection, is_constant, iterate)
 from .bubble import (bubble_degree_formula, bubble_endomap, bubble_moment,
                      bubble_preimage_count, bubble_sort, word_bubble_endomap,
                      word_degree_formula)
-from .stacksort import (StackDegreeTable, catalan, stack_degree,
-                        stack_growth_diagnostics, stack_sort)
+from .stacksort import catalan, stack_degree, stack_sort
 # the one-swap step on permutations stays at noninv.nibble.nibble; exporting
 # it here would shadow the submodule itself
 from .nibble import (binary_degree, chip_fire, nibble_binary,
@@ -28,20 +26,18 @@ from .solitaire import (bulgarian, bulgarian_degree, carolina,
                         monte_carlo_bulgarian, random_partition)
 from .hecke import HeckeWord, conjecture2_scan, hecke_endomap, updown_count
 from .extremal import (build_tree_map, check_theorem3_bound, check_theorem7,
-                       exhaustive_ratio_search, prop1_exact_degrees,
-                       ratio_bound_report)
+                       exhaustive_ratio_search, prop1_exact_degrees)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "EndoMap", "FiberHistogram", "degree", "fiber_histogram", "fiber_sizes",
-    "collisions", "pair_collision_count", "degree_bounds", "compose", "iterate",
-    "is_bijection", "is_constant", "are_pseudoconjugate", "collision_entropy",
+    "collisions", "degree_bounds", "compose", "iterate", "is_bijection",
+    "is_constant", "are_pseudoconjugate",
     "bubble_sort", "bubble_endomap", "bubble_degree_formula",
     "bubble_preimage_count", "bubble_moment", "word_bubble_endomap",
     "word_degree_formula",
-    "stack_sort", "stack_degree", "StackDegreeTable", "catalan",
-    "stack_growth_diagnostics",
+    "stack_sort", "stack_degree", "catalan",
     "nibble_degree_formula", "nibble_degree_limit", "nibble_binary",
     "chip_fire", "binary_degree",
     "bulgarian", "bulgarian_degree", "random_partition",
@@ -49,6 +45,6 @@ __all__ = [
     "carolina_preimages", "eta_series",
     "HeckeWord", "hecke_endomap", "updown_count", "conjecture2_scan",
     "build_tree_map", "prop1_exact_degrees", "check_theorem7",
-    "check_theorem3_bound", "exhaustive_ratio_search", "ratio_bound_report",
+    "check_theorem3_bound", "exhaustive_ratio_search",
     "__version__",
 ]

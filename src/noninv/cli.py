@@ -35,6 +35,7 @@ _STACK_LIMIT = 9
 _BINARY_LIMIT = 16
 _PARTITION_LIMIT = 50
 _COMPOSITION_LIMIT = 20
+_SEARCH_LIMIT = 7
 
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
@@ -288,7 +289,7 @@ def cmd_search(args) -> tuple[dict, int]:
     gamma = _parse_gamma(args.gamma)
     _bounded(args.n, "--n", 1)
     _bounded(args.k, "--k", 1, _SEARCH_K_LIMIT)
-    _guard(args.n, extremal._SEARCH_BUDGET, "n", args.force,
+    _guard(args.n, _SEARCH_LIMIT, "n", args.force,
            extremal._SEARCH_HARD_LIMIT)
     w = extremal.exhaustive_ratio_search(args.n, args.k, gamma)
     payload = {"command": "search", "target": "ratio", "n": args.n}

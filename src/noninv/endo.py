@@ -13,8 +13,6 @@ pairs (x, x') with f(x) = f(x').
 
 from __future__ import annotations
 
-import json
-import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -153,16 +151,6 @@ class EndoMap:
         """Apply the map to a domain object (not an index)."""
         return self.codec.unrank(self.table[self.codec.rank(obj)])
 
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "table": list(self.table)}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EndoMap":
-        obj = json.loads(text)
-        if obj["n"] != len(obj["table"]):
-            raise ValueError("inconsistent serialized map: n != len(table)")
-        return cls.from_table(obj["table"])
-
 
 @dataclass
 class FiberHistogram:
@@ -222,11 +210,6 @@ def degree(f: EndoMap) -> Fraction:
     if f.n == 0:
         raise ValueError("degree is undefined on the empty domain")
     return Fraction(collisions(f.table), f.n)
-
-
-def pair_collision_count(f: EndoMap) -> int:
-    """Number of ordered pairs (x, x') with f(x) = f(x'); equals n * deg(f)."""
-    return collisions(f.table)
 
 
 def fiber_histogram(f: EndoMap) -> FiberHistogram:
@@ -295,14 +278,6 @@ def are_pseudoconjugate(f: EndoMap, g: EndoMap) -> bool:
     if f.n != g.n:
         return False
     return fiber_histogram(f) == fiber_histogram(g)
-
-
-def collision_entropy(f: EndoMap) -> float:
-    """log(n / deg(f)): the collision (order-2 Renyi) entropy of a uniform
-    input pushed through f.  0 for constant maps, log n for bijections."""
-    d = degree(f)
-    # big-integer safe: log(n/d) with d = p/q is log(n*q) - log(p)
-    return math.log(f.n * d.denominator) - math.log(d.numerator)
 
 
 def frac_str(x: Fraction) -> str:

@@ -148,18 +148,6 @@ def prop1_exact_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:
     return closed_f, closed_fk
 
 
-def padded_family_map(n: int, k: int) -> EndoMap:
-    """F_b for the largest b with n_b <= n, padded with fixed points."""
-    if tree_size(2, k) > n:
-        raise ValueError(f"no tree with k={k} fits inside n={n} points")
-    b = 2
-    while tree_size(b + 1, k) <= n:
-        b += 1
-    tree = build_tree_map(b, k)
-    table = tuple(tree.table) + tuple(range(tree.n, n))
-    return EndoMap.from_table(table)
-
-
 # ---------------------------------------------------------------------------
 # exact inequality checks
 
@@ -240,10 +228,6 @@ def random_table(n: int, rng: random.Random) -> tuple[int, ...]:
     return tuple(table)
 
 
-def random_endomap(n: int, rng_seed: int) -> EndoMap:
-    return EndoMap.from_table(random_table(n, random.Random(rng_seed)))
-
-
 def _normalize_gamma(gamma) -> tuple[int, int]:
     """Return (a, m) with gamma = a / 2^m for dyadic gamma."""
     frac = Fraction(gamma)
@@ -310,9 +294,6 @@ class RatioWitness:
         }
 
 
-# the largest n that ratio_bound_report, and `search ratio` without
-# --force, scan exhaustively; beyond it the report takes the tree family
-_SEARCH_BUDGET = 7
 # the largest n the search scans: n = 7 (7^7 tables) takes 3.4 s and
 # n = 8 (8^8 tables) 65 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
 _SEARCH_HARD_LIMIT = 8
@@ -342,41 +323,3 @@ def exhaustive_ratio_search(n: int, k: int, gamma) -> RatioWitness:
     table = min(first[pair] for pair, r in ratios.items() if r == best)
     return RatioWitness(EndoMap.from_table(table), k, a, m,
                         best.numerator, best.denominator)
-
-
-def ratio_bound_report(n_list, k: int, gamma=None) -> list[dict]:
-    """Max (or tree-family) iterate ratios, normalized by n^(1 - 1/2^(k-1)).
-
-    Small n get the exhaustive maximum; larger n get the padded tree-family
-    value.  The normalized value is <= 1 exactly when the powered
-    iterate-versus-base inequality holds, which is also checked and
-    reported.  The open question asks where the normalized values settle in
-    [3^(-3/2), 1]; band membership is reported, not asserted.
-    """
-    if gamma is None:
-        gamma = Fraction((1 << k) - 1, 1 << (k - 1))  # 2 - 1/2^(k-1)
-    a, m = _normalize_gamma(gamma)
-    band_low = 3 ** -1.5
-    rows = []
-    for n in n_list:
-        if n <= _SEARCH_BUDGET:
-            witness = exhaustive_ratio_search(n, k, gamma)
-            method = "exhaustive"
-            f = witness.map
-            ratio_pow = witness.ratio_pow
-        else:
-            f = padded_family_map(n, k)
-            method = "tree-family"
-            ratio_pow = Fraction(
-                *_ratio_terms(n, *_collision_pair(f.table, k), a, m))
-        ratio = float(ratio_pow) ** (1.0 / (1 << m))
-        normalized = ratio / n ** (1 - 1 / (1 << (k - 1)))
-        rows.append({
-            "n": n,
-            "method": method,
-            "ratio_decimal": ratio,
-            "normalized": normalized,
-            "bound_holds": check_theorem3_bound(f, k),
-            "in_band": band_low <= normalized <= 1 + 1e-12,
-        })
-    return rows

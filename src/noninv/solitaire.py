@@ -23,7 +23,6 @@ distributional bias and memory stays linear in n.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import statistics
 from array import array
@@ -501,37 +500,3 @@ def carolina_degree(n: int) -> Fraction:
             a = a * (m - j) // (j + 1)
             b = b * (c1 - 1 - j) // (j + 2)
     return Fraction(total, 1 << (n - 1))
-
-
-def carolina_growth_root(tol: float = 1e-12) -> float:
-    """Smallest positive root of 1 - 4x + 4x^2 - 4x^3 + 4x^4, by bisection."""
-
-    def q(x: float) -> float:
-        return 1 + x * (-4 + x * (4 + x * (-4 + 4 * x)))
-
-    lo, hi = 0.0, 0.5
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if q(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
-def carolina_degree_asymptotic(n: int) -> float:
-    """Asymptotic value (1-rho)/sqrt(pi (1-3rho+2rho^2-rho^3) n) (1/(2 rho))^n."""
-    rho = carolina_growth_root()
-    const = (1 - rho) / math.sqrt(math.pi * (1 - 3 * rho + 2 * rho ** 2 - rho ** 3) * n)
-    return const * (1 / (2 * rho)) ** n
-
-
-def carolina_asymptotic_report(max_n: int, start: int = 2) -> list[dict]:
-    """Ratio of exact to asymptotic degree; the ratio drifts toward 1."""
-    rows = []
-    for n in range(start, max_n + 1):
-        exact = carolina_degree(n)
-        est = carolina_degree_asymptotic(n)
-        rows.append({"n": n, "exact": exact, "asymptotic": est,
-                     "ratio": float(exact) / est})
-    return rows

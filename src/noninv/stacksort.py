@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .endo import EndoMap, square_sum
-from .perms import _PERM_HARD_LIMIT, Perm, check_perm, permutation_domain
+from .endo import square_sum
+from .perms import _PERM_HARD_LIMIT, Perm, check_perm
 
 
 def stack_sort(seq) -> tuple:
@@ -57,11 +56,6 @@ def stack_sort_recursive(pi: Perm) -> Perm:
     return _stack_rec(check_perm(pi))
 
 
-def stack_endomap(n: int) -> EndoMap:
-    """Stack sorting as an endomap of S_n."""
-    return EndoMap.from_function(permutation_domain(n), stack_sort)
-
-
 def catalan(n: int) -> int:
     """The n-th Catalan number, binom(2n, n)/(n+1)."""
     if n < 0:
@@ -83,32 +77,6 @@ def stack_degree(n: int) -> Fraction:
     """Exact degree d_n of stack sorting on S_n, by full enumeration."""
     counts = stack_fibers(n)
     return Fraction(square_sum(counts.values()), math.factorial(n))
-
-
-@dataclass
-class StackDegreeTable:
-    """Exact degrees d_n of stack sorting, indexed by n.
-
-    Construction rejects any entry outside the provable window
-    1 <= d_n <= C_n.
-    """
-
-    degrees: dict[int, Fraction]
-
-    def __post_init__(self) -> None:
-        for n, d in self.degrees.items():
-            if not 1 <= d <= catalan(n):
-                raise ValueError(f"d_{n} = {d} violates 1 <= d_n <= C_n")
-
-    @classmethod
-    def compute(cls, max_n: int) -> "StackDegreeTable":
-        return cls({n: stack_degree(n) for n in range(1, max_n + 1)})
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.degrees[n]
-
-    def superadditivity_failures(self) -> list[tuple[int, int]]:
-        return superadditivity_failures(self.degrees)
 
 
 def superadditivity_failures(known: dict[int, Fraction]) -> list[tuple[int, int]]:
@@ -133,40 +101,3 @@ def a10_lower_bound_ok(d9: Fraction) -> bool:
     no floating-point rounding enters the verdict.
     """
     return Fraction(d9, 100) >= _A10_TARGET ** 10
-
-
-@dataclass
-class GrowthReport:
-    rows: list[dict]
-    superadditivity_failures: list[tuple[int, int]]
-    roots_below_4: bool
-    a10_ok: bool | None
-
-
-def stack_growth_diagnostics(max_n: int) -> GrowthReport:
-    """Tabulate degree growth for stack sorting up to ``max_n``.
-
-    Each row carries n, d_n, d_n^(1/n), and the shifted ratio
-    a_{n+1} = d_n/(n+1)^2 with its (n+1)-st root.  The report records every
-    violation of d_{m-1} d_{n-1} <= (m+n-1) d_{m+n-1} over computed pairs,
-    whether all roots stay below 4, and, once max_n >= 9, the exact
-    a_10^(1/10) >= 1.12462 bound.
-    """
-    table = StackDegreeTable.compute(max_n)
-    rows = []
-    for n in range(1, max_n + 1):
-        d = table[n]
-        a = d / (n + 1) ** 2
-        rows.append({
-            "n": n,
-            "d_n": d,
-            "d_n_root": float(d) ** (1 / n),
-            "a_next": a,
-            "a_next_root": float(a) ** (1 / (n + 1)),
-        })
-    return GrowthReport(
-        rows=rows,
-        superadditivity_failures=table.superadditivity_failures(),
-        roots_below_4=all(r["d_n_root"] < 4 for r in rows),
-        a10_ok=a10_lower_bound_ok(table[9]) if max_n >= 9 else None,
-    )

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from array import array
 from fractions import Fraction
@@ -13,7 +12,6 @@ from noninv.endo import (
     FiberHistogram,
     IndexDomain,
     are_pseudoconjugate,
-    collision_entropy,
     collisions,
     compose,
     degree,
@@ -23,7 +21,6 @@ from noninv.endo import (
     is_bijection,
     is_constant,
     iterate,
-    pair_collision_count,
 )
 from noninv.nibble import chip_endomap, nibble_binary_endomap
 from noninv.perms import permutation_domain
@@ -168,16 +165,6 @@ def test_bounds_sandwich_exhaustive_n4():
         assert lo <= degree(f) <= hi
 
 
-def test_pair_collision_count_matches_oracle():
-    rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randrange(1, 12)
-        table = [rng.randrange(n) for _ in range(n)]
-        f = EndoMap.from_table(table)
-        assert pair_collision_count(f) == oracle_pairs(table)
-        assert degree(f) * n == pair_collision_count(f)
-
-
 def test_iterate_degree_monotone():
     rng = random.Random(11)
     for _ in range(40):
@@ -226,20 +213,6 @@ def test_conjugation_preserves_histogram():
         for i in range(n):
             relabeled[sigma[i]] = sigma[table[i]]
         assert are_pseudoconjugate(EndoMap.from_table(table), EndoMap.from_table(relabeled))
-
-
-def test_collision_entropy_values():
-    assert collision_entropy(EndoMap.from_table([2, 2, 2])) == pytest.approx(0.0)
-    assert collision_entropy(EndoMap.from_table([1, 2, 0])) == pytest.approx(math.log(3))
-    assert collision_entropy(INTRO) == pytest.approx(math.log(Fraction(9, 5)))
-
-
-def test_json_round_trip():
-    f = EndoMap.from_table([1, 2, 2, 0])
-    g = EndoMap.from_json(f.to_json())
-    assert g.table == f.table and g.n == f.n
-    with pytest.raises(ValueError):
-        EndoMap.from_json('{"n": 3, "table": [0, 1]}')
 
 
 def test_histogram_independent_of_codec_labels():

@@ -11,11 +11,9 @@ from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
                          is_bijection, is_constant, iterate, iterate_table)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
                              check_theorem3_bound, check_theorem7,
-                             exhaustive_ratio_search,
-                             padded_family_map, prop1_exact_degrees,
-                             random_endomap, random_table, ratio_bound_report,
-                             stratified_degree, tree_branching, tree_size,
-                             tree_spec)
+                             exhaustive_ratio_search, prop1_exact_degrees,
+                             random_table, stratified_degree, tree_branching,
+                             tree_size, tree_spec)
 
 
 def test_tree_branching_and_size():
@@ -100,17 +98,6 @@ def test_k2_trends():
     ratio = [r[1] for r in rows]
     assert base == sorted(base) and base[-1] < 3
     assert ratio == sorted(ratio, reverse=True) and ratio[-1] > 1
-
-
-def test_padded_family():
-    f = padded_family_map(40, 2)
-    assert f.n == 40
-    assert f.table[:36] == build_tree_map(5, 2).table
-    assert f.table[36:] == (36, 37, 38, 39)
-    # b = 7 fills all 50 points, no padding left over
-    assert padded_family_map(50, 2).table == build_tree_map(7, 2).table
-    with pytest.raises(ValueError):
-        padded_family_map(5, 2)
 
 
 def test_composition_inequality_exhaustive_n3():
@@ -218,6 +205,10 @@ def test_iterate_inequality_exhaustive_small():
                 assert check_theorem3_bound(f, k)
                 # iterating can only lose invertibility
                 assert degree(iterate(f, k)) >= d1
+    # the extremal tree family, n_b = 36 and 131 at b = 5 and 10 for k = 2
+    for b in (5, 10, 100):
+        for k in (2, 3):
+            assert check_theorem3_bound(build_tree_map(b, k), k), (b, k)
     with pytest.raises(ValueError):
         check_theorem3_bound(EndoMap.from_table((0,)), 0)
 
@@ -325,13 +316,6 @@ def test_witness_json_shape():
     json.dumps(obj)  # serializable as-is
 
 
-def test_random_endomap_is_seeded():
-    a = random_endomap(9, rng_seed=42)
-    b = random_endomap(9, rng_seed=42)
-    assert a.table == b.table
-    assert a.n == 9
-
-
 def test_random_table_is_the_randrange_stream():
     # one generator per side carried across every n, so the state after each
     # table must match too
@@ -341,15 +325,3 @@ def test_random_table_is_the_randrange_stream():
             assert random_table(n, fast) == tuple(ref.randrange(n)
                                                   for _ in range(n))
         assert fast.getstate() == ref.getstate()
-
-
-def test_ratio_bound_report():
-    rows = ratio_bound_report([3, 5, 36, 131], 2)
-    assert [r["method"] for r in rows] == ["exhaustive", "exhaustive",
-                                           "tree-family", "tree-family"]
-    assert all(r["bound_holds"] for r in rows)
-    assert all(r["normalized"] <= 1 + 1e-12 for r in rows)
-    assert all(r["in_band"] for r in rows)
-    # default gamma at k=2 is 3/2, so the n=3 row matches the direct search
-    w = exhaustive_ratio_search(3, 2, Fraction(3, 2))
-    assert rows[0]["ratio_decimal"] == pytest.approx(w.ratio_decimal)

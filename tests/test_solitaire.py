@@ -18,11 +18,8 @@ from noninv.solitaire import (
     bulgarian_image_defects,
     bulgarian_preimage_count,
     carolina,
-    carolina_asymptotic_report,
     carolina_degree,
-    carolina_degree_asymptotic,
     carolina_endomap,
-    carolina_growth_root,
     carolina_preimage_count,
     carolina_preimages,
     carolina_rank_table,
@@ -416,20 +413,6 @@ def _carolina_degree_by_comb(n):
 def test_rolling_binomials_match_comb_reference():
     for n in range(1, 121):
         assert carolina_degree(n) == _carolina_degree_by_comb(n), n
-
-
-def test_growth_root_and_asymptotics():
-    rho = carolina_growth_root()
-    assert 0.339 < rho < 0.340
-    q = 1 - 4 * rho + 4 * rho ** 2 - 4 * rho ** 3 + 4 * rho ** 4
-    assert abs(q) < 1e-10
-    rows = carolina_asymptotic_report(40, start=20)
-    ratios = [r["ratio"] for r in rows]
-    assert all(0.9 < r < 1.1 for r in ratios)
-    # drift toward 1 over the tail
-    assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
-    assert carolina_degree_asymptotic(40) == pytest.approx(
-        rows[-1]["asymptotic"])
 
 
 def _partitions_recursive(n, max_part):

@@ -1,4 +1,4 @@
-"""Stack sorting: map behavior, exact degrees, growth diagnostics."""
+"""Stack sorting: map behavior, exact degrees, growth bounds."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -6,19 +6,16 @@ from itertools import permutations
 import pytest
 
 from noninv import stacksort
-from noninv.endo import degree, iterate
+from noninv.endo import EndoMap, degree, iterate
 from noninv.perms import identity_perm, permutation_domain
 from noninv.stacksort import (
-    GrowthReport,
-    StackDegreeTable,
     a10_lower_bound_ok,
     catalan,
     stack_degree,
-    stack_endomap,
     stack_fibers,
-    stack_growth_diagnostics,
     stack_sort,
     stack_sort_recursive,
+    superadditivity_failures,
 )
 
 
@@ -37,8 +34,8 @@ def test_recursion_matches_stack_pass():
 
 def test_n_minus_one_passes_sort():
     for n in range(2, 8):
-        f = stack_endomap(n)
-        dom = f.codec
+        dom = permutation_domain(n)
+        f = EndoMap.from_function(dom, stack_sort)
         g = iterate(f, n - 1)
         target = dom.rank(identity_perm(n))
         assert all(v == target for v in g.table)
@@ -52,7 +49,8 @@ def test_small_degrees_frozen():
 
 def test_degree_agrees_with_generic_engine():
     for n in range(1, 7):
-        assert stack_degree(n) == degree(stack_endomap(n))
+        f = EndoMap.from_function(permutation_domain(n), stack_sort)
+        assert stack_degree(n) == degree(f)
 
 
 def test_fibers_bounded_by_catalan():
@@ -80,29 +78,12 @@ def test_limit_guard(monkeypatch):
             count(11)
 
 
-def test_degree_table_validates():
-    table = StackDegreeTable.compute(6)
-    assert table[3] == Fraction(13, 3)
-    assert table.superadditivity_failures() == []
-    with pytest.raises(ValueError):
-        StackDegreeTable({3: Fraction(6)})  # above C_3 = 5
-
-
 def test_superadditivity_pair_4_4():
-    table = StackDegreeTable.compute(7)
-    assert table[3] * table[3] <= 7 * table[7]
-
-
-def test_growth_diagnostics_shape():
-    report = stack_growth_diagnostics(6)
-    assert isinstance(report, GrowthReport)
-    assert [r["n"] for r in report.rows] == [1, 2, 3, 4, 5, 6]
-    assert report.superadditivity_failures == []
-    assert report.roots_below_4
-    assert report.a10_ok is None  # needs max_n >= 9
-    row3 = report.rows[2]
-    assert row3["d_n"] == Fraction(13, 3)
-    assert row3["a_next"] == Fraction(13, 48)
+    known = {n: stack_degree(n) for n in range(1, 8)}
+    assert superadditivity_failures(known) == []
+    # d_3 d_3 <= 7 d_7 is the pair (4, 4); a d_7 below d_3^2/7 breaks it
+    known[7] = known[3] ** 2 / 8
+    assert (4, 4) in superadditivity_failures(known)
 
 
 def test_a10_bound_is_exact():

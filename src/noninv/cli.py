@@ -20,13 +20,13 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
-from math import factorial
 
 from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
 from .endo import (FiberHistogram, dec_str, degree, fiber_sizes, frac_str,
-                   iterate, square_sum)
+                   iterate)
 
 # sizes above these need --force; the hard ceiling --force stops at sits
 # beside the codec or enumerator it protects
@@ -81,22 +81,27 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
 # degree subcommand
 
 
-def _degree_payload(payload: dict, sizes: list[int],
-                    exact: Fraction | None = None) -> bool:
-    """Add the degree and histogram of one list of fiber sizes to payload.
+def _degree_payload(payload: dict, sizes, exact: Fraction | None = None) -> bool:
+    """Add the degree and fiber histogram of one fiber count to payload.
 
-    sizes has one entry per point of the domain.  ``degree`` is exact when
-    given, else the engine value; a mismatch adds the engine value as
-    ``engine_degree`` and returns False.
+    sizes lists the fiber size of every image point, and may list empty
+    fibers too, as ``fiber_sizes`` does.  Every point of the domain lies
+    in exactly one fiber, so the domain size is the sum of the sizes, and
+    the points it leaves out of the image have empty fibers.  ``degree``
+    is exact when given, else the engine value; a mismatch adds the engine
+    value as ``engine_degree`` and returns False.
     """
-    got = Fraction(square_sum(sizes), len(sizes))
+    counts = Counter(sizes)
+    domain_size = sum(s * c for s, c in counts.items())
+    counts[0] += domain_size - sum(counts.values())
+    hist = FiberHistogram({s: c for s, c in sorted(counts.items()) if c})
+    got = hist.degree()
     if exact is None:
         exact = got
-    payload["domain_size"] = len(sizes)
+    payload["domain_size"] = domain_size
     payload["degree"] = frac_str(exact)
     payload["degree_decimal"] = dec_str(exact)
-    payload["histogram"] = {
-        str(s): c for s, c in FiberHistogram.from_sizes(sizes).counts.items()}
+    payload["histogram"] = {str(s): c for s, c in hist.counts.items()}
     if got != exact:
         payload["engine_degree"] = frac_str(got)
     return got == exact
@@ -135,11 +140,8 @@ def cmd_degree(args) -> tuple[dict, int]:
     elif system == "stack":
         _guard(args.n, _STACK_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         fibers = stacksort.stack_fibers(args.n)
-        # the Counter keys the image only; every other point has fiber 0
-        sizes = list(fibers.values())
-        sizes += [0] * (factorial(args.n) - len(sizes))
         payload["n"] = args.n
-        ok = _degree_payload(payload, sizes)
+        ok = _degree_payload(payload, fibers.values())
     elif system == "nibble_perm":
         _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         f = nibble.nibble_endomap(args.n)
@@ -161,10 +163,10 @@ def cmd_degree(args) -> tuple[dict, int]:
     elif system == "bulgarian":
         _guard(args.n, _PARTITION_LIMIT, "n", args.force,
                solitaire._PARTITION_HARD_LIMIT)
-        f = solitaire.bulgarian_endomap(args.n)
+        fibers = solitaire.bulgarian_fibers(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fiber_sizes(f.table))
-        outside, missed = solitaire.bulgarian_image_defects(f)
+        ok = _degree_payload(payload, fibers.values())
+        outside, missed = solitaire.bulgarian_image_defects(args.n, fibers)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
                                         "rank_at_least_minus_1_missed": missed}
@@ -225,9 +227,9 @@ def cmd_degree(args) -> tuple[dict, int]:
 # suite -> (the name of its params class, (minimum, maximum) of each size
 # flag it reads); the suite and its params class are looked up in
 # noninv.suites.  Flags that size an S_n stop at the codec's ceiling, where
-# each such suite took 11-30 s and about 950 MB.  Every other maximum was
-# measured with the suite's other flags at their defaults; its time is
-# noted beside it (2 cores, Python 3.11).
+# each such suite took 11-30 s and about 950 MB, except stack (noted).
+# Every other maximum was measured with the suite's other flags at their
+# defaults; its time is noted beside it (2 cores, Python 3.11).
 _S_N = (1, perms._PERM_HARD_LIMIT)
 _SUITES = {
     "thm1": ("Thm1Params", {"max_n": _S_N, "k": (1, 20)}),  # k: 0.3 s
@@ -236,8 +238,8 @@ _SUITES = {
     "words": ("WordsParams", {"max_n": (1, 32)}),  # 11 s
     "thm4": ("Thm4Params", {"max_n": _S_N}),
     "binary32": ("Binary32Params", {"max_n": (2, 20)}),  # 23 s
-    "stack": ("StackParams", {"max_n": _S_N}),
-    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 10 s, 150 MB
+    "stack": ("StackParams", {"max_n": _S_N}),  # 1.2-1.6 s, 34 MB
+    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 4.3 s, 59 MB
     "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 4 s
     "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 11 s
     "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s

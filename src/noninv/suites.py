@@ -11,7 +11,6 @@ so that a test replacing an entry point on its module reaches every suite.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -203,16 +202,14 @@ def thm5(p: Thm5Params = Thm5Params()) -> list[dict]:
     """Theorem 5: Bulgarian solitaire's fiber bound and its image."""
     checks = []
     for n in range(1, p.max_n + 1):
-        elements = list(solitaire.partition_domain(n).objects())
-        sizes = Counter(map(solitaire.bulgarian, elements))
+        fibers = solitaire.bulgarian_fibers(n)
         bound = solitaire.max_preimage_bound(n)
-        image = set(sizes)
-        want = {lam for lam in elements if solitaire.partition_rank(lam) >= -1}
-        checks.append(_check(f"max fiber within bound n={n}",
-                             max(sizes.values()) <= bound,
-                             f"max {max(sizes.values())} <= {bound}"))
-        checks.append(_check(f"image is rank >= -1 n={n}", image == want,
-                             f"{len(image)} image points"))
+        largest = max(fibers.values())
+        checks.append(_check(f"max fiber within bound n={n}", largest <= bound,
+                             f"max {largest} <= {bound}"))
+        defects = solitaire.bulgarian_image_defects(n, fibers)
+        checks.append(_check(f"image is rank >= -1 n={n}", defects == (0, 0),
+                             f"{len(fibers)} image points"))
     return checks
 
 

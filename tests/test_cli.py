@@ -212,7 +212,8 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
          (stacksort, "stack_fibers"), (nibble, "binary_endomap"),
          (nibble, "chip_rank_table"), (nibble, "nibble_rank_table"),
-         (solitaire, "bulgarian_endomap"), (solitaire, "carolina_endomap"),
+         (solitaire, "bulgarian_endomap"), (solitaire, "bulgarian_fibers"),
+         (solitaire, "carolina_endomap"),
          (solitaire, "carolina_rank_table"),
          (extremal, "exhaustive_ratio_search"),
          *((suites, name) for name in cli._SUITES))
@@ -529,6 +530,8 @@ def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(EndoMap, "from_function", classmethod(counted_tabulate))
     monkeypatch.setattr(stacksort, "stack_fibers",
                         counted("fibers", stacksort.stack_fibers))
+    monkeypatch.setattr(solitaire, "bulgarian_fibers",
+                        counted("bulgarian", solitaire.bulgarian_fibers))
     monkeypatch.setattr(extremal, "build_tree_map",
                         counted("tree", extremal.build_tree_map))
     # bubble, bubble_iter, carolina, chip and nibble_bin build their one

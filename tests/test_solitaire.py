@@ -15,6 +15,7 @@ from noninv.solitaire import (
     bulgarian,
     bulgarian_degree,
     bulgarian_endomap,
+    bulgarian_fibers,
     bulgarian_image_defects,
     bulgarian_preimage_count,
     carolina,
@@ -433,11 +434,27 @@ def test_partitions_desc_matches_recursive_order():
 def test_bulgarian_image_defects_certify_and_catch():
     from noninv.endo import EndoMap
     for n in range(1, 13):
-        assert bulgarian_image_defects(bulgarian_endomap(n)) == (0, 0)
+        assert bulgarian_image_defects(n, bulgarian_fibers(n)) == (0, 0)
     f = bulgarian_endomap(8)
     dom = f.codec
     # send one point to (1^8), of rank -7, which is never an image
     low = dom.rank((1,) * 8)
     moved = EndoMap(dom, (low,) + f.table[1:])
-    outside, missed = bulgarian_image_defects(moved)
+    outside, missed = bulgarian_image_defects(8, Counter(map(dom.unrank,
+                                                             moved.table)))
     assert outside == 1 and missed == (f.table[0] not in f.table[1:])
+    # move the one preimage of a rank >= -1 image point of Part(10) to
+    # (1^10): one point outside the rank >= -1 set and one missed; without
+    # the moved point, the dropped fiber alone is one miss
+    fibers = bulgarian_fibers(10)
+    single = next(lam for lam, c in fibers.items() if c == 1)
+    dropped = fibers.copy()
+    del dropped[single]
+    assert bulgarian_image_defects(10, dropped + Counter([(1,) * 10])) == (1, 1)
+    assert bulgarian_image_defects(10, dropped) == (0, 1)
+
+
+def test_bulgarian_fibers_match_the_table():
+    for n in range(1, 31):
+        f = bulgarian_endomap(n)
+        assert bulgarian_fibers(n) == Counter(map(f.codec.unrank, f.table)), n

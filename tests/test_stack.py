@@ -1,7 +1,9 @@
 """Stack sorting: map behavior, exact degrees, growth bounds."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -67,12 +69,22 @@ def test_catalan_values():
         catalan(-1)
 
 
+def test_fibers_match_one_pass_per_permutation():
+    # the level recursion against the stack run on every permutation
+    for n in range(1, 9):
+        fibers = stack_fibers(n)
+        one_pass = Counter(map(stack_sort, permutations(range(1, n + 1))))
+        assert fibers == one_pass
+        assert sum(fibers.values()) == factorial(n)
+        assert all(type(image) is tuple for image in fibers)
+
+
 def test_limit_guard(monkeypatch):
-    # S_11 is refused before any permutation is enumerated
+    # S_11 is refused before the first level of images is built
     def no_enumeration(*args):
         raise AssertionError("enumerated S_n above the ceiling")
 
-    monkeypatch.setattr(stacksort, "permutations", no_enumeration)
+    monkeypatch.setattr(stacksort, "_stack_images", no_enumeration)
     for count in (stack_degree, stack_fibers):
         with pytest.raises(ValueError, match="enumeration limit"):
             count(11)

@@ -25,8 +25,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
-from .endo import (FiberHistogram, dec_str, degree, fiber_sizes, frac_str,
-                   iterate)
+from .endo import (FiberHistogram, collisions, dec_str, fiber_sizes,
+                   frac_str, iterate_table)
 
 # sizes above these need --force; the hard ceiling --force stops at sits
 # beside the codec or enumerator it protects
@@ -39,8 +39,9 @@ _SEARCH_LIMIT = 7
 
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
-# iterating costs k steps per vertex: the largest tree at --k 1024
-# (--b 63, 902,791 vertices) takes 15 s and 67 MB
+# F^k takes at most 2 log2(k) compositions by repeated squaring: the
+# largest tree at --k 1024 (--b 63, 902,791 vertices) takes 1.1-1.2 s and
+# 35 MB (16-18 s and 66 MB at k - 1 compositions)
 _TREE_K_LIMIT = 1024
 # each maximum measured at --n 7, the largest search without --force, with
 # the other flags at their defaults (3.4 s): --k 32 takes 5.1 s, a --gamma
@@ -209,7 +210,8 @@ def cmd_degree(args) -> tuple[dict, int]:
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(args.b, k))
         ok = _degree_payload(payload, fiber_sizes(f.table), closed_f)
-        engine_fk = degree(iterate(f, k))
+        # a composition of the validated table cannot leave its range
+        engine_fk = Fraction(collisions(iterate_table(f.table, k)), f.n)
         payload["iterate_degree"] = frac_str(closed_fk)
         payload["iterate_degree_decimal"] = dec_str(closed_fk)
         if engine_fk != closed_fk:
@@ -244,7 +246,7 @@ _SUITES = {
     "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 11 s
     "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
     "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 0.6 s
-    "prop1": ("Prop1Params", {"k": (2, 30)}),  # 10 s, 490 MB
+    "prop1": ("Prop1Params", {"k": (2, 30)}),  # 8.6 s, 154 MB
     "hecke_odd": ("HeckeOddParams", {"max_n": _S_N}),
 }
 

@@ -13,6 +13,7 @@ pairs (x, x') with f(x) = f(x').
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -113,17 +114,24 @@ class EnumeratedDomain(DomainCodec):
 
 @dataclass(frozen=True)
 class EndoMap:
-    """A self-map of a finite domain, tabulated as index -> index."""
+    """A self-map of a finite domain, tabulated as index -> index.
+
+    The table is a tuple, or an ``array('I')`` (4 bytes per entry) for the
+    large tables built level by level or from ranks; the map's iterates
+    keep its table's type.
+    """
 
     codec: DomainCodec
-    table: tuple[int, ...]
+    table: tuple[int, ...] | array
 
     def __post_init__(self):
         n = self.codec.size
         if len(self.table) != n:
             raise ValueError(f"table length {len(self.table)} != domain size {n}")
         table = self.table
-        if table and (min(table) < 0 or max(table) >= n):
+        # an unsigned typecode already rules out negative entries
+        unsigned = isinstance(table, array) and table.typecode in "BHILQ"
+        if table and ((not unsigned and min(table) < 0) or max(table) >= n):
             bad = next(v for v in table if not 0 <= v < n)
             raise ValueError(f"table entry {bad} out of range 0..{n - 1}")
 
@@ -143,8 +151,10 @@ class EndoMap:
 
     @classmethod
     def from_table(cls, table) -> "EndoMap":
-        """Wrap a raw index table with a trivial codec."""
-        table = tuple(table)
+        """Wrap a raw index table with a trivial codec; an array is kept as
+        it is, any other iterable becomes a tuple."""
+        if not isinstance(table, array):
+            table = tuple(table)
         return cls(IndexDomain(len(table)), table)
 
     def apply(self, obj):
@@ -226,23 +236,52 @@ def degree_bounds(f: EndoMap) -> tuple[Fraction, int]:
     return Fraction(f.n, f.n - sizes.count(0)), max(sizes)
 
 
-def compose_tables(ft, gt) -> tuple[int, ...]:
-    """The table of f after g, (ft[v] for v in gt), in one C-level call."""
+# keys per itemgetter call when composing arrays: each call boxes its
+# chunk's keys and images, about 35 MB at once for a 10^6-entry table; at
+# 2^13 keys a chunk stays below 1 MB and a composition costs no more time
+_COMPOSE_CHUNK = 1 << 13
+
+
+def compose_tables(ft, gt) -> tuple[int, ...] | array:
+    """The table of f after g, (ft[v] for v in gt), with the type of gt.
+
+    A tuple (or any other sequence) gt gives a tuple, from one C-level
+    call; an array gt gives an array of its typecode, filled chunk by chunk.
+    """
+    if isinstance(gt, array):
+        out = array(gt.typecode)
+        for i in range(0, len(gt), _COMPOSE_CHUNK):
+            # a list chunk takes the tuple path below
+            out.extend(compose_tables(ft, gt[i:i + _COMPOSE_CHUNK].tolist()))
+        return out
     if len(gt) > 1:
         return itemgetter(*gt)(ft)
     # itemgetter returns a bare item for one key and needs at least one key
     return (ft[gt[0]],) if gt else ()
 
 
-def iterate_table(table, k: int) -> tuple[int, ...]:
-    """The table of the k-th iterate, k >= 0; k = 0 gives the identity."""
+def iterate_table(table, k: int) -> tuple[int, ...] | array:
+    """The table of the k-th iterate, k >= 0; k = 0 gives the identity.
+
+    f^k is taken by repeated squaring, f^(2m) = f^m o f^m and
+    f^(2m+1) = f o f^(2m), in bit_length(k) + popcount(k) - 2 compositions
+    (k - 1 for k <= 3).  An array table gives an array of its typecode,
+    any other gives a tuple; at k = 1 a tuple or array comes back as it is.
+    """
     if k < 0:
         raise ValueError("iterate order must be nonnegative")
+    if not isinstance(table, array):
+        table = tuple(table)
     if k == 0:
-        return tuple(range(len(table)))
-    out = tuple(table)
-    for _ in range(k - 1):
-        out = compose_tables(table, out)
+        identity = range(len(table))
+        if isinstance(table, array):
+            return array(table.typecode, identity)
+        return tuple(identity)
+    out = table
+    for bit in bin(k)[3:]:
+        out = compose_tables(out, out)
+        if bit == "1":
+            out = compose_tables(table, out)
     return out
 
 

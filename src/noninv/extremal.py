@@ -22,12 +22,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .endo import (EndoMap, collisions, compose_tables, degree, iterate,
-                   iterate_table)
+from .endo import EndoMap, collisions, compose_tables, degree, iterate_table
 
 # ---------------------------------------------------------------------------
 # the extremal tree family
@@ -81,10 +81,11 @@ def build_tree_map(b: int, k: int) -> EndoMap:
 
     Vertex j of level t has parent j // branching[t-1] of level t - 1, so
     level t's slice of the table lists level t - 1's vertices, each
-    repeated branching[t-1] times, and is appended in one C-level pass.
+    repeated branching[t-1] times, and is appended in one C-level pass to
+    an ``array('I')`` (4 bytes per vertex).
     """
     spec = tree_spec(b, k)
-    table = [0]
+    table = array("I", [0])
     start = 0
     for width, size in zip(spec.branching, spec.level_sizes):
         parents = range(start, start + size)
@@ -121,10 +122,12 @@ def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
     """deg(F_b) and deg(F_b^k) two ways: (engine, closed form).
 
     The engine pair is the generic fiber count over the explicit map, the
-    closed pair the depth-stratified formula.
+    closed pair the depth-stratified formula.  The iterate's table is a
+    composition of a validated table, so it is counted without another
+    range check.
     """
     f = build_tree_map(b, k)
-    engine = (degree(f), degree(iterate(f, k)))
+    engine = (degree(f), Fraction(collisions(iterate_table(f.table, k)), f.n))
     return engine, stratified_degrees(b, k)
 
 
@@ -242,7 +245,8 @@ def _collision_pair(table: tuple[int, ...], k: int) -> tuple[int, int]:
     """The collision counts (S(f), S(f^k)) of one table.
 
     S(f^k) is constant once k >= n - 1: f^(n-1) maps onto the cycle points,
-    which f only permutes, so f^k is iterated at most n times.
+    which f only permutes, so f^min(k, n) stands in for f^k, taken by
+    repeated squaring in at most 2 log2(n) compositions.
     """
     return (collisions(table),
             collisions(iterate_table(table, min(k, len(table)))))

@@ -419,6 +419,27 @@ def test_bubble_s10_peak_rss_is_a_third_of_the_object_map():
     assert peak_mb < 279, f"peak RSS {peak_mb:.1f} MB"
 
 
+def test_tree_peak_rss_holds_compact_tables():
+    # a million-vertex tree as a list, its tuple copy and a validated tuple
+    # for F^k peaked at 69 MB
+    payload, peak_mb = _peak_rss("degree", "tree", "--b", "1000", "--k", "2")
+    assert payload["domain_size"] == 993001
+    assert "engine_iterate_degree" not in payload
+    assert peak_mb < 48, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("k", [1000, 1023, 1024])
+def test_tree_iterates_at_large_k(capsys, k):
+    # F^k by repeated squaring agrees with the depth-stratified closed form
+    # up to the --k hard limit
+    code, payload = run_json(capsys, "degree", "tree", "--b", "5", "--k",
+                             str(k))
+    assert code == 0
+    assert payload["k"] == k
+    assert "engine_degree" not in payload
+    assert "engine_iterate_degree" not in payload
+
+
 def test_bubble_iter_order_costs_one_build(capsys):
     # every pass from the (n-1)-st on is constant; 10^9 compositions of the
     # object map would not finish

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from noninv import endo
 from noninv.bubble import WordDomain, bubble_endomap
 from noninv.endo import (
     EndoMap,
@@ -14,6 +15,7 @@ from noninv.endo import (
     are_pseudoconjugate,
     collisions,
     compose,
+    compose_tables,
     degree,
     degree_bounds,
     fiber_histogram,
@@ -21,6 +23,7 @@ from noninv.endo import (
     is_bijection,
     is_constant,
     iterate,
+    iterate_table,
 )
 from noninv.nibble import chip_endomap, nibble_binary_endomap
 from noninv.perms import permutation_domain
@@ -108,6 +111,65 @@ def test_compose_and_iterate_match_loop_oracle_on_small_domains():
             for k in range(4):
                 assert iterate(f, k).table == want
                 want = oracle_compose(ft, want)
+
+
+def oracle_iterate(table, k):
+    # the identity at k = 0, else f followed by k - 1 plain compositions
+    if k == 0:
+        return tuple(range(len(table)))
+    out = tuple(table)
+    for _ in range(k - 1):
+        out = oracle_compose(table, out)
+    return out
+
+
+def test_iterate_table_by_squaring_matches_loop_oracle():
+    rng = random.Random(14)
+    for n in range(13):
+        for _ in range(4):
+            table = tuple(rng.randrange(n) for _ in range(n))
+            compact = array("I", table)
+            for k in range(41):
+                want = oracle_iterate(table, k)
+                got = iterate_table(table, k)
+                assert type(got) is tuple and got == want, (table, k)
+                got = iterate_table(list(table), k)
+                assert type(got) is tuple and got == want, (table, k)
+                got = iterate_table(compact, k)
+                assert type(got) is array and got.typecode == "I", (table, k)
+                assert tuple(got) == want, (table, k)
+    for table in ((0,), array("I", [0])):
+        with pytest.raises(ValueError):
+            iterate_table(table, -1)
+
+
+def test_compose_tables_keeps_the_type_of_g():
+    # the largest size ends in a one-key chunk, which itemgetter would
+    # return as a bare item
+    rng = random.Random(15)
+    for n in (0, 1, 2, 7, 2 * endo._COMPOSE_CHUNK + 1):
+        ft = tuple(rng.randrange(n) for _ in range(n))
+        gt = tuple(rng.randrange(n) for _ in range(n))
+        want = oracle_compose(ft, gt)
+        for f in (ft, array("I", ft)):
+            got = compose_tables(f, gt)
+            assert type(got) is tuple and got == want
+            got = compose_tables(f, array("I", gt))
+            assert type(got) is array and got.typecode == "I"
+            assert tuple(got) == want
+
+
+def test_compact_tables_are_kept_and_range_checked():
+    compact = array("I", [1, 2, 2])
+    f = EndoMap.from_table(compact)
+    assert f.table is compact and degree(f) == degree(INTRO)
+    assert type(iterate(f, 2).table) is array
+    assert tuple(iterate(f, 2).table) == iterate(INTRO, 2).table
+    with pytest.raises(ValueError, match=r"table entry 3 out of range 0\.\.2"):
+        EndoMap.from_table(array("I", [0, 3, 1]))
+    # a signed typecode still has its minimum checked
+    with pytest.raises(ValueError, match=r"table entry -1 out of range 0\.\.2"):
+        EndoMap.from_table(array("i", [0, -1, 1]))
 
 
 def test_compose_rejects_different_codecs():

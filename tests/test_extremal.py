@@ -37,7 +37,7 @@ def test_tree_map_structure():
     assert sum(1 for i, v in enumerate(f.table) if i == v) == 1
     # every non-root vertex reaches the root in at most depth steps
     depth = 2 + 2
-    assert iterate(f, depth).table == (0,) * 36
+    assert tuple(iterate(f, depth).table) == (0,) * 36
 
 
 @pytest.mark.parametrize("b, k", [(2, 2), (5, 2), (10, 3), (16, 3), (63, 5),

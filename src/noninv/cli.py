@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import sys
-from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -82,30 +81,27 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
 # degree subcommand
 
 
-def _degree_payload(payload: dict, sizes, exact: Fraction | None = None) -> bool:
+def _degree_payload(payload: dict, sizes, exact: Fraction | None = None,
+                    ) -> tuple[bool, FiberHistogram]:
     """Add the degree and fiber histogram of one fiber count to payload.
 
-    sizes lists the fiber size of every image point, and may list empty
-    fibers too, as ``fiber_sizes`` does.  Every point of the domain lies
-    in exactly one fiber, so the domain size is the sum of the sizes, and
-    the points it leaves out of the image have empty fibers.  ``degree``
-    is exact when given, else the engine value; a mismatch adds the engine
-    value as ``engine_degree`` and returns False.
+    sizes lists the fiber size of every image point, as
+    ``FiberHistogram.from_sizes`` takes them.  ``degree`` is exact when
+    given, else the engine value; a mismatch adds the engine value as
+    ``engine_degree`` and gives False.  Returns that verdict and the
+    histogram.
     """
-    counts = Counter(sizes)
-    domain_size = sum(s * c for s, c in counts.items())
-    counts[0] += domain_size - sum(counts.values())
-    hist = FiberHistogram({s: c for s, c in sorted(counts.items()) if c})
+    hist = FiberHistogram.from_sizes(sizes)
     got = hist.degree()
     if exact is None:
         exact = got
-    payload["domain_size"] = domain_size
+    payload["domain_size"] = hist.n
     payload["degree"] = frac_str(exact)
     payload["degree_decimal"] = dec_str(exact)
     payload["histogram"] = {str(s): c for s, c in hist.counts.items()}
     if got != exact:
         payload["engine_degree"] = frac_str(got)
-    return got == exact
+    return got == exact, hist
 
 
 def cmd_degree(args) -> tuple[dict, int]:
@@ -122,8 +118,8 @@ def cmd_degree(args) -> tuple[dict, int]:
         table = bubble.bubble_rank_table(args.n, k)
         payload["n"] = args.n
         payload["k"] = k
-        ok = _degree_payload(payload, fiber_sizes(table),
-                             bubble.bubble_degree_formula(args.n, k))
+        ok, _ = _degree_payload(payload, fiber_sizes(table),
+                                bubble.bubble_degree_formula(args.n, k))
     elif system == "word_bubble":
         try:
             content = bubble.check_content(_parse_ints(args.content, "--content"))
@@ -136,37 +132,35 @@ def cmd_degree(args) -> tuple[dict, int]:
                bubble._WORD_HARD_LIMIT)
         f = bubble.word_bubble_endomap(content)
         payload["content"] = list(content)
-        ok = _degree_payload(payload, fiber_sizes(f.table),
-                             bubble.word_degree_formula(content))
+        ok, _ = _degree_payload(payload, fiber_sizes(f.table),
+                                bubble.word_degree_formula(content))
     elif system == "stack":
         _guard(args.n, _STACK_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         fibers = stacksort.stack_fibers(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fibers.values())
+        ok, _ = _degree_payload(payload, fibers.values())
     elif system == "nibble_perm":
         _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         f = nibble.nibble_endomap(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fiber_sizes(f.table),
-                             nibble.nibble_degree_formula(args.n))
+        ok, _ = _degree_payload(payload, fiber_sizes(f.table),
+                                nibble.nibble_degree_formula(args.n))
     elif system in ("nibble_bin", "chip"):
         _guard(args.n, _BINARY_LIMIT, "n", args.force,
                nibble._BINARY_HARD_LIMIT)
         table = nibble.binary_rank_table(
             "nib" if system == "nibble_bin" else "chi", args.n)
-        sizes = fiber_sizes(table)
         payload["n"] = args.n
-        ok = _degree_payload(payload, sizes)
+        ok, hist = _degree_payload(payload, fiber_sizes(table))
         if args.n >= 2:
-            expected = nibble.expected_binary_histogram(args.n)
             payload["matches_three_halves_histogram"] = (
-                FiberHistogram.from_sizes(sizes).counts == expected)
+                hist.counts == nibble.expected_binary_histogram(args.n))
     elif system == "bulgarian":
         _guard(args.n, _PARTITION_LIMIT, "n", args.force,
                solitaire._PARTITION_HARD_LIMIT)
         fibers = solitaire.bulgarian_fibers(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fibers.values())
+        ok, _ = _degree_payload(payload, fibers.values())
         outside, missed = solitaire.bulgarian_image_defects(args.n, fibers)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
@@ -177,8 +171,8 @@ def cmd_degree(args) -> tuple[dict, int]:
                solitaire._COMPOSITION_HARD_LIMIT)
         table = solitaire.carolina_rank_table(args.n)
         payload["n"] = args.n
-        ok = _degree_payload(payload, fiber_sizes(table),
-                             solitaire.carolina_degree(args.n))
+        ok, _ = _degree_payload(payload, fiber_sizes(table),
+                                solitaire.carolina_degree(args.n))
     elif system == "hecke":
         _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
         gens = _parse_ints(args.word, "--word") if args.word else tuple(
@@ -188,12 +182,11 @@ def cmd_degree(args) -> tuple[dict, int]:
         except ValueError as exc:
             raise CLIError(str(exc))
         f = hecke.hecke_endomap(word)
-        sizes = fiber_sizes(f.table)
         payload["n"] = args.n
         payload["word"] = list(gens)
-        payload["image_size"] = f.n - sizes.count(0)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
-        ok = _degree_payload(payload, sizes)
+        ok, hist = _degree_payload(payload, fiber_sizes(f.table))
+        payload["image_size"] = hist.n - hist.counts.get(0, 0)
     elif system == "tree":
         if args.b is None:
             raise CLIError("degree tree requires --b")
@@ -209,7 +202,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         payload["b"] = args.b
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(args.b, k))
-        ok = _degree_payload(payload, fiber_sizes(f.table), closed_f)
+        ok, _ = _degree_payload(payload, fiber_sizes(f.table), closed_f)
         # a composition of the validated table cannot leave its range
         engine_fk = Fraction(collisions(iterate_table(f.table, k)), f.n)
         payload["iterate_degree"] = frac_str(closed_fk)
@@ -226,53 +219,65 @@ def cmd_degree(args) -> tuple[dict, int]:
 # verify subcommand
 
 
-# suite -> (the name of its params class, (minimum, maximum) of each size
-# flag it reads); the suite and its params class are looked up in
-# noninv.suites.  Flags that size an S_n stop at the codec's ceiling, where
-# each such suite took 11-30 s and about 950 MB, except stack (noted).
-# Every other maximum was measured with the suite's other flags at their
-# defaults; its time is noted beside it (2 cores, Python 3.11).
+# suite -> {flag: (minimum, maximum)} of each flag its function reads as a
+# keyword; the seed alone is unbounded (None).  Flags that size an S_n stop
+# at the codec's ceiling, where each such suite took 11-30 s and about
+# 950 MB, except stack (noted).  Every other maximum was measured with the
+# suite's other flags at their defaults; its time is noted beside it
+# (2 cores, Python 3.11).
 _S_N = (1, perms._PERM_HARD_LIMIT)
 _SUITES = {
-    "thm1": ("Thm1Params", {"max_n": _S_N, "k": (1, 20)}),  # k: 0.3 s
-    "moments": ("MomentsParams", {"max_n": _S_N, "m": (1, 1000)}),  # m: 2 s
-    "lem2": ("Lem2Params", {"n": _S_N, "k": (1, 20)}),  # k: 0.2 s
-    "words": ("WordsParams", {"max_n": (1, 32)}),  # 11 s
-    "thm4": ("Thm4Params", {"max_n": _S_N}),
-    "binary32": ("Binary32Params", {"max_n": (2, 20)}),  # 23 s
-    "stack": ("StackParams", {"max_n": _S_N}),  # 1.2-1.6 s, 34 MB
-    "thm5": ("Thm5Params", {"max_n": (1, 50)}),  # 4.3 s, 59 MB
-    "thm6": ("Thm6Params", {"max_n": (1, 400)}),  # 4 s
-    "thm7": ("Thm7Params", {"samples": (1, 200_000)}),  # 11 s
-    "thm7_exhaustive": ("Thm7ExhaustiveParams", {"n": (1, 5)}),  # 55 s
-    "thm3": ("Thm3Params", {"max_n": (1, 7), "k": (1, 16)}),  # 23 s, k: 0.6 s
-    "prop1": ("Prop1Params", {"k": (2, 30)}),  # 8.6 s, 154 MB
-    "hecke_odd": ("HeckeOddParams", {"max_n": _S_N}),
+    "thm1": {"max_n": _S_N, "k": (1, 20)},  # k: 0.3 s
+    "moments": {"max_n": _S_N, "m": (1, 1000)},  # m: 2 s
+    "lem2": {"n": _S_N, "k": (1, 20)},  # k: 0.2 s
+    "words": {"max_n": (1, 32)},  # 11 s
+    "thm4": {"max_n": _S_N},
+    "binary32": {"max_n": (2, 20)},  # 23 s
+    "stack": {"max_n": _S_N},  # 1.2-1.6 s, 34 MB
+    "thm5": {"max_n": (1, 50)},  # 4.3 s, 59 MB
+    "thm6": {"max_n": (1, 400)},  # 4 s
+    "thm7": {"samples": (1, 200_000), "seed": None},  # 11 s
+    "thm7_exhaustive": {"n": (1, 5)},  # 55 s
+    "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 23 s, k: 0.6 s
+    "prop1": {"k": (2, 30)},  # 8.6 s, 154 MB
+    "hecke_odd": {"max_n": _S_N},
 }
+# the exhaustive pair scan needs --force above this n
+_PAIR_SCAN_LIMIT = 4
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    # imported here, so other commands skip its ~15 ms of dataclass creation
+    # imported here, so other commands skip compiling it
     from . import suites
 
     name = args.suite
-    if name == "thm7" and args.exhaustive:
+    if args.exhaustive:
+        if name != "thm7":
+            raise CLIError(f"verify {name} takes no --exhaustive")
         name = "thm7_exhaustive"
-    params_name, bounds = _SUITES[name]
-    given = {"seed": args.seed} if name == "thm7" else {}
-    # a size flag left out keeps the params default; a given 0 is refused
-    for field, (lo, hi) in bounds.items():
-        value = getattr(args, field)
-        if value is not None:
-            _bounded(value, "--" + field.replace("_", "-"), lo, hi)
-            given[field] = value
-    params = getattr(suites, params_name)(**given)
-    if name == "thm7_exhaustive" and params.n > 4 and not args.force:
-        raise CLIError("exhaustive pair scan beyond n=4 needs --force")
-    if name == "stack":
-        _guard(params.max_n, _STACK_LIMIT, "n", args.force,
+    bounds = _SUITES[name]
+    # a flag left out keeps the suite's default; a given 0 is refused, and
+    # so is a flag the suite does not read
+    given = {}
+    for flag in ("max_n", "n", "k", "m", "samples", "seed"):
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        if flag not in bounds:
+            raise CLIError(f"verify {args.suite}"
+                           f"{' --exhaustive' * args.exhaustive} takes no {option}")
+        if bounds[flag] is not None:
+            _bounded(value, option, *bounds[flag])
+        given[flag] = value
+    if (name == "thm7_exhaustive" and given.get("n", 0) > _PAIR_SCAN_LIMIT
+            and not args.force):
+        raise CLIError(f"exhaustive pair scan beyond n={_PAIR_SCAN_LIMIT} "
+                       "needs --force")
+    if name == "stack" and "max_n" in given:
+        _guard(given["max_n"], _STACK_LIMIT, "n", args.force,
                perms._PERM_HARD_LIMIT)
-    checks = getattr(suites, name)(params)
+    checks = getattr(suites, name)(**given)
     failed = sum(1 for c in checks if not c["ok"])
     payload = {
         "command": "verify",
@@ -431,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="highest moment order")
     p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--exhaustive", action="store_true")
     p_verify.add_argument("--force", action="store_true")
     common(p_verify)

@@ -179,8 +179,12 @@ class FiberHistogram:
 
     @classmethod
     def from_sizes(cls, sizes) -> "FiberHistogram":
-        """Histogram of fiber sizes listed once per codomain point."""
-        return cls(dict(sorted(Counter(sizes).items())))
+        """Histogram of the fiber sizes of the image points, empty fibers
+        optional: the domain size is sum s * c, since every point lies in one
+        fiber, and the codomain points left out have empty fibers."""
+        counts = Counter(sizes)
+        counts[0] += sum(s * c for s, c in counts.items()) - sum(counts.values())
+        return cls({s: c for s, c in sorted(counts.items()) if c})
 
     @property
     def n(self) -> int:

@@ -1,9 +1,9 @@
 """Verification suites: each closed form against an independent enumeration.
 
-A suite is a function of one frozen params dataclass of sizes, whose
-defaults are the sizes ``noninv verify <suite>`` runs; the acceptance gate
-calls the same functions at wider sizes.  A suite returns its checks as
-dicts ``{"name", "ok", "detail"}``; a failed check names both values.
+A suite is a function of keyword sizes whose defaults are the sizes
+``noninv verify <suite>`` runs; the acceptance gate calls the same functions
+at wider sizes.  A suite returns its checks as dicts
+``{"name", "ok", "detail"}``; a failed check names both values.
 The library is reached through module attributes (``bubble.bubble_endomap``)
 so that a test replacing an entry point on its module reaches every suite.
 """
@@ -11,15 +11,13 @@ so that a test replacing an entry point on its module reaches every suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
 
 from . import bubble, extremal, hecke, nibble, solitaire, stacksort
-from .endo import (EndoMap, FiberHistogram, are_pseudoconjugate, dec_str,
-                   degree, fiber_sizes, frac_str, is_bijection, is_constant,
-                   iterate)
+from .endo import (EndoMap, FiberHistogram, dec_str, degree, fiber_sizes,
+                   frac_str, is_bijection, is_constant, iterate)
 from .perms import permutation_domain, reverse_complement
 
 
@@ -31,43 +29,30 @@ def _equal(name: str, got: Fraction, want: Fraction) -> dict:
     return _check(name, got == want, f"{frac_str(got)} vs {frac_str(want)}")
 
 
-@dataclass(frozen=True)
-class Thm1Params:
-    max_n: int = 7
-    k: int = 3
-
-
-def thm1(p: Thm1Params = Thm1Params()) -> list[dict]:
-    """Theorem 1: degree of the k-th bubble-sort pass on S_n."""
+def thm1(max_n: int = 7, k: int = 3) -> list[dict]:
+    """Theorem 1: degree of the j-th bubble-sort pass on S_n, j <= k."""
     checks = []
-    for n in range(1, p.max_n + 1):
+    for n in range(1, max_n + 1):
         base = bubble.bubble_endomap(n)
-        for k in range(1, p.k + 1):
-            checks.append(_equal(f"iterated pass degree n={n} k={k}",
-                                 degree(iterate(base, k)),
-                                 bubble.bubble_degree_formula(n, k)))
+        for j in range(1, k + 1):
+            checks.append(_equal(f"iterated pass degree n={n} k={j}",
+                                 degree(iterate(base, j)),
+                                 bubble.bubble_degree_formula(n, j)))
     return checks
 
 
-@dataclass(frozen=True)
-class MomentsParams:
-    max_n: int = 6
-    m: int = 3
-    # the first moment is compared with the degree formula for n <= this
-    degree_max_n: int = 40
-
-
-def moments(p: MomentsParams = MomentsParams()) -> list[dict]:
-    """Moments of the preimage count of one bubble pass, by brute force."""
+def moments(max_n: int = 6, m: int = 3, degree_max_n: int = 40) -> list[dict]:
+    """Moments of the preimage count of one bubble pass, by brute force; the
+    first moment against the degree formula for n <= degree_max_n."""
     checks = []
-    for n in range(1, p.max_n + 1):
+    for n in range(1, max_n + 1):
         f = bubble.bubble_endomap(n)
         sizes = fiber_sizes(f.table)
-        for m in range(1, p.m + 1):
-            got = Fraction(sum(sizes[y] ** m for y in f.table), f.n)
-            checks.append(_equal(f"fiber moment n={n} m={m}", got,
-                                 bubble.bubble_moment(n, m)))
-    for n in range(1, p.degree_max_n + 1):
+        for j in range(1, m + 1):
+            got = Fraction(sum(sizes[y] ** j for y in f.table), f.n)
+            checks.append(_equal(f"fiber moment n={n} m={j}", got,
+                                 bubble.bubble_moment(n, j)))
+    for n in range(1, degree_max_n + 1):
         got = bubble.bubble_moment(n, 1)
         want = bubble.bubble_degree_formula(n, 1)
         checks.append(_check(f"first moment equals degree n={n}", got == want,
@@ -76,64 +61,49 @@ def moments(p: MomentsParams = MomentsParams()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class Lem2Params:
-    n: int = 5
-    k: int = 2
-
-
-def lem2(p: Lem2Params = Lem2Params()) -> list[dict]:
-    """Lemma 2: every fiber size of the k-th bubble pass on S_n."""
+def lem2(n: int = 5, k: int = 2) -> list[dict]:
+    """Lemma 2: every fiber size of the j-th bubble pass on S_n, j <= k."""
     checks = []
-    base = bubble.bubble_endomap(p.n)
-    dom = permutation_domain(p.n)
-    for k in range(1, p.k + 1):
-        sizes = fiber_sizes(iterate(base, k).table)
-        wants = [bubble.bubble_preimage_count(dom.unrank(idx), k)
+    base = bubble.bubble_endomap(n)
+    dom = permutation_domain(n)
+    for j in range(1, k + 1):
+        sizes = fiber_sizes(iterate(base, j).table)
+        wants = [bubble.bubble_preimage_count(dom.unrank(idx), j)
                  for idx in range(len(sizes))]
         bad = [i for i, (s, w) in enumerate(zip(sizes, wants)) if s != w]
         detail = f"{len(bad)} mismatches over {len(sizes)} targets"
         if bad:
             detail += f"; first at rank {bad[0]}: {sizes[bad[0]]} vs {wants[bad[0]]}"
-        checks.append(_check(f"fiber sizes match closed form n={p.n} k={k}",
+        checks.append(_check(f"fiber sizes match closed form n={n} k={j}",
                              not bad, detail))
     return checks
 
 
-@dataclass(frozen=True)
-class WordsParams:
-    # every content of 2 to 4 letters with total <= max_n and at most
-    # bubble._WORD_LIMIT words, then the heavy contents
-    max_n: int = 8
-    heavy: tuple[tuple[int, ...], ...] = ((2, 120), (120, 2), (40, 2, 1))
-
-
-def words(p: WordsParams = WordsParams()) -> list[dict]:
-    """Bubble sort on words: degree against the product formula."""
+def words(max_n: int = 8,
+          heavy: tuple[tuple[int, ...], ...] = ((2, 120), (120, 2), (40, 2, 1)),
+          ) -> list[dict]:
+    """Bubble sort on words: degree against the product formula, for every
+    content of 2 to 4 letters with total <= max_n and at most
+    ``bubble._WORD_LIMIT`` words, then the heavy contents."""
     contents = []
     for r in (2, 3, 4):
-        for a in product(range(1, p.max_n), repeat=r):
-            if (sum(a) <= p.max_n
+        for a in product(range(1, max_n), repeat=r):
+            if (sum(a) <= max_n
                     and bubble.multinomial(a) <= bubble._WORD_LIMIT):
                 contents.append(a)
-    contents += p.heavy
+    contents += heavy
     return [_equal(f"word degree content={a}",
                    degree(bubble.word_bubble_endomap(a)),
                    bubble.word_degree_formula(a))
             for a in contents]
 
 
-@dataclass(frozen=True)
-class Thm4Params:
-    max_n: int = 7
-
-
-def thm4(p: Thm4Params = Thm4Params()) -> list[dict]:
+def thm4(max_n: int = 7) -> list[dict]:
     """Theorem 4: the single-swap degree and its limit."""
     checks = [_equal(f"single-swap degree n={n}",
                      degree(nibble.nibble_endomap(n)),
                      nibble.nibble_degree_formula(n))
-              for n in range(1, p.max_n + 1)]
+              for n in range(1, max_n + 1)]
     val = float(nibble.nibble_degree_formula(20))
     lim = nibble.nibble_degree_limit()
     checks.append(_check("partial sum at n=20 near the limit",
@@ -141,23 +111,19 @@ def thm4(p: Thm4Params = Thm4Params()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class Binary32Params:
-    max_n: int = 12
-
-
-def binary32(p: Binary32Params = Binary32Params()) -> list[dict]:
+def binary32(max_n: int = 12) -> list[dict]:
     """Binary nibble and chip firing: degree 3/2, one histogram, fixed points."""
     checks = []
-    for n in range(2, p.max_n + 1):
+    for n in range(2, max_n + 1):
         nib_f = nibble.nibble_binary_endomap(n)
         chi_f = nibble.chip_endomap(n)
         expected = nibble.expected_binary_histogram(n)
-        degrees = (degree(nib_f), degree(chi_f))
-        hists = (FiberHistogram.from_map(nib_f).counts,
-                 FiberHistogram.from_map(chi_f).counts)
+        nib_h = FiberHistogram.from_map(nib_f)
+        chi_h = FiberHistogram.from_map(chi_f)
+        degrees = (nib_h.degree(), chi_h.degree())
+        hists = (nib_h.counts, chi_h.counts)
         ok = (degrees == (Fraction(3, 2),) * 2 and hists == (expected,) * 2
-              and are_pseudoconjugate(nib_f, chi_f))
+              and nib_h == chi_h)  # pseudoconjugate
         detail = "exact" if ok else (
             f"degrees {frac_str(degrees[0])}, {frac_str(degrees[1])} vs 3/2; "
             f"histograms {hists[0]}, {hists[1]} vs {expected}")
@@ -169,14 +135,9 @@ def binary32(p: Binary32Params = Binary32Params()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class StackParams:
-    max_n: int = 9
-
-
-def stack(p: StackParams = StackParams()) -> list[dict]:
+def stack(max_n: int = 9) -> list[dict]:
     """Stack sorting: d_n <= C_n, superadditivity, and the a_10 growth bound."""
-    degrees = {n: stacksort.stack_degree(n) for n in range(1, p.max_n + 1)}
+    degrees = {n: stacksort.stack_degree(n) for n in range(1, max_n + 1)}
     checks = []
     for n, d in degrees.items():
         bound = stacksort.catalan(n)
@@ -193,15 +154,10 @@ def stack(p: StackParams = StackParams()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class Thm5Params:
-    max_n: int = 20
-
-
-def thm5(p: Thm5Params = Thm5Params()) -> list[dict]:
+def thm5(max_n: int = 20) -> list[dict]:
     """Theorem 5: Bulgarian solitaire's fiber bound and its image."""
     checks = []
-    for n in range(1, p.max_n + 1):
+    for n in range(1, max_n + 1):
         fibers = solitaire.bulgarian_fibers(n)
         bound = solitaire.max_preimage_bound(n)
         largest = max(fibers.values())
@@ -213,15 +169,10 @@ def thm5(p: Thm5Params = Thm5Params()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class Thm6Params:
-    # the series is checked to max(max_n, 40), brute force to min(max_n, 14)
-    max_n: int = 14
-
-
-def thm6(p: Thm6Params = Thm6Params()) -> list[dict]:
-    """Theorem 6: Carolina's degree as a double sum, a series and by brute force."""
-    series_n = max(p.max_n, 40)
+def thm6(max_n: int = 14) -> list[dict]:
+    """Theorem 6: Carolina's degree as a double sum, a series and by brute
+    force; the series to max(max_n, 40), brute force to min(max_n, 14)."""
+    series_n = max(max_n, 40)
     eta = solitaire.eta_series(series_n)
     checks = [_equal(f"double sum equals series n={n}",
                      solitaire.carolina_degree(n),
@@ -230,41 +181,30 @@ def thm6(p: Thm6Params = Thm6Params()) -> list[dict]:
     checks += [_equal(f"brute force agrees n={n}",
                       degree(solitaire.carolina_endomap(n)),
                       solitaire.carolina_degree(n))
-               for n in range(1, min(p.max_n, 14) + 1)]
+               for n in range(1, min(max_n, 14) + 1)]
     return checks
 
 
-@dataclass(frozen=True)
-class Thm7Params:
-    samples: int = 1000
-    seed: int = 0
-
-
-def thm7(p: Thm7Params = Thm7Params()) -> list[dict]:
+def thm7(samples: int = 1000, seed: int = 0) -> list[dict]:
     """Theorem 7 on random pairs: `samples` pairs for each n in 4..10."""
-    rng = random.Random(p.seed)
+    rng = random.Random(seed)
     checks = []
     for n in range(4, 11):
         bad = 0
-        for _ in range(p.samples):
+        for _ in range(samples):
             # f's table is drawn first, then g's
             if not extremal.check_theorem7(extremal.random_table(n, rng),
                                            extremal.random_table(n, rng))[0]:
                 bad += 1
         checks.append(_check(f"random pairs n={n}", bad == 0,
-                             f"{bad} failures in {p.samples}"))
+                             f"{bad} failures in {samples}"))
     return checks
 
 
-@dataclass(frozen=True)
-class Thm7ExhaustiveParams:
-    n: int = 3
-
-
-def thm7_exhaustive(p: Thm7ExhaustiveParams = Thm7ExhaustiveParams()) -> list[dict]:
+def thm7_exhaustive(n: int = 3) -> list[dict]:
     """Theorem 7 on all pairs over n points; equality holds exactly when f
     is constant and g a bijection, which is n * n! pairs."""
-    maps = [EndoMap.from_table(t) for t in extremal.all_tables(p.n)]
+    maps = [EndoMap.from_table(t) for t in extremal.all_tables(n)]
     bijective = [is_bijection(g) for g in maps]
     holds = equalities = agree = 0
     for f in maps:
@@ -275,32 +215,26 @@ def thm7_exhaustive(p: Thm7ExhaustiveParams = Thm7ExhaustiveParams()) -> list[di
             equalities += eq
             agree += eq == (constant and bij)
     total = len(maps) ** 2
-    want = p.n * factorial(p.n)
+    want = n * factorial(n)
     ok = agree == total and equalities == want
     detail = f"{equalities} equality pairs"
     if not ok:
         detail += f" vs {want}; {total - agree} pairs disagree with the predicate"
-    return [_check(f"inequality over all {total} pairs n={p.n}",
+    return [_check(f"inequality over all {total} pairs n={n}",
                    holds == total, f"{holds}/{total} hold"),
             _check("equality only for constant after bijection", ok, detail)]
 
 
-@dataclass(frozen=True)
-class Thm3Params:
-    max_n: int = 4
-    k: int = 4
-
-
-def thm3(p: Thm3Params = Thm3Params()) -> list[dict]:
+def thm3(max_n: int = 4, k: int = 4) -> list[dict]:
     """Theorem 3 over all maps on n <= max_n points, and the 27/25 witness."""
     checks = []
-    for n in range(1, p.max_n + 1):
+    for n in range(1, max_n + 1):
         bad = 0
         for t in extremal.all_tables(n):
             f = EndoMap.from_table(t)
-            bad += sum(not extremal.check_theorem3_bound(f, k)
-                       for k in range(1, p.k + 1))
-        checks.append(_check(f"powered bound over all maps n={n} k<={p.k}",
+            bad += sum(not extremal.check_theorem3_bound(f, j)
+                       for j in range(1, k + 1))
+        checks.append(_check(f"powered bound over all maps n={n} k<={k}",
                              bad == 0, f"{bad} failures over {n ** n} maps"))
     w = extremal.exhaustive_ratio_search(3, 2, 2)
     checks.append(_check("collapse ratio maximum at n=3",
@@ -309,14 +243,8 @@ def thm3(p: Thm3Params = Thm3Params()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class Prop1Params:
-    k: int = 2
-
-
-def prop1(p: Prop1Params = Prop1Params()) -> list[dict]:
+def prop1(k: int = 2) -> list[dict]:
     """Proposition 1: the tree family F_b at b = 5, 10, 100, 1000."""
-    k = p.k
     checks = []
     base = []
     ratio = []
@@ -342,26 +270,25 @@ def prop1(p: Prop1Params = Prop1Params()) -> list[dict]:
     return checks
 
 
-@dataclass(frozen=True)
-class HeckeOddParams:
-    max_n: int = 6
-    # (n, longest word) of each degree-range scan
-    scans: tuple[tuple[int, int], ...] = ((3, 4),)
-
-
-def hecke_odd(p: HeckeOddParams = HeckeOddParams()) -> list[dict]:
+def hecke_odd(max_n: int = 6,
+              scans: tuple[tuple[int, int], ...] = ((3, 4),)) -> list[dict]:
     """Alternating sorting operators: image size, symmetry, equal degrees.
 
-    A degree-range scan only reports: fully sorting words exceed the
-    conjectured upper endpoint, so its check counts them and always passes.
+    Each (n, longest word) of scans runs one degree-range scan, which only
+    reports: fully sorting words exceed the conjectured upper endpoint, so
+    its check counts them and always passes.
     """
     checks = []
-    for n in range(1, p.max_n + 1):
-        got = len(set(hecke.hecke_endomap(hecke.t_alt_word(n)).table))
+    alt_degrees = {}
+    for n in range(1, max_n + 1):
+        f = hecke.hecke_endomap(hecke.t_alt_word(n))
+        if n in (5, 7):
+            alt_degrees[n] = degree(f)
+        got = len(set(f.table))
         want = hecke.updown_count(n)
         checks.append(_check(f"image size is the zigzag number n={n}",
                              got == want, f"{got} vs {want}"))
-    for n in [n for n in (5, 7) if n <= p.max_n]:
+    for n, alt_degree in alt_degrees.items():
         alt = hecke.t_alt_word(n)
         tla = hecke.t_tla_word(n)
         ok = all(
@@ -371,9 +298,8 @@ def hecke_odd(p: HeckeOddParams = HeckeOddParams()) -> list[dict]:
         checks.append(_check(f"reverse-complement intertwining n={n}", ok,
                              "pointwise"))
         checks.append(_equal(f"alternating operators share a degree n={n}",
-                             degree(hecke.hecke_endomap(alt)),
-                             degree(hecke.hecke_endomap(tla))))
-    for n, length in p.scans:
+                             alt_degree, degree(hecke.hecke_endomap(tla))))
+    for n, length in scans:
         report = hecke.conjecture2_scan(n, length)
         checks.append(_check(
             "degree range scan (report only)", True,

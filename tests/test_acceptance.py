@@ -30,20 +30,19 @@ def _gate(index: int, what: str, run) -> None:
 
 def test_01_iterated_pass_degree_formula():
     _gate(1, "iterated bubble-pass degree equals closed form, n<=8 k<=3",
-          lambda: suites.thm1(suites.Thm1Params(max_n=8, k=3)))
+          lambda: suites.thm1(max_n=8, k=3))
 
 
 def test_02_fiber_size_closed_form():
     _gate(2, "per-target fiber sizes equal closed form, n<=7 k<=3",
           lambda: [c for n in range(1, 8)
-                   for c in suites.lem2(suites.Lem2Params(n=n, k=3))])
+                   for c in suites.lem2(n=n, k=3)])
 
 
 def test_03_preimage_count_moments():
     _gate(3, "preimage-count moments match product form, n<=7 m<=3; "
              "first moment equals degree to n=50",
-          lambda: suites.moments(
-              suites.MomentsParams(max_n=7, m=3, degree_max_n=50)))
+          lambda: suites.moments(max_n=7, m=3, degree_max_n=50))
 
 
 def test_04_word_degree_product():
@@ -51,30 +50,30 @@ def test_04_word_degree_product():
     # plus heavy two- and three-letter contents
     heavy = ((1, 500), (500, 1), (2, 120), (120, 2), (40, 2, 1))
     _gate(4, "word-sorting degree equals product form",
-          lambda: suites.words(suites.WordsParams(max_n=12, heavy=heavy)))
+          lambda: suites.words(max_n=12, heavy=heavy))
 
 
 def test_05_single_swap_degree_series():
     _gate(5, "first-descent swap degree: formula equals brute force n<=8; "
              "value at n=20 within 1e-6 of the limit",
-          lambda: suites.thm4(suites.Thm4Params(max_n=8)))
+          lambda: suites.thm4(max_n=8))
 
 
 def test_06_binary_maps_degree_three_halves():
     _gate(6, "binary swap and chip maps: degree 3/2, matching histograms, "
              "pseudoconjugate, fixed-point contrast, 2<=n<=16",
-          lambda: suites.binary32(suites.Binary32Params(max_n=16)))
+          lambda: suites.binary32(max_n=16))
 
 
 def test_07_stack_degree_growth():
     _gate(7, "stack-sorting degrees to n=9: Catalan bound, superadditivity, "
              "tenth-root growth bound",
-          lambda: suites.stack(suites.StackParams(max_n=9)))
+          lambda: suites.stack(max_n=9))
 
 
 def test_08_partition_shift_bound_and_image():
     _gate(8, "partition dynamics: fiber bound and rank >= -1 image, n<=45",
-          lambda: suites.thm5(suites.Thm5Params(max_n=45)))
+          lambda: suites.thm5(max_n=45))
 
 
 def test_09_large_partition_sample_mean():
@@ -91,33 +90,33 @@ def test_10_composition_shift_degree_series():
     # max_n 14 checks the series to n = 40 and brute force to n = 14
     _gate(10, "composition-shift degree: double sum equals series "
               "coefficients n<=40 and brute force n<=14",
-          lambda: suites.thm6(suites.Thm6Params(max_n=14)))
+          lambda: suites.thm6(max_n=14))
 
 
 def test_11_composition_degree_inequality():
     _gate(11, "composition inequality: all 729 pairs at n=3 with exactly 18 "
               "equalities; 10^5 random pairs per n in 4..10",
-          lambda: suites.thm7_exhaustive(suites.Thm7ExhaustiveParams(n=3))
-          + suites.thm7(suites.Thm7Params(samples=10 ** 5, seed=0)))
+          lambda: suites.thm7_exhaustive(n=3)
+          + suites.thm7(samples=10 ** 5, seed=0))
 
 
 def test_12_iterate_inequality_and_search():
     _gate(12, "iterate-versus-base powered inequality, all maps n<=5 k<=4; "
               "ratio search at n=3 attains 27/25",
-          lambda: suites.thm3(suites.Thm3Params(max_n=5, k=4)))
+          lambda: suites.thm3(max_n=5, k=4))
 
 
 def test_13_tree_family_degrees():
     _gate(13, "tree family k=2: engine equals stratified form at "
               "b in {5,10,100,1000}; trends rise toward 3 and fall toward 1",
-          lambda: suites.prop1(suites.Prop1Params(k=2)))
+          lambda: suites.prop1(k=2))
 
 
 def test_14_sorting_operator_census():
     scans = ((3, 6), (4, 6))
 
     def census():
-        checks = suites.hecke_odd(suites.HeckeOddParams(max_n=7, scans=scans))
+        checks = suites.hecke_odd(max_n=7, scans=scans)
         # the degree-range scans come last and are informational: fully
         # sorting operators exceed the conjectured upper end
         for (n, length), c in zip(scans, checks[-len(scans):]):

@@ -126,8 +126,8 @@ def test_verify_suite_passes(capsys):
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     # verify dispatches to the suite on the suites module, at its defaults
-    def broken(params):
-        assert params == suites.Lem2Params()
+    def broken(**sizes):
+        assert sizes == {}
         return [{"name": "always fails", "ok": False, "detail": "forced"}]
 
     monkeypatch.setattr(suites, "lem2", broken)
@@ -141,12 +141,22 @@ def test_verify_stack_suite(capsys, monkeypatch):
     assert code == 0 and payload["passed"] == 7
     assert [c["name"] for c in payload["checks"]][-1] == \
         "d_(m-1) d_(n-1) <= (m+n-1) d_(m+n-1)"
-    # without --max-n the suite runs at its default size
+    # without --max-n the CLI passes no size, so the suite keeps its default
     seen = []
     monkeypatch.setattr(suites, "stack",
-                        lambda params: seen.append(params) or [])
+                        lambda **sizes: seen.append(sizes) or [])
     run(capsys, "verify", "stack")
-    assert seen == [suites.StackParams(max_n=9)]
+    assert seen == [{}]
+
+
+def test_verify_passes_the_seed_only_when_given(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(suites, "thm7",
+                        lambda **sizes: seen.append(sizes) or [])
+    for argv in (("--seed", "-4"), ("--samples", "5"), ()):
+        code, _ = run(capsys, "verify", "thm7", *argv)
+        assert code == 0
+    assert seen == [{"seed": -4}, {"samples": 5}, {}]
 
 
 def test_verify_prop1_mismatch_is_a_failed_check(capsys, monkeypatch):
@@ -237,6 +247,17 @@ _VERIFY_MAX = [
     ("verify", "thm3", "--k", "16"),
     ("verify", "prop1", "--k", "30"),
     ("verify", "hecke_odd", "--max-n", "10"),
+]
+# flags the suite does not read are refused, not ignored
+_UNREAD = [
+    ("verify", "thm1", "--n", "3"),
+    ("verify", "prop1", "--max-n", "4"),
+    ("verify", "thm3", "--seed", "7"),
+    ("verify", "lem2", "--exhaustive"),
+    ("verify", "stack", "--k", "3", "--max-n", "4"),
+    ("verify", "thm7", "--n", "3"),
+    ("verify", "thm7", "--exhaustive", "--seed", "1"),
+    ("verify", "thm7", "--exhaustive", "--samples", "4"),
 ]
 # the largest searches each flag accepts; the search is stubbed, not run
 _SEARCH_MAX = [
@@ -337,6 +358,8 @@ def _stub_search(n, k, gamma):
     (("degree", "tree", "--b", "2", "--k", "4000000"), 2),
     (("degree", "tree", "--b", "2", "--k", "1024"), 0),
     *((argv, 0) for argv in _SEARCH_MAX),
+    # later rows carry explicit ids, which do not shift when a row goes
+    *(pytest.param(argv, 2, id=" ".join(argv)) for argv in _UNREAD),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -346,7 +369,7 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
             monkeypatch.setattr(module, name, _refuse)
     elif argv in _VERIFY_MAX:
         suite = "thm7_exhaustive" if "--exhaustive" in argv else argv[1]
-        monkeypatch.setattr(suites, suite, lambda params: [])
+        monkeypatch.setattr(suites, suite, lambda **sizes: [])
     elif argv in _SEARCH_MAX:
         monkeypatch.setattr(extremal, "exhaustive_ratio_search", _stub_search)
     elif "100000" in argv:

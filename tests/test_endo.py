@@ -281,3 +281,12 @@ def test_histogram_independent_of_codec_labels():
     h = FiberHistogram.from_map(INTRO)
     assert h.n == 3
     assert h == FiberHistogram({0: 1, 1: 1, 2: 1})
+
+
+def test_histogram_from_image_sizes_fills_empty_fibers():
+    # the domain size is sum s * c, so the codomain points a count of the
+    # image leaves out have empty fibers
+    full = FiberHistogram.from_map(INTRO)
+    assert FiberHistogram.from_sizes([2, 1]) == full
+    assert FiberHistogram.from_sizes({5: 2, 7: 1}.values()) == full
+    assert FiberHistogram.from_sizes([1, 1, 1]).counts == {1: 3}

@@ -6,6 +6,8 @@ carries both compared values.  The one check exempt by design is the hecke
 "degree range scan (report only)", which reports a count and always passes.
 """
 
+import inspect
+
 import pytest
 
 from noninv import (bubble, cli, extremal, hecke, nibble, solitaire, stacksort,
@@ -39,60 +41,57 @@ def _base_degree_off_at_b5(real):
 
 
 _CASES = [
-    pytest.param(lambda: suites.thm1(suites.Thm1Params(max_n=3, k=2)),
+    pytest.param(lambda: suites.thm1(max_n=3, k=2),
                  bubble, "bubble_degree_formula", _plus_one,
                  "iterated pass degree n=1 k=1", "1/1 vs 2/1", id="thm1"),
-    pytest.param(lambda: suites.moments(
-                     suites.MomentsParams(max_n=3, m=2, degree_max_n=3)),
+    pytest.param(lambda: suites.moments(max_n=3, m=2, degree_max_n=3),
                  bubble, "bubble_moment", _plus_one,
                  "fiber moment n=1 m=1", "1/1 vs 2/1", id="moments"),
-    pytest.param(lambda: suites.lem2(suites.Lem2Params(n=3, k=1)),
+    pytest.param(lambda: suites.lem2(n=3, k=1),
                  bubble, "bubble_preimage_count", _plus_one,
                  "fiber sizes match closed form n=3 k=1",
                  "6 mismatches over 6 targets; first at rank 0: 4 vs 5",
                  id="lem2"),
-    pytest.param(lambda: suites.words(suites.WordsParams(max_n=3, heavy=())),
+    pytest.param(lambda: suites.words(max_n=3, heavy=()),
                  bubble, "word_degree_formula", _plus_one,
                  "word degree content=(1, 1)", "2/1 vs 3/1", id="words"),
-    pytest.param(lambda: suites.thm4(suites.Thm4Params(max_n=2)),
+    pytest.param(lambda: suites.thm4(max_n=2),
                  nibble, "nibble_degree_formula", _plus_one,
                  "single-swap degree n=1", "1/1 vs 2/1", id="thm4"),
-    pytest.param(lambda: suites.binary32(suites.Binary32Params(max_n=2)),
+    pytest.param(lambda: suites.binary32(max_n=2),
                  nibble, "expected_binary_histogram",
                  _one_more_fiber_of_size_one,
                  "degree 3/2 and histogram n=2",
                  "degrees 3/2, 3/2 vs 3/2; histograms {0: 1, 1: 2, 2: 1}, "
                  "{0: 1, 1: 2, 2: 1} vs {0: 1, 1: 3, 2: 1}", id="binary32"),
-    pytest.param(lambda: suites.stack(suites.StackParams(max_n=3)),
+    pytest.param(lambda: suites.stack(max_n=3),
                  stacksort, "catalan", _minus_one,
                  "degree within the Catalan bound n=1", "d_1 = 1/1, C_1 = 0",
                  id="stack"),
-    pytest.param(lambda: suites.thm5(suites.Thm5Params(max_n=6)),
+    pytest.param(lambda: suites.thm5(max_n=6),
                  solitaire, "max_preimage_bound", _minus_one,
                  "max fiber within bound n=3", "max 2 <= 1", id="thm5"),
-    pytest.param(lambda: suites.thm6(suites.Thm6Params(max_n=3)),
+    pytest.param(lambda: suites.thm6(max_n=3),
                  solitaire, "carolina_degree", _plus_one,
                  "brute force agrees n=2", "1/1 vs 2/1", id="thm6"),
-    pytest.param(lambda: suites.thm7(suites.Thm7Params(samples=3)),
+    pytest.param(lambda: suites.thm7(samples=3),
                  extremal, "check_theorem7", _never_holds,
                  "random pairs n=4", "3 failures in 3", id="thm7"),
-    pytest.param(lambda: suites.thm7_exhaustive(
-                     suites.Thm7ExhaustiveParams(n=2)),
+    pytest.param(lambda: suites.thm7_exhaustive(n=2),
                  extremal, "check_theorem7", _never_holds,
                  "equality only for constant after bijection",
                  "0 equality pairs vs 4; 4 pairs disagree with the predicate",
                  id="thm7_exhaustive"),
-    pytest.param(lambda: suites.thm3(suites.Thm3Params(max_n=2, k=2)),
+    pytest.param(lambda: suites.thm3(max_n=2, k=2),
                  extremal, "check_theorem3_bound", _never_true,
                  "powered bound over all maps n=2 k<=2",
                  "8 failures over 4 maps", id="thm3"),
-    pytest.param(lambda: suites.prop1(suites.Prop1Params(k=2)),
+    pytest.param(lambda: suites.prop1(k=2),
                  extremal, "stratified_degree", _base_degree_off_at_b5,
                  "engine equals stratified b=5 k=2",
                  "deg=19/9 iterate=143/18 vs stratified deg=28/9 "
                  "iterate=143/18", id="prop1"),
-    pytest.param(lambda: suites.hecke_odd(
-                     suites.HeckeOddParams(max_n=3, scans=())),
+    pytest.param(lambda: suites.hecke_odd(max_n=3, scans=()),
                  hecke, "updown_count", _plus_one,
                  "image size is the zigzag number n=3", "2 vs 3",
                  id="hecke_odd"),
@@ -110,3 +109,21 @@ def test_perturbed_closed_form_fails_with_both_values(
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     failed = {c["name"]: c["detail"] for c in run() if not c["ok"]}
     assert failed.get(check) == detail, failed
+
+
+@pytest.mark.parametrize("name", sorted(cli._SUITES))
+def test_verify_flags_are_suite_keywords_with_defaults_in_bounds(name):
+    # cmd_verify passes each given flag as a keyword; a flag left out keeps
+    # the suite's default, which must lie within the flag's bounds
+    params = inspect.signature(getattr(suites, name)).parameters
+    for flag, bounds in cli._SUITES[name].items():
+        assert params[flag].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        if bounds is not None:
+            lo, hi = bounds
+            assert lo <= params[flag].default <= hi, flag
+    # both --force refusals read only a given flag, so the defaults must lie
+    # under their limits
+    if name == "stack":
+        assert params["max_n"].default <= cli._STACK_LIMIT
+    if name == "thm7_exhaustive":
+        assert params["n"].default <= cli._PAIR_SCAN_LIMIT

@@ -165,7 +165,8 @@ def multinomial(a) -> int:
 
 
 def words_of_content(a):
-    """All words with content a, in lexicographic order."""
+    """All words with content a, in lexicographic order: the oracle of
+    brute_word_degree in test_word_degree_formula_small_contents."""
     return _words(check_content(a))
 
 

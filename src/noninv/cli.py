@@ -27,25 +27,17 @@ from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
 from .endo import (FiberHistogram, collisions, dec_str, fiber_sizes,
                    frac_str, iterate_table)
 
-# sizes above these need --force; the hard ceiling --force stops at sits
-# beside the codec or enumerator it protects
-_PERM_LIMIT = 8
-_STACK_LIMIT = 9
-_BINARY_LIMIT = 16
-_PARTITION_LIMIT = 50
-_COMPOSITION_LIMIT = 20
-_SEARCH_LIMIT = 7
-
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
 # F^k takes at most 2 log2(k) compositions by repeated squaring: the
 # largest tree at --k 1024 (--b 63, 902,791 vertices) takes 1.1-1.2 s and
 # 35 MB (16-18 s and 66 MB at k - 1 compositions)
 _TREE_K_LIMIT = 1024
-# each maximum measured at --n 7, the largest search without --force, with
-# the other flags at their defaults (3.4 s): --k 32 takes 5.1 s, a --gamma
-# numerator of 512 3.3 s and a denominator of 2^8 3.4 s (511/256: 3.2 s)
-_SEARCH_K_LIMIT = 32
+# the search flags as _given takes them: --n needs --force above 7.  Each
+# other maximum measured at --n 7 with the other flags at their defaults
+# (3.4 s): --k 32 takes 5.1 s, a --gamma numerator of 512 3.3 s and a
+# denominator of 2^8 3.4 s (511/256: 3.2 s)
+_SEARCH = {"n": (1, extremal._SEARCH_HARD_LIMIT, 7), "k": (1, 32)}
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
 _SAMPLE_N_LIMIT = 10 ** 5
@@ -77,6 +69,31 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
         raise CLIError(f"{flag} {value} exceeds the hard limit {hi}")
 
 
+def _given(args, flags, bounds: dict, command: str) -> dict:
+    """The flags of args that were given, checked against bounds.
+
+    bounds maps each flag the command reads to (minimum, maximum[,
+    force_limit]), or to None for a flag checked elsewhere; any other given
+    flag is refused.  A size above its force_limit needs --force.
+    """
+    given = {}
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        option = "--" + flag.replace("_", "-")
+        if flag not in bounds:
+            raise CLIError(f"{command} takes no {option}")
+        if bounds[flag] is not None:
+            lo, hi, *force_limit = bounds[flag]
+            _bounded(value, option, lo, None if force_limit else hi)
+            if force_limit:
+                # only the n of a codec or enumerator carries a force_limit
+                _guard(value, force_limit[0], "n", args.force, hi)
+        given[flag] = value
+    return given
+
+
 # ---------------------------------------------------------------------------
 # degree subcommand
 
@@ -104,25 +121,49 @@ def _degree_payload(payload: dict, sizes, exact: Fraction | None = None,
     return got == exact, hist
 
 
+# system -> {flag: (minimum, maximum[, force_limit])} of each flag it reads;
+# a list flag the system parses itself maps to None.  Every n maximum is the
+# ceiling of the codec or enumerator it protects.  bubble_iter's --k costs
+# nothing past n - 1, where every pass is constant; T_b has more than b
+# vertices, so --b stops at the vertex limit.
+_S_N = (1, perms._PERM_HARD_LIMIT)
+_PERM_N = (*_S_N, 8)
+_STACK_N = (*_S_N, 9)
+_BINARY_N = (1, nibble._BINARY_HARD_LIMIT, 16)
+_SYSTEMS = {
+    "bubble": {"n": _PERM_N},
+    "bubble_iter": {"n": _PERM_N, "k": (1, None)},
+    "word_bubble": {"content": None},
+    "stack": {"n": _STACK_N},
+    "nibble_perm": {"n": _PERM_N},
+    "nibble_bin": {"n": _BINARY_N},
+    "chip": {"n": _BINARY_N},
+    "bulgarian": {"n": (1, solitaire._PARTITION_HARD_LIMIT, 50)},
+    "carolina": {"n": (1, solitaire._COMPOSITION_HARD_LIMIT, 20)},
+    "hecke": {"n": _PERM_N, "word": None},
+    "tree": {"b": (2, _TREE_LIMIT), "k": (2, _TREE_K_LIMIT)},
+}
+
+
 def cmd_degree(args) -> tuple[dict, int]:
     system = args.system
+    given = _given(args, ("n", "k", "b", "content", "word"), _SYSTEMS[system],
+                   f"degree {system}")
     payload: dict = {"command": "degree", "system": system}
-    if system not in ("word_bubble", "tree"):
-        _bounded(args.n, "--n", 1)
+    if "n" in _SYSTEMS[system]:
+        n = payload["n"] = given.get("n", 5)
     if system in ("bubble", "bubble_iter"):
         k = args.k if system == "bubble_iter" else 1
         if k is None:
             raise CLIError("degree bubble_iter requires --k")
-        _bounded(k, "--k", 1)
-        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        table = bubble.bubble_rank_table(args.n, k)
-        payload["n"] = args.n
+        table = bubble.bubble_rank_table(n, k)
         payload["k"] = k
         ok, _ = _degree_payload(payload, fiber_sizes(table),
-                                bubble.bubble_degree_formula(args.n, k))
+                                bubble.bubble_degree_formula(n, k))
     elif system == "word_bubble":
         try:
-            content = bubble.check_content(_parse_ints(args.content, "--content"))
+            content = bubble.check_content(
+                _parse_ints(given.get("content", "2,1"), "--content"))
         except ValueError as exc:
             raise CLIError(str(exc))
         if len(content) < 2:
@@ -135,64 +176,47 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok, _ = _degree_payload(payload, fiber_sizes(f.table),
                                 bubble.word_degree_formula(content))
     elif system == "stack":
-        _guard(args.n, _STACK_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        fibers = stacksort.stack_fibers(args.n)
-        payload["n"] = args.n
+        fibers = stacksort.stack_fibers(n)
         ok, _ = _degree_payload(payload, fibers.values())
     elif system == "nibble_perm":
-        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        f = nibble.nibble_endomap(args.n)
-        payload["n"] = args.n
+        f = nibble.nibble_endomap(n)
         ok, _ = _degree_payload(payload, fiber_sizes(f.table),
-                                nibble.nibble_degree_formula(args.n))
+                                nibble.nibble_degree_formula(n))
     elif system in ("nibble_bin", "chip"):
-        _guard(args.n, _BINARY_LIMIT, "n", args.force,
-               nibble._BINARY_HARD_LIMIT)
         table = nibble.binary_rank_table(
-            "nib" if system == "nibble_bin" else "chi", args.n)
-        payload["n"] = args.n
+            "nib" if system == "nibble_bin" else "chi", n)
         ok, hist = _degree_payload(payload, fiber_sizes(table))
-        if args.n >= 2:
+        if n >= 2:
             payload["matches_three_halves_histogram"] = (
-                hist.counts == nibble.expected_binary_histogram(args.n))
+                hist.counts == nibble.expected_binary_histogram(n))
     elif system == "bulgarian":
-        _guard(args.n, _PARTITION_LIMIT, "n", args.force,
-               solitaire._PARTITION_HARD_LIMIT)
-        fibers = solitaire.bulgarian_fibers(args.n)
-        payload["n"] = args.n
+        fibers = solitaire.bulgarian_fibers(n)
         ok, _ = _degree_payload(payload, fibers.values())
-        outside, missed = solitaire.bulgarian_image_defects(args.n, fibers)
+        outside, missed = solitaire.bulgarian_image_defects(n, fibers)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
                                         "rank_at_least_minus_1_missed": missed}
             ok = False
     elif system == "carolina":
-        _guard(args.n, _COMPOSITION_LIMIT, "n", args.force,
-               solitaire._COMPOSITION_HARD_LIMIT)
-        table = solitaire.carolina_rank_table(args.n)
-        payload["n"] = args.n
+        table = solitaire.carolina_rank_table(n)
         ok, _ = _degree_payload(payload, fiber_sizes(table),
-                                solitaire.carolina_degree(args.n))
+                                solitaire.carolina_degree(n))
     elif system == "hecke":
-        _guard(args.n, _PERM_LIMIT, "n", args.force, perms._PERM_HARD_LIMIT)
-        gens = _parse_ints(args.word, "--word") if args.word else tuple(
-            range(1, args.n))
+        gens = (_parse_ints(args.word, "--word") if args.word is not None
+                else tuple(range(1, n)))
         try:
-            word = hecke.HeckeWord(args.n, gens)
+            word = hecke.HeckeWord(n, gens)
         except ValueError as exc:
             raise CLIError(str(exc))
         f = hecke.hecke_endomap(word)
-        payload["n"] = args.n
         payload["word"] = list(gens)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
         ok, hist = _degree_payload(payload, fiber_sizes(f.table))
         payload["image_size"] = hist.n - hist.counts.get(0, 0)
-    elif system == "tree":
+    else:  # tree
         if args.b is None:
             raise CLIError("degree tree requires --b")
-        k = args.k if args.k is not None else 2
-        _bounded(args.b, "--b", 2)
-        _bounded(k, "--k", 2, _TREE_K_LIMIT)
+        k = given.get("k", 2)
         size = extremal.tree_size(args.b, k)
         if size > _TREE_LIMIT:
             raise CLIError(
@@ -210,8 +234,6 @@ def cmd_degree(args) -> tuple[dict, int]:
         if engine_fk != closed_fk:
             payload["engine_iterate_degree"] = frac_str(engine_fk)
             ok = False
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIError(f"unknown system {system}")
     return payload, 0 if ok else 1
 
 
@@ -219,13 +241,12 @@ def cmd_degree(args) -> tuple[dict, int]:
 # verify subcommand
 
 
-# suite -> {flag: (minimum, maximum)} of each flag its function reads as a
-# keyword; the seed alone is unbounded (None).  Flags that size an S_n stop
-# at the codec's ceiling, where each such suite took 11-30 s and about
-# 950 MB, except stack (noted).  Every other maximum was measured with the
-# suite's other flags at their defaults; its time is noted beside it
-# (2 cores, Python 3.11).
-_S_N = (1, perms._PERM_HARD_LIMIT)
+# suite -> {flag: (minimum, maximum[, force_limit])} of each flag its
+# function reads as a keyword; the seed alone is unbounded (None).  Flags
+# that size an S_n stop at the codec's ceiling, where each such suite took
+# 11-30 s and about 950 MB, except stack (noted).  Every other maximum was
+# measured with the suite's other flags at their defaults; its time is
+# noted beside it (2 cores, Python 3.11).
 _SUITES = {
     "thm1": {"max_n": _S_N, "k": (1, 20)},  # k: 0.3 s
     "moments": {"max_n": _S_N, "m": (1, 1000)},  # m: 2 s
@@ -233,17 +254,15 @@ _SUITES = {
     "words": {"max_n": (1, 32)},  # 11 s
     "thm4": {"max_n": _S_N},
     "binary32": {"max_n": (2, 20)},  # 23 s
-    "stack": {"max_n": _S_N},  # 1.2-1.6 s, 34 MB
+    "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
     "thm5": {"max_n": (1, 50)},  # 4.3 s, 59 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
     "thm7": {"samples": (1, 200_000), "seed": None},  # 11 s
-    "thm7_exhaustive": {"n": (1, 5)},  # 55 s
+    "thm7_exhaustive": {"n": (1, 5, 4)},  # 55 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 23 s, k: 0.6 s
     "prop1": {"k": (2, 30)},  # 8.6 s, 154 MB
     "hecke_odd": {"max_n": _S_N},
 }
-# the exhaustive pair scan needs --force above this n
-_PAIR_SCAN_LIMIT = 4
 
 
 def cmd_verify(args) -> tuple[dict, int]:
@@ -255,28 +274,10 @@ def cmd_verify(args) -> tuple[dict, int]:
         if name != "thm7":
             raise CLIError(f"verify {name} takes no --exhaustive")
         name = "thm7_exhaustive"
-    bounds = _SUITES[name]
-    # a flag left out keeps the suite's default; a given 0 is refused, and
-    # so is a flag the suite does not read
-    given = {}
-    for flag in ("max_n", "n", "k", "m", "samples", "seed"):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        option = "--" + flag.replace("_", "-")
-        if flag not in bounds:
-            raise CLIError(f"verify {args.suite}"
-                           f"{' --exhaustive' * args.exhaustive} takes no {option}")
-        if bounds[flag] is not None:
-            _bounded(value, option, *bounds[flag])
-        given[flag] = value
-    if (name == "thm7_exhaustive" and given.get("n", 0) > _PAIR_SCAN_LIMIT
-            and not args.force):
-        raise CLIError(f"exhaustive pair scan beyond n={_PAIR_SCAN_LIMIT} "
-                       "needs --force")
-    if name == "stack" and "max_n" in given:
-        _guard(given["max_n"], _STACK_LIMIT, "n", args.force,
-               perms._PERM_HARD_LIMIT)
+    # a flag left out keeps the suite's default; a given 0 is refused
+    given = _given(args, ("max_n", "n", "k", "m", "samples", "seed"),
+                   _SUITES[name],
+                   f"verify {args.suite}{' --exhaustive' * args.exhaustive}")
     checks = getattr(suites, name)(**given)
     failed = sum(1 for c in checks if not c["ok"])
     payload = {
@@ -296,10 +297,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 
 def cmd_search(args) -> tuple[dict, int]:
     gamma = _parse_gamma(args.gamma)
-    _bounded(args.n, "--n", 1)
-    _bounded(args.k, "--k", 1, _SEARCH_K_LIMIT)
-    _guard(args.n, _SEARCH_LIMIT, "n", args.force,
-           extremal._SEARCH_HARD_LIMIT)
+    _given(args, ("n", "k"), _SEARCH, "search ratio")
     w = extremal.exhaustive_ratio_search(args.n, args.k, gamma)
     payload = {"command": "search", "target": "ratio", "n": args.n}
     payload.update(w.to_json())
@@ -411,15 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="omit the timestamp field for byte-stable output")
 
     p_degree = sub.add_parser("degree", help="exact degree of one system")
-    p_degree.add_argument("system", choices=(
-        "bubble", "bubble_iter", "word_bubble", "stack", "nibble_perm",
-        "nibble_bin", "chip", "bulgarian", "carolina", "hecke", "tree"))
-    p_degree.add_argument("--n", type=int, default=5)
+    p_degree.add_argument("system", choices=tuple(_SYSTEMS))
+    p_degree.add_argument("--n", type=int, default=None)
     p_degree.add_argument("--k", type=int, default=None,
                           help="iterate order (bubble_iter, tree)")
     p_degree.add_argument("--b", type=int, default=None,
                           help="tree branching parameter")
-    p_degree.add_argument("--content", type=str, default="2,1",
+    p_degree.add_argument("--content", type=str, default=None,
                           help="word content a1,a2,...")
     p_degree.add_argument("--word", type=str, default=None,
                           help="sorting-operator word i1,i2,...")

@@ -299,7 +299,7 @@ class RatioWitness:
 
 
 # the largest n the search scans: n = 7 (7^7 tables) takes 3.4 s and
-# n = 8 (8^8 tables) 65 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
+# n = 8 (8^8 tables) 90 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
 _SEARCH_HARD_LIMIT = 8
 
 

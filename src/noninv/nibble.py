@@ -103,17 +103,6 @@ class BinaryDomain(DomainCodec):
         return itertools.product((0, 1), repeat=self.n)
 
 
-def parse_bits(text: str) -> Bits:
-    """Read a word like '0110' into a bit tuple."""
-    if any(c not in "01" for c in text):
-        raise ValueError(f"not a 0/1 string: {text!r}")
-    return tuple(int(c) for c in text)
-
-
-def format_bits(word: Sequence[int]) -> str:
-    return "".join(str(b) for b in word)
-
-
 def nibble_binary(word: Sequence[int]) -> Bits:
     """Rewrite the first factor 10 to 01; words without 10 are fixed."""
     w = tuple(word)
@@ -278,7 +267,8 @@ def expected_binary_histogram(n: int) -> dict[int, int]:
 
 
 def chip_two_preimage_words(n: int) -> set[Bits]:
-    """Words with exactly two chip-firing preimages: 1^(n-1)0 and 1^k01x, k >= 1."""
+    """Words with exactly two chip-firing preimages: 1^(n-1)0 and 1^k01x,
+    k >= 1; the oracle of test_chip_two_preimage_characterization."""
     if n < 2:
         raise ValueError("needs n >= 2")
     out = {tuple([1] * (n - 1) + [0])}

@@ -15,10 +15,6 @@ from .endo import EnumeratedDomain
 Perm = tuple[int, ...]
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
 def is_perm(seq) -> bool:
     return sorted(seq) == list(range(1, len(seq) + 1))
 
@@ -42,11 +38,6 @@ def _t(pi: Perm, i: int) -> Perm:
     if pi[i - 1] > pi[i]:
         return pi[: i - 1] + (pi[i], pi[i - 1]) + pi[i + 1 :]
     return pi
-
-
-def descents(pi: Perm) -> tuple[int, ...]:
-    """1-based positions i with pi_i > pi_{i+1}."""
-    return tuple(i for i in range(1, len(pi)) if pi[i - 1] > pi[i])
 
 
 def inversion_table(pi: Perm) -> tuple[int, ...]:

@@ -143,7 +143,8 @@ def _bulgarian(lam: Partition) -> Partition:
 
 
 def bulgarian_preimage_count(lam: Sequence[int]) -> int:
-    """Number of preimages: distinct part values that are >= ell - 1."""
+    """Number of preimages: distinct part values that are >= ell - 1; the
+    oracle of test_preimage_rule_matches_brute_force."""
     return _preimage_count(check_partition(lam))
 
 
@@ -153,7 +154,8 @@ def _preimage_count(lam: Partition) -> int:
 
 
 def partition_rank(lam: Sequence[int]) -> int:
-    """Largest part minus number of parts."""
+    """Largest part minus number of parts: the oracle of
+    test_image_is_rank_at_least_minus_one."""
     lam = check_partition(lam)
     if not lam:
         raise ValueError("rank needs a nonempty partition")
@@ -399,6 +401,8 @@ def _carolina(c: Composition) -> Composition:
 
 
 def carolina_preimage_count(c: Sequence[int]) -> int:
+    """Number of preimages, C(c_1, ell - 1): the oracle of
+    test_carolina_fibers_match_brute_force."""
     c = check_composition(c)
     # the empty composition is its own and only preimage
     return comb(c[0], len(c) - 1) if c else 1

@@ -22,7 +22,7 @@ from noninv.bubble import (
     WordDomain,
 )
 from noninv.endo import degree, fiber_histogram, iterate
-from noninv.perms import identity_perm, inversion_table
+from noninv.perms import inversion_table
 
 
 def brute_fibers(n, k=1):
@@ -65,7 +65,7 @@ def test_sorts_after_n_minus_1_passes():
             img = pi
             for _ in range(n - 1):
                 img = bubble_sort(img)
-            assert img == identity_perm(n)
+            assert img == tuple(range(1, n + 1))
 
 
 def test_preimage_count_examples():
@@ -94,7 +94,7 @@ def test_sorted_count_identity():
     # fiber of the identity: k!(k+1)^(n-k) = (k+1)^(n-k-1) (k+1)!
     for n in range(1, 10):
         for k in range(0, n):
-            count = bubble_preimage_count(identity_perm(n), k)
+            count = bubble_preimage_count(tuple(range(1, n + 1)), k)
             assert count == (k + 1) ** (n - k - 1) * factorial(k + 1)
 
 

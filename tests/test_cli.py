@@ -221,6 +221,7 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
          (stacksort, "stack_fibers"), (nibble, "binary_endomap"),
+         (nibble, "nibble_endomap"),
          (nibble, "chip_rank_table"), (nibble, "nibble_rank_table"),
          (solitaire, "bulgarian_endomap"), (solitaire, "bulgarian_fibers"),
          (solitaire, "carolina_endomap"),
@@ -248,7 +249,7 @@ _VERIFY_MAX = [
     ("verify", "prop1", "--k", "30"),
     ("verify", "hecke_odd", "--max-n", "10"),
 ]
-# flags the suite does not read are refused, not ignored
+# flags the suite or system does not read are refused, not ignored
 _UNREAD = [
     ("verify", "thm1", "--n", "3"),
     ("verify", "prop1", "--max-n", "4"),
@@ -258,6 +259,22 @@ _UNREAD = [
     ("verify", "thm7", "--n", "3"),
     ("verify", "thm7", "--exhaustive", "--seed", "1"),
     ("verify", "thm7", "--exhaustive", "--samples", "4"),
+    ("degree", "stack", "--n", "4", "--k", "3"),
+    ("degree", "chip", "--n", "4", "--content", "1,2"),
+    ("degree", "bubble", "--n", "4", "--word", "1"),
+    ("degree", "bubble", "--n", "4", "--k", "2"),
+    ("degree", "tree", "--b", "5", "--n", "3"),
+    ("degree", "carolina", "--n", "5", "--b", "7"),
+    ("degree", "word_bubble", "--content", "2,1", "--n", "0"),
+]
+# sizes and lists refused before the map is built
+_DEGREE_REFUSED = [
+    ("degree", "hecke", "--n", "4", "--word", ""),
+    ("degree", "nibble_perm", "--n", "0"),
+    ("degree", "nibble_perm", "--n", "9"),
+    ("degree", "nibble_perm", "--n", "11", "--force"),
+    # the tree's last level once took b's iterated root as a tuple length
+    ("degree", "tree", "--b", "1" + "0" * 24),
 ]
 # the largest searches each flag accepts; the search is stubbed, not run
 _SEARCH_MAX = [
@@ -359,7 +376,8 @@ def _stub_search(n, k, gamma):
     (("degree", "tree", "--b", "2", "--k", "1024"), 0),
     *((argv, 0) for argv in _SEARCH_MAX),
     # later rows carry explicit ids, which do not shift when a row goes
-    *(pytest.param(argv, 2, id=" ".join(argv)) for argv in _UNREAD),
+    *(pytest.param(argv, 2, id=" ".join(argv))
+      for argv in _UNREAD + _DEGREE_REFUSED),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -382,6 +400,27 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     except SystemExit as exc:  # argparse refuses an unknown option
         code = exc.code
     assert code == want
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("degree", "stack", "--n", "4", "--k", "3"), "degree stack takes no --k"),
+    # a size over its force_limit reads the same in degree and verify
+    (("degree", "stack", "--n", "11", "--force"),
+     "n 11 exceeds the hard limit 10"),
+    (("verify", "stack", "--max-n", "11", "--force"),
+     "n 11 exceeds the hard limit 10"),
+])
+def test_refusal_names_the_flag(capsys, argv, err):
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_degree_default_n_needs_no_force():
+    # cmd_degree reads n = 5 when --n is left out and checks no default
+    for system, bounds in cli._SYSTEMS.items():
+        if "n" in bounds:
+            lo, hi, force_limit = bounds["n"]
+            assert lo <= 5 <= force_limit <= hi, system
 
 
 # Measures its one child with os.wait4.  A child started straight from the

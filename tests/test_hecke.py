@@ -17,7 +17,7 @@ from noninv.hecke import (
     t_tla_word,
     updown_count,
 )
-from noninv.perms import identity_perm, permutation_domain, reverse_complement
+from noninv.perms import permutation_domain, reverse_complement
 
 UPDOWN_PREFIX = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936]
 
@@ -100,7 +100,7 @@ def test_eventually_constant_iff_word_covers_generators():
     # iterate to a constant map at the identity <=> every generator appears
     for n in range(2, 5):
         dom = permutation_domain(n)
-        id_index = dom.rank(identity_perm(n))
+        id_index = dom.rank(tuple(range(1, n + 1)))
         for length in range(1, 2 * n):
             for gens in itertools.product(range(1, n), repeat=length):
                 word = HeckeWord(n, gens)

@@ -19,7 +19,6 @@ from noninv.nibble import (
     chip_rank_table,
     chip_two_preimage_words,
     expected_binary_histogram,
-    format_bits,
     nibble,
     nibble_binary,
     nibble_binary_endomap,
@@ -27,7 +26,6 @@ from noninv.nibble import (
     nibble_degree_limit,
     nibble_endomap,
     nibble_rank_table,
-    parse_bits,
 )
 
 
@@ -71,16 +69,16 @@ def test_limit_value():
 
 
 def test_binary_nibble_examples():
-    assert nibble_binary(parse_bits("001110")) == parse_bits("001101")
-    assert nibble_binary(parse_bits("010101")) == parse_bits("001101")
-    assert nibble_binary(parse_bits("00011")) == parse_bits("00011")
-    assert nibble_binary(parse_bits("10")) == parse_bits("01")
+    assert nibble_binary((0, 0, 1, 1, 1, 0)) == (0, 0, 1, 1, 0, 1)
+    assert nibble_binary((0, 1, 0, 1, 0, 1)) == (0, 0, 1, 1, 0, 1)
+    assert nibble_binary((0, 0, 0, 1, 1)) == (0, 0, 0, 1, 1)
+    assert nibble_binary((1, 0)) == (0, 1)
 
 
 def test_chip_fire_examples():
-    assert chip_fire(parse_bits("110")) == parse_bits("101")
-    assert chip_fire(parse_bits("00")) == parse_bits("10")
-    assert chip_fire(parse_bits("11")) == parse_bits("10")
+    assert chip_fire((1, 1, 0)) == (1, 0, 1)
+    assert chip_fire((0, 0)) == (1, 0)
+    assert chip_fire((1, 1)) == (1, 0)
     with pytest.raises(ValueError):
         chip_fire(())
     for bad in [(0, 2, 0), (0, -1), (1, 0, 3)]:
@@ -112,12 +110,6 @@ def test_binary_domain_codec(monkeypatch):
     for make in (BinaryDomain, chip_endomap, nibble_binary_endomap):
         with pytest.raises(ValueError, match="enumeration limit"):
             make(_BINARY_HARD_LIMIT + 1)
-
-
-def test_bits_strings():
-    assert format_bits(parse_bits("01101")) == "01101"
-    with pytest.raises(ValueError):
-        parse_bits("012")
 
 
 def test_degrees_are_three_halves():

@@ -8,9 +8,7 @@ from noninv import perms
 from noninv.endo import EndoMap, compose
 from noninv.perms import (
     apply_t,
-    descents,
     from_inversion_table,
-    identity_perm,
     inversion_table,
     is_perm,
     lmax,
@@ -25,7 +23,7 @@ from noninv.perms import (
 def test_inversion_table_examples():
     assert inversion_table((4, 1, 6, 3, 5, 2)) == (1, 4, 2, 0, 1, 0)
     assert inversion_table((1, 4, 3, 5, 2, 6)) == (0, 3, 1, 0, 0, 0)
-    assert inversion_table(identity_perm(4)) == (0, 0, 0, 0)
+    assert inversion_table((1, 2, 3, 4)) == (0, 0, 0, 0)
 
 
 def test_inversion_table_round_trip_exhaustive():
@@ -47,8 +45,7 @@ def test_tail_length_examples():
     assert tail_length(()) == 0
 
 
-def test_descents_and_apply_t():
-    assert descents((4, 1, 6, 3, 5, 2)) == (1, 3, 5)
+def test_apply_t():
     assert apply_t((2, 1, 3), 1) == (1, 2, 3)
     assert apply_t((1, 2, 3), 1) == (1, 2, 3)  # ascents are left alone
     with pytest.raises(ValueError):

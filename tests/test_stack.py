@@ -9,7 +9,7 @@ import pytest
 
 from noninv import stacksort
 from noninv.endo import EndoMap, degree, iterate
-from noninv.perms import identity_perm, permutation_domain
+from noninv.perms import permutation_domain
 from noninv.stacksort import (
     a10_lower_bound_ok,
     catalan,
@@ -39,7 +39,7 @@ def test_n_minus_one_passes_sort():
         dom = permutation_domain(n)
         f = EndoMap.from_function(dom, stack_sort)
         g = iterate(f, n - 1)
-        target = dom.rank(identity_perm(n))
+        target = dom.rank(tuple(range(1, n + 1)))
         assert all(v == target for v in g.table)
 
 

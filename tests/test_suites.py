@@ -119,11 +119,8 @@ def test_verify_flags_are_suite_keywords_with_defaults_in_bounds(name):
     for flag, bounds in cli._SUITES[name].items():
         assert params[flag].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         if bounds is not None:
-            lo, hi = bounds
+            lo, hi, *force_limit = bounds
             assert lo <= params[flag].default <= hi, flag
-    # both --force refusals read only a given flag, so the defaults must lie
-    # under their limits
-    if name == "stack":
-        assert params["max_n"].default <= cli._STACK_LIMIT
-    if name == "thm7_exhaustive":
-        assert params["n"].default <= cli._PAIR_SCAN_LIMIT
+            # a force_limit is checked only on a given flag, so the default
+            # must lie at or under it
+            assert all(params[flag].default <= f for f in force_limit), flag

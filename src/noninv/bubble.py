@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 
 from .endo import EndoMap, EnumeratedDomain
-from .perms import (_PERM_HARD_LIMIT, Perm, check_perm, lmax,
+from .perms import (Perm, _check_ceiling, check_perm, lmax,
                     permutation_domain, tail_length)
 
 
@@ -77,8 +77,7 @@ def bubble_rank_table(n: int, k: int = 1) -> list[int]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > _PERM_HARD_LIMIT:
-        raise ValueError(f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
+    _check_ceiling(n)
     if k < 0:
         raise ValueError("iterate order must be nonnegative")
     table = [0]

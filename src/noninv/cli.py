@@ -22,6 +22,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from math import inf
 
 from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
 from .endo import (FiberHistogram, collisions, dec_str, fiber_sizes,
@@ -33,18 +34,11 @@ _TREE_LIMIT = 10 ** 6
 # largest tree at --k 1024 (--b 63, 902,791 vertices) takes 1.1-1.2 s and
 # 35 MB (16-18 s and 66 MB at k - 1 compositions)
 _TREE_K_LIMIT = 1024
-# the search flags as _given takes them: --n needs --force above 7.  Each
-# other maximum measured at --n 7 with the other flags at their defaults
-# (3.4 s): --k 32 takes 5.1 s, a --gamma numerator of 512 3.3 s and a
-# denominator of 2^8 3.4 s (511/256: 3.2 s)
-_SEARCH = {"n": (1, extremal._SEARCH_HARD_LIMIT, 7), "k": (1, 32)}
+# measured at search --n 7 with the other flags at their defaults (3.4 s):
+# a --gamma numerator of 512 takes 3.3 s and a denominator of 2^8 3.4 s
+# (511/256: 3.2 s)
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
-_SAMPLE_N_LIMIT = 10 ** 5
-_SAMPLE_COUNT_LIMIT = 10 ** 6
-# the eta recurrence takes O(n) big-integer steps: --n 2000 takes 0.16 s
-# on 2 cores
-_SERIES_N_LIMIT = 2000
 
 
 class CLIError(Exception):
@@ -69,28 +63,38 @@ def _bounded(value: int, flag: str, lo: int, hi: int | None = None) -> None:
         raise CLIError(f"{flag} {value} exceeds the hard limit {hi}")
 
 
-def _given(args, flags, bounds: dict, command: str) -> dict:
-    """The flags of args that were given, checked against bounds.
+def _reads(row: dict) -> dict:
+    """The flags of row, and --force if one of its sizes has a force_limit."""
+    if any(bounds is not None and len(bounds) > 2 for bounds in row.values()):
+        return {**row, "force": None}
+    return row
 
-    bounds maps each flag the command reads to (minimum, maximum[,
-    force_limit]), or to None for a flag checked elsewhere; any other given
-    flag is refused.  A size above its force_limit needs --force.
+
+def _given(args, row: dict, command: str) -> dict:
+    """The flags of args that were given, checked against row.
+
+    row maps each flag the command reads to (minimum, maximum[,
+    force_limit]), or to None for a flag the command checks itself; any
+    other given flag is refused, --force too unless _reads finds it.  A size
+    above its force_limit needs --force, which is passed on only where row
+    lists it, so no suite or library call receives it.
     """
+    reads = _reads(row)
     given = {}
-    for flag in flags:
+    for flag, option in args.options.items():
         value = getattr(args, flag)
         if value is None:
             continue
-        option = "--" + flag.replace("_", "-")
-        if flag not in bounds:
+        if flag not in reads:
             raise CLIError(f"{command} takes no {option}")
-        if bounds[flag] is not None:
-            lo, hi, *force_limit = bounds[flag]
+        if reads[flag] is not None:
+            lo, hi, *force_limit = reads[flag]
             _bounded(value, option, lo, None if force_limit else hi)
             if force_limit:
                 # only the n of a codec or enumerator carries a force_limit
                 _guard(value, force_limit[0], "n", args.force, hi)
-        given[flag] = value
+        if flag in row:
+            given[flag] = value
     return given
 
 
@@ -122,10 +126,11 @@ def _degree_payload(payload: dict, sizes, exact: Fraction | None = None,
 
 
 # system -> {flag: (minimum, maximum[, force_limit])} of each flag it reads;
-# a list flag the system parses itself maps to None.  Every n maximum is the
-# ceiling of the codec or enumerator it protects.  bubble_iter's --k costs
-# nothing past n - 1, where every pass is constant; T_b has more than b
-# vertices, so --b stops at the vertex limit.
+# a flag the command checks itself (a text list, or word_bubble's --force)
+# maps to None, and a row with a force_limit reads --force in _given.  Every
+# n maximum is the ceiling of the codec or enumerator it protects.
+# bubble_iter's --k costs nothing past n - 1, where every pass is constant;
+# T_b has more than b vertices, so --b stops at the vertex limit.
 _S_N = (1, perms._PERM_HARD_LIMIT)
 _PERM_N = (*_S_N, 8)
 _STACK_N = (*_S_N, 9)
@@ -133,7 +138,7 @@ _BINARY_N = (1, nibble._BINARY_HARD_LIMIT, 16)
 _SYSTEMS = {
     "bubble": {"n": _PERM_N},
     "bubble_iter": {"n": _PERM_N, "k": (1, None)},
-    "word_bubble": {"content": None},
+    "word_bubble": {"content": None, "force": None},  # the word-count guard
     "stack": {"n": _STACK_N},
     "nibble_perm": {"n": _PERM_N},
     "nibble_bin": {"n": _BINARY_N},
@@ -145,15 +150,12 @@ _SYSTEMS = {
 }
 
 
-def cmd_degree(args) -> tuple[dict, int]:
-    system = args.system
-    given = _given(args, ("n", "k", "b", "content", "word"), _SYSTEMS[system],
-                   f"degree {system}")
+def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
     payload: dict = {"command": "degree", "system": system}
     if "n" in _SYSTEMS[system]:
         n = payload["n"] = given.get("n", 5)
     if system in ("bubble", "bubble_iter"):
-        k = args.k if system == "bubble_iter" else 1
+        k = given.get("k") if system == "bubble_iter" else 1
         if k is None:
             raise CLIError("degree bubble_iter requires --k")
         table = bubble.bubble_rank_table(n, k)
@@ -169,7 +171,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         if len(content) < 2:
             raise CLIError("--content needs at least two letters")
         size = bubble.multinomial(content)
-        _guard(size, bubble._WORD_LIMIT, "word count", args.force,
+        _guard(size, bubble._WORD_LIMIT, "word count", given.get("force"),
                bubble._WORD_HARD_LIMIT)
         f = bubble.word_bubble_endomap(content)
         payload["content"] = list(content)
@@ -202,7 +204,7 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok, _ = _degree_payload(payload, fiber_sizes(table),
                                 solitaire.carolina_degree(n))
     elif system == "hecke":
-        gens = (_parse_ints(args.word, "--word") if args.word is not None
+        gens = (_parse_ints(given["word"], "--word") if "word" in given
                 else tuple(range(1, n)))
         try:
             word = hecke.HeckeWord(n, gens)
@@ -214,18 +216,18 @@ def cmd_degree(args) -> tuple[dict, int]:
         ok, hist = _degree_payload(payload, fiber_sizes(f.table))
         payload["image_size"] = hist.n - hist.counts.get(0, 0)
     else:  # tree
-        if args.b is None:
+        b, k = given.get("b"), given.get("k", 2)
+        if b is None:
             raise CLIError("degree tree requires --b")
-        k = given.get("k", 2)
-        size = extremal.tree_size(args.b, k)
+        size = extremal.tree_size(b, k)
         if size > _TREE_LIMIT:
             raise CLIError(
                 f"tree on {size} vertices exceeds the limit {_TREE_LIMIT}")
-        f = extremal.build_tree_map(args.b, k)
-        closed_f, closed_fk = extremal.stratified_degrees(args.b, k)
-        payload["b"] = args.b
+        f = extremal.build_tree_map(b, k)
+        closed_f, closed_fk = extremal.stratified_degrees(b, k)
+        payload["b"] = b
         payload["k"] = k
-        payload["branching"] = list(extremal.tree_branching(args.b, k))
+        payload["branching"] = list(extremal.tree_branching(b, k))
         ok, _ = _degree_payload(payload, fiber_sizes(f.table), closed_f)
         # a composition of the validated table cannot leave its range
         engine_fk = Fraction(collisions(iterate_table(f.table, k)), f.n)
@@ -242,7 +244,7 @@ def cmd_degree(args) -> tuple[dict, int]:
 
 
 # suite -> {flag: (minimum, maximum[, force_limit])} of each flag its
-# function reads as a keyword; the seed alone is unbounded (None).  Flags
+# function reads as a keyword; the seed alone is unbounded.  Flags
 # that size an S_n stop at the codec's ceiling, where each such suite took
 # 11-30 s and about 950 MB, except stack (noted).  Every other maximum was
 # measured with the suite's other flags at their defaults; its time is
@@ -257,7 +259,7 @@ _SUITES = {
     "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
     "thm5": {"max_n": (1, 50)},  # 4.3 s, 59 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
-    "thm7": {"samples": (1, 200_000), "seed": None},  # 11 s
+    "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 11 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 55 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 23 s, k: 0.6 s
     "prop1": {"k": (2, 30)},  # 8.6 s, 154 MB
@@ -265,24 +267,16 @@ _SUITES = {
 }
 
 
-def cmd_verify(args) -> tuple[dict, int]:
+def cmd_verify(suite: str, given: dict) -> tuple[dict, int]:
     # imported here, so other commands skip compiling it
     from . import suites
 
-    name = args.suite
-    if args.exhaustive:
-        if name != "thm7":
-            raise CLIError(f"verify {name} takes no --exhaustive")
-        name = "thm7_exhaustive"
-    # a flag left out keeps the suite's default; a given 0 is refused
-    given = _given(args, ("max_n", "n", "k", "m", "samples", "seed"),
-                   _SUITES[name],
-                   f"verify {args.suite}{' --exhaustive' * args.exhaustive}")
-    checks = getattr(suites, name)(**given)
+    # a flag left out keeps the suite's default
+    checks = getattr(suites, suite)(**given)
     failed = sum(1 for c in checks if not c["ok"])
     payload = {
         "command": "verify",
-        "suite": args.suite,
+        "suite": suite.removesuffix("_exhaustive"),
         "checks": checks,
         "passed": len(checks) - failed,
         "failed": failed,
@@ -295,43 +289,62 @@ def cmd_verify(args) -> tuple[dict, int]:
 # search, sample, series
 
 
-def cmd_search(args) -> tuple[dict, int]:
-    gamma = _parse_gamma(args.gamma)
-    _given(args, ("n", "k"), _SEARCH, "search ratio")
-    w = extremal.exhaustive_ratio_search(args.n, args.k, gamma)
-    payload = {"command": "search", "target": "ratio", "n": args.n}
+def cmd_search(target: str, given: dict) -> tuple[dict, int]:
+    n = given.get("n", 3)
+    w = extremal.exhaustive_ratio_search(n, given.get("k", 2),
+                                         _parse_gamma(given.get("gamma", "2")))
+    payload = {"command": "search", "target": target, "n": n}
     payload.update(w.to_json())
     payload["ratio_pow"] = frac_str(w.ratio_pow)
     return payload, 0
 
 
-def cmd_sample(args) -> tuple[dict, int]:
-    _bounded(args.n, "--n", 1, _SAMPLE_N_LIMIT)
-    _bounded(args.samples, "--count", 1, _SAMPLE_COUNT_LIMIT)
-    mean, stddev = solitaire.monte_carlo_bulgarian(args.n, args.samples,
-                                                   rng_seed=args.seed)
+def cmd_sample(system: str, given: dict) -> tuple[dict, int]:
+    n, samples = given.get("n", 1000), given.get("samples", 100)
+    seed = given.get("seed", 0)
+    mean, stddev = solitaire.monte_carlo_bulgarian(n, samples, rng_seed=seed)
     payload = {
         "command": "sample",
-        "system": "bulgarian",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
+        "system": system,
+        "n": n,
+        "samples": samples,
+        "seed": seed,
         "mean": dec_str(mean),
         "stddev": dec_str(stddev),
     }
     return payload, 0
 
 
-def cmd_series(args) -> tuple[dict, int]:
-    _bounded(args.n, "--n", 0, _SERIES_N_LIMIT)
-    coeffs = solitaire.eta_series(args.n)
+def cmd_series(name: str, given: dict) -> tuple[dict, int]:
+    n = given.get("n", 10)
     payload = {
         "command": "series",
-        "name": "eta",
-        "n": args.n,
-        "coefficients": coeffs,
+        "name": name,
+        "n": n,
+        "coefficients": solitaire.eta_series(n),
     }
     return payload, 0
+
+
+# command -> (function, help line, {target: row}), each row shaped like a
+# _SYSTEMS row and timed on 2 cores, Python 3.11.  search --n needs --force
+# above 7; the search --k maximum was measured at --n 7 with the other flags
+# at their defaults (3.4 s), and _parse_gamma checks --gamma.
+_COMMANDS = {
+    "degree": (cmd_degree, "exact degree of one system", _SYSTEMS),
+    "verify": (cmd_verify, "run a formula-vs-oracle suite", _SUITES),
+    "search": (cmd_search, "maximize an iterate ratio", {"ratio": {
+        "n": (1, extremal._SEARCH_HARD_LIMIT, 7),
+        "k": (1, 32),  # 5.1 s
+        "gamma": None,
+    }}),
+    "sample": (cmd_sample, "seeded partition experiment", {"bulgarian": {
+        "n": (1, 10 ** 5), "samples": (1, 10 ** 6), "seed": (-inf, inf),
+    }}),
+    # the eta recurrence takes O(n) big-integer steps: --n 2000 takes 0.16 s
+    "series": (cmd_series, "composition count series",
+               {"eta": {"n": (0, 2000)}}),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -401,76 +414,42 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="noninv",
         description="Exact degree of noninvertibility of finite dynamical systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (fn, help_line, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        # verify thm7 --exhaustive runs the row thm7_exhaustive
+        p.add_argument("target", choices=sorted(
+            t for t in rows if not t.endswith("_exhaustive")))
+        options = {}
+        for flag, bounds in {flag: bounds for row in rows.values()
+                             for flag, bounds in _reads(row).items()}.items():
+            names = ["--" + flag.replace("_", "-")]
+            if (command, flag) == ("sample", "samples"):
+                names.append("--count")  # the name its refusals give
+            if flag == "force":
+                p.add_argument(*names, action="store_const", const=True)
+            else:
+                p.add_argument(*names, type=str if bounds is None else int)
+            options[flag] = names[-1]
+        if command == "verify":
+            p.add_argument("--exhaustive", action="store_true")
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="json")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the timestamp field for byte-stable output")
-
-    p_degree = sub.add_parser("degree", help="exact degree of one system")
-    p_degree.add_argument("system", choices=tuple(_SYSTEMS))
-    p_degree.add_argument("--n", type=int, default=None)
-    p_degree.add_argument("--k", type=int, default=None,
-                          help="iterate order (bubble_iter, tree)")
-    p_degree.add_argument("--b", type=int, default=None,
-                          help="tree branching parameter")
-    p_degree.add_argument("--content", type=str, default=None,
-                          help="word content a1,a2,...")
-    p_degree.add_argument("--word", type=str, default=None,
-                          help="sorting-operator word i1,i2,...")
-    p_degree.add_argument("--force", action="store_true")
-    common(p_degree)
-    p_degree.set_defaults(fn=cmd_degree)
-
-    p_verify = sub.add_parser("verify", help="run a formula-vs-oracle suite")
-    p_verify.add_argument("suite",
-                          choices=sorted(set(_SUITES) - {"thm7_exhaustive"}))
-    p_verify.add_argument("--n", type=int, default=None)
-    p_verify.add_argument("--k", type=int, default=None)
-    p_verify.add_argument("--m", type=int, default=None,
-                          help="highest moment order")
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--exhaustive", action="store_true")
-    p_verify.add_argument("--force", action="store_true")
-    common(p_verify)
-    p_verify.set_defaults(fn=cmd_verify)
-
-    p_search = sub.add_parser("search", help="maximize an iterate ratio")
-    p_search.add_argument("target", choices=("ratio",))
-    p_search.add_argument("--n", type=int, default=3)
-    p_search.add_argument("--k", type=int, default=2)
-    p_search.add_argument("--gamma", type=str, default="2",
-                          help="dyadic exponent, e.g. 2 or 3/2")
-    p_search.add_argument("--force", action="store_true")
-    common(p_search)
-    p_search.set_defaults(fn=cmd_search)
-
-    p_sample = sub.add_parser("sample", help="seeded partition experiment")
-    p_sample.add_argument("system", choices=("bulgarian",))
-    p_sample.add_argument("--n", type=int, default=1000)
-    p_sample.add_argument("--samples", "--count", dest="samples", type=int,
-                          default=100)
-    p_sample.add_argument("--seed", type=int, default=0)
-    common(p_sample)
-    p_sample.set_defaults(fn=cmd_sample)
-
-    p_series = sub.add_parser("series", help="composition count series")
-    p_series.add_argument("name", choices=("eta",))
-    p_series.add_argument("--n", type=int, default=10)
-    common(p_series)
-    p_series.set_defaults(fn=cmd_series)
-
+        p.set_defaults(fn=fn, rows=rows, options=options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    target, name = args.target, f"{args.command} {args.target}"
     try:
-        payload, code = args.fn(args)
+        if getattr(args, "exhaustive", False):
+            target += "_exhaustive"
+            if target not in args.rows:
+                raise CLIError(f"{name} takes no --exhaustive")
+            name += " --exhaustive"
+        payload, code = args.fn(target, _given(args, args.rows[target], name))
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

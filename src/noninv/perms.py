@@ -108,6 +108,13 @@ def perm_unrank(r: int, n: int) -> Perm:
 _PERM_HARD_LIMIT = 10
 
 
+def _check_ceiling(n: int) -> None:
+    """Refuse an S_n above _PERM_HARD_LIMIT before anything is enumerated."""
+    if n > _PERM_HARD_LIMIT:
+        raise ValueError(
+            f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
+
+
 def _rank_order(n: int) -> list[Perm]:
     """S_n in inversion-table rank order.
 
@@ -127,9 +134,7 @@ class PermutationDomain(EnumeratedDomain):
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("n must be nonnegative")
-        if n > _PERM_HARD_LIMIT:
-            raise ValueError(
-                f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
+        _check_ceiling(n)
         self.n = n
         super().__init__(_rank_order(n))
 

@@ -40,7 +40,7 @@ from itertools import chain, combinations, product, repeat, starmap
 from operator import add
 
 from .endo import square_sum
-from .perms import _PERM_HARD_LIMIT, Perm, check_perm
+from .perms import Perm, _check_ceiling, check_perm
 
 
 def stack_sort(seq) -> tuple:
@@ -122,9 +122,7 @@ def stack_fibers(n: int) -> Counter:
     """Fiber sizes of stack sorting on S_n, keyed by image permutation."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _PERM_HARD_LIMIT:
-        raise ValueError(
-            f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
+    _check_ceiling(n)
     levels = [[b""]]
     for m in range(1, n - 1):
         levels.append(list(_stack_images(levels, m)))

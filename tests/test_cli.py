@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -289,6 +291,27 @@ def _stub_search(n, k, gamma):
     return extremal.RatioWitness(EndoMap.from_table([0] * n), k, 2, 0, 1, 1)
 
 
+def _stub_suite(real):
+    """A suite that checks its keywords against real's and runs nothing."""
+    def stub(**sizes):
+        inspect.signature(real).bind(**sizes)  # TypeError on a stray keyword
+        return []
+    return stub
+
+
+# sample and series have no --force; where a row reads it, it runs for real
+# (test_force_is_refused_where_no_row_reads_it covers degree and verify)
+_FORCE = [
+    (("sample", "bulgarian", "--force"), 2),
+    (("series", "eta", "--force"), 2),
+    (("degree", "word_bubble", "--content", "2,1", "--force"), 0),
+    (("degree", "bubble", "--n", "5", "--force"), 0),
+    (("search", "ratio", "--n", "3", "--force"), 0),
+    (("verify", "stack", "--max-n", "3", "--force"), 0),
+    (("verify", "thm7", "--exhaustive", "--n", "2", "--force"), 0),
+]
+
+
 @pytest.mark.parametrize("argv, want", [
     (("sample", "bulgarian", "--n", "0"), 2),
     (("sample", "bulgarian", "--n", "-5"), 2),
@@ -378,6 +401,7 @@ def _stub_search(n, k, gamma):
     # later rows carry explicit ids, which do not shift when a row goes
     *(pytest.param(argv, 2, id=" ".join(argv))
       for argv in _UNREAD + _DEGREE_REFUSED),
+    *(pytest.param(argv, want, id=" ".join(argv)) for argv, want in _FORCE),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
     # refused input must exit 2 before any map, sampler or series starts;
@@ -387,7 +411,8 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
             monkeypatch.setattr(module, name, _refuse)
     elif argv in _VERIFY_MAX:
         suite = "thm7_exhaustive" if "--exhaustive" in argv else argv[1]
-        monkeypatch.setattr(suites, suite, lambda **sizes: [])
+        monkeypatch.setattr(suites, suite,
+                            _stub_suite(getattr(suites, suite)))
     elif argv in _SEARCH_MAX:
         monkeypatch.setattr(extremal, "exhaustive_ratio_search", _stub_search)
     elif "100000" in argv:
@@ -413,6 +438,60 @@ def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
 def test_refusal_names_the_flag(capsys, argv, err):
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def _parser_of(command):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _reads_force(row):
+    return "force" in row or any(
+        bounds is not None and len(bounds) == 3 for bounds in row.values())
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_parser_is_built_from_the_rows(command):
+    # a flag added to a row must reach the parser, and the parser may offer
+    # no option that no row reads
+    _, _, rows = cli._COMMANDS[command]
+    actions = _parser_of(command)._actions
+    flags = {flag for row in rows.values() for flag in row} - {"force"}
+    want = {"--" + flag.replace("_", "-") for flag in flags}
+    want |= {"--format", "--no-timestamp"}
+    if any(_reads_force(row) for row in rows.values()):
+        want.add("--force")
+    if command == "verify":
+        want.add("--exhaustive")
+    if command == "sample":
+        want.add("--count")
+    options = {o for a in actions for o in a.option_strings}
+    assert options - {"-h", "--help"} == want
+    assert ("--force" in options) == (command in ("degree", "verify", "search"))
+    for action in actions:
+        if action.type is not None:
+            text = action.dest in ("content", "word", "gamma")
+            assert action.type is (str if text else int), action.dest
+    (target,) = [a for a in actions if not a.option_strings]
+    assert target.choices == sorted(set(rows) - {"thm7_exhaustive"})
+
+
+@pytest.mark.parametrize("command", ["degree", "verify"])
+def test_force_is_refused_where_no_row_reads_it(capsys, monkeypatch,
+                                                 command):
+    for module, name in _WORK:
+        monkeypatch.setattr(module, name, _refuse)
+    _, _, rows = cli._COMMANDS[command]
+    refused = [t for t, row in rows.items() if not _reads_force(row)]
+    # degree tree, and every suite but stack and thm7 --exhaustive
+    assert len(refused) == {"degree": 1, "verify": 12}[command]
+    for target in refused:
+        argv = [command, target, "--force"]
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == \
+            f"error: {command} {target} takes no --force\n"
 
 
 def test_degree_default_n_needs_no_force():

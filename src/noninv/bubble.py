@@ -51,7 +51,8 @@ def bubble_sort(seq) -> tuple:
 
 
 def bubble_sort_recursive(pi: Perm) -> Perm:
-    """Reference recursion B(L n R) = B(L) R n; permutations only."""
+    """Reference recursion B(L n R) = B(L) R n, permutations only: the
+    oracle of test_sweep_matches_recursion."""
     return _bubble_rec(check_perm(pi))
 
 

@@ -265,36 +265,23 @@ class RatioWitness:
 
     map: EndoMap
     k: int
-    gamma_num: int
-    gamma_log2_den: int
-    ratio_num: int
-    ratio_den: int
-
-    @property
-    def gamma(self) -> Fraction:
-        return Fraction(self.gamma_num, 1 << self.gamma_log2_den)
-
-    @property
-    def ratio_pow(self) -> Fraction:
-        """(deg(f^k)/deg(f)^gamma) ** 2^m as an exact rational."""
-        return Fraction(self.ratio_num, self.ratio_den)
-
-    @property
-    def ratio_decimal(self) -> float:
-        return float(self.ratio_pow) ** (1.0 / (1 << self.gamma_log2_den))
+    gamma: Fraction  # dyadic, a/2^m
+    ratio_pow: Fraction  # (deg(f^k)/deg(f)^gamma) ** 2^m
 
     def recompute(self) -> bool:
         pair = _collision_pair(self.map.table, self.k)
-        return Fraction(*_ratio_terms(self.map.n, *pair, self.gamma_num,
-                                      self.gamma_log2_den)) == self.ratio_pow
+        terms = _ratio_terms(self.map.n, *pair, *_normalize_gamma(self.gamma))
+        return Fraction(*terms) == self.ratio_pow
 
     def to_json(self) -> dict:
+        ratio = self.ratio_pow
         return {
             "map": {"n": self.map.n, "table": list(self.map.table)},
             "k": self.k,
-            "gamma": [self.gamma_num, self.gamma_log2_den],
-            "ratio_pow": [self.ratio_num, self.ratio_den],
-            "ratio_decimal": format(self.ratio_decimal, ".12g"),
+            "gamma": list(_normalize_gamma(self.gamma)),
+            "ratio_pow": [ratio.numerator, ratio.denominator],
+            "ratio_decimal": format(
+                float(ratio) ** (1.0 / self.gamma.denominator), ".12g"),
         }
 
 
@@ -325,5 +312,4 @@ def exhaustive_ratio_search(n: int, k: int, gamma) -> RatioWitness:
     ratios = {pair: Fraction(*_ratio_terms(n, *pair, a, m)) for pair in first}
     best = max(ratios.values())
     table = min(first[pair] for pair, r in ratios.items() if r == best)
-    return RatioWitness(EndoMap.from_table(table), k, a, m,
-                        best.numerator, best.denominator)
+    return RatioWitness(EndoMap.from_table(table), k, Fraction(a, 1 << m), best)

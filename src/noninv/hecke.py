@@ -96,16 +96,10 @@ def updown_count(n: int) -> int:
 class ScanReport:
     """Outcome of an exhaustive or sampled scan over operator words."""
 
-    n: int
-    max_word_length: int
-    words_scanned: int = 0
     eventually_constant_words: int = 0
     distinct_operators: int = 0
     violations: list = field(default_factory=list)
     min_degree: Fraction | None = None
-    max_degree: Fraction | None = None
-    min_witness: tuple[int, ...] | None = None
-    max_witness: tuple[int, ...] | None = None
     bubble_degree: Fraction | None = None
     tla_degree: Fraction | None = None
     # whether some scanned operator realizes each conjectured endpoint
@@ -137,10 +131,9 @@ def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
     def table_degree(table) -> Fraction:
         return Fraction(collisions(table), len(table))
 
-    report = ScanReport(n=n, max_word_length=max_word_length)
     lo = table_degree(table_of(bubble_word(n).gens))
     hi = table_degree(table_of(t_tla_word(n).gens))
-    report.bubble_degree, report.tla_degree = lo, hi
+    report = ScanReport(bubble_degree=lo, tla_degree=hi)
 
     def words():
         yield bubble_word(n).gens
@@ -150,7 +143,6 @@ def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
 
     seen: set[tuple[int, ...]] = set()
     for gens in words():
-        report.words_scanned += 1
         if not set(gens) >= set(range(1, n)):
             continue
         report.eventually_constant_words += 1
@@ -160,9 +152,7 @@ def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
         seen.add(table)
         d = table_degree(table)
         if report.min_degree is None or d < report.min_degree:
-            report.min_degree, report.min_witness = d, gens
-        if report.max_degree is None or d > report.max_degree:
-            report.max_degree, report.max_witness = d, gens
+            report.min_degree = d
         if d == lo:
             report.lower_attained = True
         if d == hi:

@@ -21,7 +21,7 @@ import warnings
 from array import array
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .endo import DomainCodec, EndoMap, degree
 from .perms import Perm, _t, check_perm, permutation_domain
@@ -71,15 +71,20 @@ def nibble_degree_limit() -> float:
 _BINARY_HARD_LIMIT = 24
 
 
+def _check_length(n: int) -> None:
+    """Refuse words longer than _BINARY_HARD_LIMIT before anything is built."""
+    if n > _BINARY_HARD_LIMIT:
+        raise ValueError(f"words of length {n} exceed the enumeration "
+                         f"limit n <= {_BINARY_HARD_LIMIT}")
+
+
 class BinaryDomain(DomainCodec):
     """All binary words of a fixed length, ranked as big-endian integers."""
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("length must be >= 0")
-        if n > _BINARY_HARD_LIMIT:
-            raise ValueError(f"words of length {n} exceed the enumeration "
-                             f"limit n <= {_BINARY_HARD_LIMIT}")
+        _check_length(n)
         self.n = n
 
     @property
@@ -112,52 +117,38 @@ def nibble_binary(word: Sequence[int]) -> Bits:
     return w
 
 
-def chip_fire(word: Sequence[int],
-              pick: Callable[[list[int]], int] | None = None) -> Bits:
+def chip_fire(word: Sequence[int]) -> Bits:
     """Add a chip at the left end and stabilize the path configuration.
 
     A site holding >= 2 chips fires, sending one chip to each neighbor;
-    chips leaving either end of the path disappear.  ``pick`` chooses which
-    unstable site fires next; stabilization is abelian, so any choice gives
-    the same stable word.  The default fires in worklist order.
+    chips leaving either end of the path disappear.  Sites fire in worklist
+    order; stabilization is abelian, so any order gives the same stable word.
     """
     chips = list(word)
     if not chips:
         raise ValueError("configuration must have length >= 1")
     if any(b not in (0, 1) for b in chips):
         raise ValueError("configuration must be a 0/1 word")
-    return _chip_fire(chips, pick)
+    return _chip_fire(chips)
 
 
-def _chip_fire(chips: list[int],
-               pick: Callable[[list[int]], int] | None = None) -> Bits:
+def _chip_fire(chips: list[int]) -> Bits:
     # chip_fire on a nonempty 0/1 list, which it modifies
     n = len(chips)
     chips[0] += 1
-
-    def fire(i: int) -> None:
+    work = deque(i for i in range(n) if chips[i] >= 2)
+    while work:
+        i = work.popleft()
+        if chips[i] < 2:
+            continue
         chips[i] -= 2
         if i > 0:
             chips[i - 1] += 1
         if i + 1 < n:
             chips[i + 1] += 1
-
-    if pick is None:
-        work = deque(i for i in range(n) if chips[i] >= 2)
-        while work:
-            i = work.popleft()
-            if chips[i] < 2:
-                continue
-            fire(i)
-            for j in (i - 1, i, i + 1):
-                if 0 <= j < n and chips[j] >= 2:
-                    work.append(j)
-    else:
-        while True:
-            unstable = [i for i in range(n) if chips[i] >= 2]
-            if not unstable:
-                break
-            fire(pick(unstable))
+        for j in (i - 1, i, i + 1):
+            if 0 <= j < n and chips[j] >= 2:
+                work.append(j)
     return tuple(chips)
 
 
@@ -185,7 +176,10 @@ def nibble_rank_table(n: int) -> array:
     then b up, then the fixed word) the table is a concatenation of ranges.
     Equals ``nibble_binary_endomap(n).table``.
     """
-    _check_rank_length(n)
+    if n < 1:
+        raise ValueError(f"words of length {n} are outside the tabulation "
+                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
+    _check_length(n)
     table = array("I", [0])
     for a in range(n - 1, -1, -1):
         for b in range(1, n - a):
@@ -213,7 +207,10 @@ def chip_rank_table(n: int) -> array:
     shifts by a constant, so the table is a concatenation of ranges.
     Equals ``chip_endomap(n).table``.
     """
-    _check_rank_length(n)
+    if n < 1:
+        raise ValueError(f"words of length {n} are outside the tabulation "
+                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
+    _check_length(n)
     size = 1 << n
     table = array("I", range(size >> 1, size))
     for k in range(1, n):
@@ -223,14 +220,8 @@ def chip_rank_table(n: int) -> array:
     return table
 
 
-def _check_rank_length(n: int) -> None:
-    if not 1 <= n <= _BINARY_HARD_LIMIT:
-        raise ValueError(f"words of length {n} are outside the tabulation "
-                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
-
-
 def _check_binary_map(map_id: str, n: int) -> None:
-    # warns on behalf of the caller of binary_endomap or binary_rank_table
+    # warns on behalf of the caller of binary_degree or binary_rank_table
     if map_id not in ("nib", "chi"):
         raise ValueError(f"unknown binary map {map_id!r}; use 'nib' or 'chi'")
     if n < 2:
@@ -238,25 +229,18 @@ def _check_binary_map(map_id: str, n: int) -> None:
                       stacklevel=3)
 
 
-def binary_endomap(map_id: str, n: int) -> EndoMap:
-    """A binary map ('nib' or 'chi') on words of length n, tabulated.
-
-    The degree-3/2 theorems assume n >= 2; smaller n is tabulated anyway but
-    flagged with a warning as outside theorem scope.
-    """
-    _check_binary_map(map_id, n)
-    return nibble_binary_endomap(n) if map_id == "nib" else chip_endomap(n)
-
-
 def binary_rank_table(map_id: str, n: int) -> array:
-    """The table of ``binary_endomap(map_id, n)``, from its rank kernel."""
+    """The table of a binary map ('nib' or 'chi'), from its rank kernel."""
     _check_binary_map(map_id, n)
     return nibble_rank_table(n) if map_id == "nib" else chip_rank_table(n)
 
 
 def binary_degree(map_id: str, n: int) -> Fraction:
-    """Brute-force degree of binary_endomap(map_id, n)."""
-    return degree(binary_endomap(map_id, n))
+    """Brute-force degree of a binary map ('nib' or 'chi') on {0,1}^n; n < 2
+    is outside the degree-3/2 theorems' scope, tabulated with a warning."""
+    _check_binary_map(map_id, n)
+    return degree(nibble_binary_endomap(n) if map_id == "nib"
+                  else chip_endomap(n))
 
 
 def expected_binary_histogram(n: int) -> dict[int, int]:

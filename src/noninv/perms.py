@@ -84,6 +84,9 @@ def reverse_complement(pi: Perm) -> Perm:
 
 
 def perm_rank(pi: Perm) -> int:
+    """Rank from the inversion table: with perm_unrank, the oracle of
+    test_rank_unrank_round_trip, test_rank_round_trip_property and
+    test_domain_agrees_with_arithmetic_rank."""
     n = len(pi)
     e = inversion_table(pi)
     r = 0
@@ -93,6 +96,7 @@ def perm_rank(pi: Perm) -> int:
 
 
 def perm_unrank(r: int, n: int) -> Perm:
+    """Inverse of perm_rank, the oracle of the same three tests."""
     if not 0 <= r < factorial(n):
         raise ValueError(f"rank {r} out of range for S_{n}")
     e = []

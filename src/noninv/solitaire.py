@@ -166,14 +166,6 @@ def _rank(lam: Partition) -> int:
     return lam[0] - len(lam)
 
 
-def conjugate(lam: Sequence[int]) -> Partition:
-    """Transpose the Young diagram."""
-    lam = check_partition(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= i) for i in range(1, lam[0] + 1))
-
-
 def bulgarian_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(partition_domain(n), _bulgarian)
 
@@ -336,15 +328,20 @@ def check_composition(c: Sequence[int]) -> Composition:
 _COMPOSITION_HARD_LIMIT = 24
 
 
+def _check_composition_size(n: int) -> None:
+    """Refuse a Comp(n) above _COMPOSITION_HARD_LIMIT before it is built."""
+    if n > _COMPOSITION_HARD_LIMIT:
+        raise ValueError(f"Comp({n}) exceeds the enumeration limit "
+                         f"n <= {_COMPOSITION_HARD_LIMIT}")
+
+
 class CompositionDomain(DomainCodec):
     """Comp(n) ranked by the bitmask of cut positions between units."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("compositions of n need n >= 1")
-        if n > _COMPOSITION_HARD_LIMIT:
-            raise ValueError(f"Comp({n}) exceeds the enumeration limit "
-                             f"n <= {_COMPOSITION_HARD_LIMIT}")
+        _check_composition_size(n)
         self.n = n
 
     @property
@@ -454,9 +451,10 @@ def carolina_rank_table(n: int) -> array:
     Each level is three C-level passes over the one before, and the table
     takes 4 bytes per entry.  Equals ``carolina_endomap(n).table``.
     """
-    if not 1 <= n <= _COMPOSITION_HARD_LIMIT:
+    if n < 1:
         raise ValueError(f"Comp({n}) is outside the tabulation range "
                          f"1 <= n <= {_COMPOSITION_HARD_LIMIT}")
+    _check_composition_size(n)
     table = array("I", [0] if n == 1 else [1, 0])
     for m in range(3, n + 1):
         prev, q = table, 1 << (m - 3)

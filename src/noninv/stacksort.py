@@ -70,7 +70,8 @@ def _stack_rec(seq: tuple) -> tuple:
 
 
 def stack_sort_recursive(pi: Perm) -> Perm:
-    """Reference implementation via the recursion s(L m R) = s(L) s(R) m."""
+    """Reference recursion s(L m R) = s(L) s(R) m: the oracle of
+    test_recursion_matches_stack_pass."""
     return _stack_rec(check_perm(pi))
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -222,8 +223,7 @@ _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (hecke, "hecke_endomap"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
-         (stacksort, "stack_fibers"), (nibble, "binary_endomap"),
-         (nibble, "nibble_endomap"),
+         (stacksort, "stack_fibers"), (nibble, "nibble_endomap"),
          (nibble, "chip_rank_table"), (nibble, "nibble_rank_table"),
          (solitaire, "bulgarian_endomap"), (solitaire, "bulgarian_fibers"),
          (solitaire, "carolina_endomap"),
@@ -288,7 +288,8 @@ _SEARCH_MAX = [
 
 
 def _stub_search(n, k, gamma):
-    return extremal.RatioWitness(EndoMap.from_table([0] * n), k, 2, 0, 1, 1)
+    return extremal.RatioWitness(EndoMap.from_table([0] * n), k,
+                                 Fraction(2), Fraction(1))
 
 
 def _stub_suite(real):

@@ -147,6 +147,23 @@ def test_chip_two_preimage_characterization():
         assert len(observed) == 2 ** (n - 2)
 
 
+def _stabilize_in_random_order(word, rng):
+    """Chip-firing by its definition: add a chip at the left end, then fire
+    an unstable site chosen by rng until every site holds at most one."""
+    chips = [word[0] + 1, *word[1:]]
+    n = len(chips)
+    while True:
+        unstable = [i for i in range(n) if chips[i] >= 2]
+        if not unstable:
+            return tuple(chips)
+        i = rng.choice(unstable)
+        chips[i] -= 2
+        if i > 0:
+            chips[i - 1] += 1
+        if i + 1 < n:
+            chips[i + 1] += 1
+
+
 def test_stabilization_is_abelian():
     rng = random.Random(7)
     for _ in range(60):
@@ -154,7 +171,7 @@ def test_stabilization_is_abelian():
         w = tuple(rng.randrange(2) for _ in range(n))
         baseline = chip_fire(w)
         for _ in range(5):
-            assert chip_fire(w, pick=rng.choice) == baseline
+            assert _stabilize_in_random_order(w, rng) == baseline
 
 
 def test_binary_degree_guards(monkeypatch):
@@ -183,9 +200,21 @@ def _no_array(*args):
 def test_rank_kernels_refuse_sizes_before_allocating(monkeypatch):
     monkeypatch.setattr(nibble_module, "array", _no_array)
     for kernel in (nibble_rank_table, chip_rank_table):
-        for n in (0, _BINARY_HARD_LIMIT + 1):
-            with pytest.raises(ValueError, match="tabulation range"):
-                kernel(n)
+        with pytest.raises(ValueError, match="tabulation range"):
+            kernel(0)
+        with pytest.raises(ValueError, match="enumeration limit"):
+            kernel(_BINARY_HARD_LIMIT + 1)
+
+
+def test_codec_and_kernels_refuse_length_25_alike(monkeypatch):
+    monkeypatch.setattr(nibble_module, "array", _no_array)
+    monkeypatch.setattr(BinaryDomain, "objects", _no_enumeration)
+    messages = set()
+    for make in (BinaryDomain, chip_rank_table, nibble_rank_table):
+        with pytest.raises(ValueError) as refused:
+            make(_BINARY_HARD_LIMIT + 1)
+        messages.add(str(refused.value))
+    assert messages == {"words of length 25 exceed the enumeration limit n <= 24"}
 
 
 def test_binary_rank_table_dispatch():
@@ -195,3 +224,10 @@ def test_binary_rank_table_dispatch():
         binary_rank_table("bogus", 3)
     with pytest.warns(UserWarning, match="theorem scope"):
         assert list(binary_rank_table("chi", 1)) == [1, 0]
+
+
+def test_scope_warning_points_at_the_caller():
+    for call in (binary_degree, binary_rank_table):
+        with pytest.warns(UserWarning, match="theorem scope") as record:
+            call("chi", 1)
+        assert [w.filename for w in record] == [__file__]

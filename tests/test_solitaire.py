@@ -25,7 +25,6 @@ from noninv.solitaire import (
     carolina_preimages,
     carolina_rank_table,
     check_partition,
-    conjugate,
     eta_series,
     max_preimage_bound,
     monte_carlo_bulgarian,
@@ -117,10 +116,6 @@ def test_image_is_rank_at_least_minus_one():
 
 def test_rank_and_conjugate():
     assert partition_rank((7, 5, 2, 2)) == 3
-    assert conjugate((3, 1)) == (2, 1, 1)
-    for lam in partitions_desc(9):
-        assert conjugate(conjugate(lam)) == lam
-        assert partition_rank(conjugate(lam)) == -partition_rank(lam)
 
 
 def test_rank_count_symmetry():
@@ -360,14 +355,26 @@ def test_carolina_rank_table_matches_object_map():
         assert list(carolina_rank_table(n)) == list(carolina_endomap(n).table)
 
 
-def test_carolina_rank_table_refuses_before_allocating(monkeypatch):
-    def no_array(*args):
-        raise AssertionError("allocated a table above the ceiling")
+def _no_array(*args):
+    raise AssertionError("allocated a table above the ceiling")
 
-    monkeypatch.setattr(solitaire, "array", no_array)
-    for n in (0, solitaire._COMPOSITION_HARD_LIMIT + 1):
-        with pytest.raises(ValueError, match="tabulation range"):
-            carolina_rank_table(n)
+
+def test_carolina_rank_table_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(solitaire, "array", _no_array)
+    with pytest.raises(ValueError, match="tabulation range"):
+        carolina_rank_table(0)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        carolina_rank_table(solitaire._COMPOSITION_HARD_LIMIT + 1)
+
+
+def test_codec_and_kernel_refuse_comp_25_alike(monkeypatch):
+    monkeypatch.setattr(solitaire, "array", _no_array)
+    messages = set()
+    for make in (CompositionDomain, carolina_rank_table):
+        with pytest.raises(ValueError) as refused:
+            make(solitaire._COMPOSITION_HARD_LIMIT + 1)
+        messages.add(str(refused.value))
+    assert messages == {"Comp(25) exceeds the enumeration limit n <= 24"}
 
 
 def test_eta_series_prefix():

@@ -257,7 +257,7 @@ _SUITES = {
     "thm4": {"max_n": _S_N},
     "binary32": {"max_n": (2, 20)},  # 23 s
     "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
-    "thm5": {"max_n": (1, 50)},  # 4.3 s, 59 MB
+    "thm5": {"max_n": (1, 50)},  # 4.0-4.9 s, 42 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 11 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 55 s

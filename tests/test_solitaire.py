@@ -151,7 +151,7 @@ def test_bulgarian_degree(monkeypatch):
 
 def test_sampler_uniformity_small():
     sampler = PartitionSampler(4)
-    assert sampler.total == 5
+    assert sampler.p[sampler.n] == 5
     rng = random.Random(11)
     draws = Counter(sampler.sample(rng) for _ in range(10000))
     assert set(draws) == set(partitions_desc(4))
@@ -256,15 +256,17 @@ def test_sampler_every_rng_outcome_is_uniform():
         for lam, weight in _every_leaf(sampler):
             mass[lam] += weight
             leaves += 1
-        assert dict(mass) == {lam: Fraction(1, sampler.total)
+        assert dict(mass) == {lam: Fraction(1, sampler.p[sampler.n])
                               for lam in partitions_desc(n)}
     assert leaves == 45060  # at n = 6
 
 
 def test_sampler_total_is_partition_count():
     for n in range(1, 31):
-        assert PartitionSampler(n).total == len(list(partitions_desc(n)))
-    assert PartitionSampler(1000).total == 24061467864032622473692149727991
+        sampler = PartitionSampler(n)
+        assert sampler.p[sampler.n] == len(list(partitions_desc(n)))
+    sampler = PartitionSampler(1000)
+    assert sampler.p[sampler.n] == 24061467864032622473692149727991
 
 
 def test_random_partition_deterministic():
@@ -457,11 +459,19 @@ def test_bulgarian_image_defects_certify_and_catch():
     single = next(lam for lam, c in fibers.items() if c == 1)
     dropped = fibers.copy()
     del dropped[single]
-    assert bulgarian_image_defects(10, dropped + Counter([(1,) * 10])) == (1, 1)
+    injected = dropped + Counter([bytes((1,) * 10)])
+    assert bulgarian_image_defects(10, injected) == (1, 1)
     assert bulgarian_image_defects(10, dropped) == (0, 1)
 
 
 def test_bulgarian_fibers_match_the_table():
     for n in range(1, 31):
         f = bulgarian_endomap(n)
-        assert bulgarian_fibers(n) == Counter(map(f.codec.unrank, f.table)), n
+        fibers = bulgarian_fibers(n)
+        assert fibers == Counter(map(bytes, map(f.codec.unrank, f.table))), n
+        assert all(type(image) is bytes for image in fibers)
+
+
+def test_partition_ceiling_fits_one_byte_per_part():
+    # bulgarian_fibers keys each image by one byte per part
+    assert solitaire._PARTITION_HARD_LIMIT < 256

@@ -289,6 +289,82 @@ def iterate_table(table, k: int) -> tuple[int, ...] | array:
     return out
 
 
+# ---------------------------------------------------------------------------
+# lane kernels: many small tables per big-integer operation
+#
+# T tables of n points are packed into n Python ints, the columns: byte t of
+# column x is entry x of table t, so one big-integer operation acts on all T
+# tables at once ("SIMD within a register", Knuth, TAOCP 4A, 7.1.3).  With
+# ONES = 0x01 in every byte, LOW = 0x7F * ONES and HIGH = 0x80 * ONES,
+#     ((a ^ b) + LOW) & HIGH
+# has bit 7 set in exactly the bytes where columns a and b differ; entries
+# are below 128, so the addition never carries into the next byte.  The
+# kernels take the entries as they are, without a range check, and refuse
+# n > 23: a byte then counts the n(n-1)/2 <= 253 colliding pairs of a table.
+# collisions, compose_tables and iterate_table are their per-table oracles.
+
+_LANE_MAX_N = 23
+
+
+def _lane_masks(n: int, lanes: int) -> tuple[int, int, int]:
+    """ONES, LOW and HIGH for `lanes` tables of n points."""
+    if n > _LANE_MAX_N:
+        raise ValueError(f"lane kernels take n <= {_LANE_MAX_N} points, got {n}")
+    ones = int.from_bytes(b"\x01" * lanes, "little")
+    return ones, 0x7F * ones, 0x80 * ones
+
+
+def lane_columns(data: bytes, n: int, stride: int, offset: int = 0) -> list[int]:
+    """The n columns of the tables of n points at offset, offset + stride,
+    ... in data, one byte per entry; column x is entry x of every table."""
+    return [int.from_bytes(data[offset + x::stride], "little") for x in range(n)]
+
+
+def lane_collisions(cols: list[int], lanes: int) -> list[int]:
+    """collisions of each of the `lanes` tables packed in cols.
+
+    S(t) = n^2 - 2 #{x < x' : t[x] != t[x']}; each pair of columns adds 1 to
+    the bytes where the two differ.
+    """
+    n = len(cols)
+    _, low, high = _lane_masks(n, lanes)
+    unequal = 0
+    for i, a in enumerate(cols):
+        for b in cols[i + 1:]:
+            unequal += (((a ^ b) + low) & high) >> 7
+    return [n * n - 2 * c for c in unequal.to_bytes(lanes, "little")]
+
+
+def lane_compose(fcols: list[int], gcols: list[int], lanes: int) -> list[int]:
+    """Columns of f after g in every lane: column x of f o g is f's column y
+    in the bytes where g's column x holds y, for each y < n."""
+    ones, low, high = _lane_masks(len(fcols), lanes)
+    keys = [y * ones for y in range(len(fcols))]
+    out = []
+    for gx in gcols:
+        col = 0
+        for fy, key in zip(fcols, keys):
+            # 0x80 in the bytes where gx holds y, then 0x7F there, which
+            # keeps every entry below 128
+            equal = ~((gx ^ key) + low) & high
+            col |= fy & (equal - (equal >> 7))
+        out.append(col)
+    return out
+
+
+def lane_iterate(cols: list[int], k: int, lanes: int) -> list[int]:
+    """Columns of the k-th iterate in every lane, k >= 1, by repeated
+    squaring as iterate_table takes it."""
+    if k < 1:
+        raise ValueError("lane iterate order must be >= 1")
+    out = cols
+    for bit in bin(k)[3:]:
+        out = lane_compose(out, out, lanes)
+        if bit == "1":
+            out = lane_compose(cols, out, lanes)
+    return out
+
+
 def compose(f: EndoMap, g: EndoMap) -> EndoMap:
     """The composite f after g (first g, then f)."""
     if f.n != g.n:

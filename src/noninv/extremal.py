@@ -23,11 +23,14 @@ import itertools
 import math
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from operator import eq, le, mul
 
-from .endo import EndoMap, collisions, compose_tables, degree, iterate_table
+from .endo import (EndoMap, collisions, compose_tables, degree, iterate_table,
+                   lane_collisions, lane_columns, lane_compose, lane_iterate)
 
 # ---------------------------------------------------------------------------
 # the extremal tree family
@@ -165,21 +168,40 @@ def prop1_exact_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:
 def check_theorem7(ft, gt) -> tuple[bool, bool]:
     """Exact check of deg(f o g)^2 <= n deg(f) deg(g)^2, plus equality flag.
 
-    f and g are index tables over 0..n-1, taken as they are: the entries
-    are not range-checked.
+    f and g are index tables over 0..n-1; an entry outside that range is
+    refused (ValueError).  This per-pair check is the oracle of
+    ``check_theorem7_lanes`` in tests/test_extremal.py.
     """
     if not ft:
         raise ValueError("degree is undefined on the empty domain")
     if len(ft) != len(gt):
         raise ValueError("cannot compose maps over different domains")
+    for table in (ft, gt):
+        EndoMap.from_table(table)  # refuses an entry outside 0..n-1
     sg = collisions(gt)
     lhs = collisions(compose_tables(ft, gt)) ** 2
     rhs = collisions(ft) * sg * sg
     return lhs <= rhs, lhs == rhs
 
 
+def check_theorem7_lanes(fcols: list[int], gcols: list[int], lanes: int,
+                         ) -> tuple[list[bool], list[bool]]:
+    """check_theorem7 in every lane of the lane columns of f and g: the
+    lists of its two flags, holds and equal, lane by lane."""
+    sf = lane_collisions(fcols, lanes)
+    sg = lane_collisions(gcols, lanes)
+    sh = lane_collisions(lane_compose(fcols, gcols, lanes), lanes)
+    lhs = list(map(mul, sh, sh))
+    rhs = list(map(mul, map(mul, sf, sg), sg))
+    return list(map(le, lhs, rhs)), list(map(eq, lhs, rhs))
+
+
 def check_theorem3_bound(f: EndoMap, k: int) -> bool:
-    """Exact check of deg(f^k)^(2^(k-1)) <= deg(f)^(2^k - 1) n^(2^(k-1) - 1)."""
+    """Exact check of deg(f^k)^(2^(k-1)) <= deg(f)^(2^k - 1) n^(2^(k-1) - 1).
+
+    This per-map check is the oracle of ``theorem3_lane_failures`` in
+    tests/test_extremal.py.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if f.n == 0:
@@ -187,6 +209,27 @@ def check_theorem3_bound(f: EndoMap, k: int) -> bool:
     p = 1 << (k - 1)
     return _power_le(collisions(iterate_table(f.table, k)), p,
                      collisions(f.table), 2 * p - 1)
+
+
+def theorem3_lane_failures(cols: list[int], k: int, lanes: int) -> int:
+    """How many (lane, j), j <= k, fail the bound of check_theorem3_bound.
+
+    f^j = f o f^(j-1) is composed in the lanes; the bound depends on a lane
+    only through (S(f^j), S(f)), so each distinct pair is compared once.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    s1 = lane_collisions(cols, lanes)
+    failures = 0
+    fj = cols
+    for j in range(1, k + 1):
+        if j > 1:
+            fj = lane_compose(cols, fj, lanes)
+        p = 1 << (j - 1)
+        for (sj, s), count in Counter(zip(lane_collisions(fj, lanes), s1)).items():
+            if not _power_le(sj, p, s, 2 * p - 1):
+                failures += count
+    return failures
 
 
 def _power_le(a: int, p: int, b: int, q: int) -> bool:
@@ -216,10 +259,30 @@ def all_tables(n: int):
     return itertools.product(range(n), repeat=n)
 
 
+# tables (or pairs of tables) per lane block: `verify thm7 --samples 20000`
+# peaked at 17.99 MB with one table at a time; blocks of 2^12 pairs raised
+# that to 19.11 MB, 2^10 to 18.05 MB and 2^8 to 18.17 MB, in 0.30-0.35 s
+# each (medians of 7 runs, 2 cores, Python 3.11)
+_LANE_BLOCK = 1 << 10
+
+
+def table_blocks(n: int):
+    """all_tables(n) as the bytes of blocks of at most _LANE_BLOCK tables,
+    laid end to end, one byte per entry."""
+    tables = all_tables(n)
+    while block := bytes(itertools.chain.from_iterable(
+            itertools.islice(tables, _LANE_BLOCK))):
+        yield block
+
+
 def random_table(n: int, rng: random.Random) -> tuple[int, ...]:
     """The values of n calls ``rng.randrange(n)``, drawn as CPython's
     ``_randbelow_with_getrandbits`` draws them (k = n.bit_length() bits,
-    redrawn while >= n) without randrange's argument handling."""
+    redrawn while >= n) without randrange's argument handling.
+
+    This per-table draw is the oracle of ``draw_tables`` in
+    tests/test_extremal.py.
+    """
     k = n.bit_length()
     getrandbits = rng.getrandbits
     table = []
@@ -229,6 +292,33 @@ def random_table(n: int, rng: random.Random) -> tuple[int, ...]:
             r = getrandbits(k)
         table.append(r)
     return tuple(table)
+
+
+def draw_tables(n: int, count: int, rng: random.Random) -> bytes:
+    """count tables of random_table(n, rng), end to end as bytes, leaving
+    rng in the state those calls leave it, for 0 <= n <= 255.
+
+    Each getrandbits(k) call of random_table takes the top k bits of one
+    32-bit Mersenne Twister word, which is the top byte shifted right by
+    8 - k.  getrandbits(32 w) returns the next w words, first word lowest,
+    so its bytes 3, 7, ... are their top bytes in order; translate keeps
+    each accepted value and drops the bytes whose value is >= n.  Every
+    word yields at most one value, so drawing as many words as values are
+    missing never draws past the words the per-value calls would draw.
+    """
+    if not 0 <= n <= 255:
+        raise ValueError(f"byte tables take n <= 255 points, got {n}")
+    shift = 8 - n.bit_length()
+    keep = bytes(b >> shift for b in range(256))
+    drop = bytes(b for b in range(256) if b >> shift >= n)
+    out = bytearray()
+    missing = count * n
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        got = words[3::4].translate(keep, drop)
+        out += got
+        missing -= len(got)
+    return bytes(out)
 
 
 def _normalize_gamma(gamma) -> tuple[int, int]:
@@ -285,8 +375,8 @@ class RatioWitness:
         }
 
 
-# the largest n the search scans: n = 7 (7^7 tables) takes 3.4 s and
-# n = 8 (8^8 tables) 90 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
+# the largest n the search scans: n = 7 (7^7 tables) takes 0.6 s and
+# n = 8 (8^8 tables) 15 s, at k = 2 and gamma = 2 on 2 cores, Python 3.11
 _SEARCH_HARD_LIMIT = 8
 
 
@@ -294,9 +384,10 @@ def exhaustive_ratio_search(n: int, k: int, gamma) -> RatioWitness:
     """Maximize deg(f^k)/deg(f)^gamma over all n^n endofunctions.
 
     The ratio depends on a table only through its collision counts
-    (S(f), S(f^k)), so one pass keeps the first table of each distinct pair,
-    which is the lexicographically smallest, and compares the pairs exactly
-    through their 2^m-th powers.  Ties go to the smallest table.
+    (S(f), S(f^k)), so one pass over the lanes of table_blocks keeps the
+    first index of each distinct pair, that of the lexicographically
+    smallest table, and compares the pairs exactly through their 2^m-th
+    powers.  Ties go to the smallest table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -306,10 +397,19 @@ def exhaustive_ratio_search(n: int, k: int, gamma) -> RatioWitness:
         raise ValueError(f"{n}^{n} tables exceed the search limit "
                          f"n <= {_SEARCH_HARD_LIMIT}")
     a, m = _normalize_gamma(gamma)
-    first: dict[tuple[int, int], tuple[int, ...]] = {}
-    for table in all_tables(n):
-        first.setdefault(_collision_pair(table, k), table)
+    first: dict[tuple[int, int], int] = {}
+    start = 0
+    for block in table_blocks(n):
+        lanes = len(block) // n
+        cols = lane_columns(block, n, n)
+        # f^min(k, n) stands in for f^k, as in _collision_pair
+        pairs = zip(lane_collisions(cols, lanes),
+                    lane_collisions(lane_iterate(cols, min(k, n), lanes), lanes))
+        for index, pair in enumerate(pairs, start):
+            first.setdefault(pair, index)
+        start += lanes
     ratios = {pair: Fraction(*_ratio_terms(n, *pair, a, m)) for pair in first}
     best = max(ratios.values())
-    table = min(first[pair] for pair, r in ratios.items() if r == best)
+    index = min(first[pair] for pair, r in ratios.items() if r == best)
+    table = next(itertools.islice(all_tables(n), index, None))
     return RatioWitness(EndoMap.from_table(table), k, Fraction(a, 1 << m), best)

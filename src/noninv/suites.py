@@ -10,6 +10,7 @@ so that a test replacing an entry point on its module reaches every suite.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -17,7 +18,7 @@ from math import factorial
 
 from . import bubble, extremal, hecke, nibble, solitaire, stacksort
 from .endo import (EndoMap, FiberHistogram, dec_str, degree, fiber_sizes,
-                   frac_str, is_bijection, is_constant, iterate)
+                   frac_str, is_bijection, is_constant, iterate, lane_columns)
 from .perms import permutation_domain, reverse_complement
 
 
@@ -191,11 +192,14 @@ def thm7(samples: int = 1000, seed: int = 0) -> list[dict]:
     checks = []
     for n in range(4, 11):
         bad = 0
-        for _ in range(samples):
-            # f's table is drawn first, then g's
-            if not extremal.check_theorem7(extremal.random_table(n, rng),
-                                           extremal.random_table(n, rng))[0]:
-                bad += 1
+        for start in range(0, samples, extremal._LANE_BLOCK):
+            pairs = min(extremal._LANE_BLOCK, samples - start)
+            # each pair draws f's table first, then g's
+            data = extremal.draw_tables(n, 2 * pairs, rng)
+            holds, _ = extremal.check_theorem7_lanes(
+                lane_columns(data, n, 2 * n), lane_columns(data, n, 2 * n, n),
+                pairs)
+            bad += pairs - sum(holds)
         checks.append(_check(f"random pairs n={n}", bad == 0,
                              f"{bad} failures in {samples}"))
     return checks
@@ -206,14 +210,22 @@ def thm7_exhaustive(n: int = 3) -> list[dict]:
     is constant and g a bijection, which is n * n! pairs."""
     maps = [EndoMap.from_table(t) for t in extremal.all_tables(n)]
     bijective = [is_bijection(g) for g in maps]
+    blocks = []  # the g of each block: lane columns, lanes, bijections
+    for block in extremal.table_blocks(n):
+        start, lanes = len(blocks) * extremal._LANE_BLOCK, len(block) // n
+        blocks.append((lane_columns(block, n, n), lanes,
+                       bijective[start:start + lanes]))
     holds = equalities = agree = 0
     for f in maps:
         constant = is_constant(f)
-        for g, bij in zip(maps, bijective):
-            h, eq = extremal.check_theorem7(f.table, g.table)
-            holds += h
-            equalities += eq
-            agree += eq == (constant and bij)
+        for gcols, lanes, bijections in blocks:
+            fcols = lane_columns(bytes(f.table) * lanes, n, n)
+            h, eq = extremal.check_theorem7_lanes(fcols, gcols, lanes)
+            holds += sum(h)
+            equalities += sum(eq)
+            # the predicate holds in no lane unless f is constant
+            agree += sum(map(operator.eq, eq,
+                             bijections if constant else [False] * lanes))
     total = len(maps) ** 2
     want = n * factorial(n)
     ok = agree == total and equalities == want
@@ -229,11 +241,9 @@ def thm3(max_n: int = 4, k: int = 4) -> list[dict]:
     """Theorem 3 over all maps on n <= max_n points, and the 27/25 witness."""
     checks = []
     for n in range(1, max_n + 1):
-        bad = 0
-        for t in extremal.all_tables(n):
-            f = EndoMap.from_table(t)
-            bad += sum(not extremal.check_theorem3_bound(f, j)
-                       for j in range(1, k + 1))
+        bad = sum(extremal.theorem3_lane_failures(lane_columns(block, n, n), k,
+                                                  len(block) // n)
+                  for block in extremal.table_blocks(n))
         checks.append(_check(f"powered bound over all maps n={n} k<={k}",
                              bad == 0, f"{bad} failures over {n ** n} maps"))
     w = extremal.exhaustive_ratio_search(3, 2, 2)

@@ -655,6 +655,78 @@ def test_degree_tree_mismatch_prints_both_values(capsys, monkeypatch):
     assert payload["engine_iterate_degree"] == "143/18"
 
 
+def _plus_one(real):
+    return lambda *args: real(*args) + 1
+
+
+def _one_more_fiber_of_size_one(real):
+    return lambda n: {s: c + (s == 1) for s, c in real(n).items()}
+
+
+def _one_defect_more(real):
+    def perturbed(n, fibers):
+        outside, missed = real(n, fibers)
+        return outside + 1, missed
+    return perturbed
+
+
+def _base_degree_plus_one(real):
+    def perturbed(b, k):
+        closed_f, closed_fk = real(b, k)
+        return closed_f + 1, closed_fk
+    return perturbed
+
+
+_BINARY_FIELDS = {"histogram": {"0": 4, "1": 8, "2": 4},
+                  "expected_histogram": {"0": 4, "1": 9, "2": 4},
+                  "matches_three_halves_histogram": False}
+# system -> (flags, module, name, perturbation, payload fields it must
+# print); every _SYSTEMS row but the exemptions, which have one route
+_DEGREE_CASES = {
+    "bubble": (("--n", "4"), bubble, "bubble_degree_formula", _plus_one,
+               {"degree": "6/1", "engine_degree": "5/1"}),
+    "bubble_iter": (("--n", "4", "--k", "2"), bubble,
+                    "bubble_degree_formula", _plus_one,
+                    {"degree": "16/1", "engine_degree": "15/1"}),
+    "word_bubble": (("--content", "2,1,1"), bubble, "word_degree_formula",
+                    _plus_one, {"degree": "17/3", "engine_degree": "14/3"}),
+    "nibble_perm": (("--n", "4"), nibble, "nibble_degree_formula", _plus_one,
+                    {"degree": "35/12", "engine_degree": "23/12"}),
+    "nibble_bin": (("--n", "4"), nibble, "expected_binary_histogram",
+                   _one_more_fiber_of_size_one, _BINARY_FIELDS),
+    "chip": (("--n", "4"), nibble, "expected_binary_histogram",
+             _one_more_fiber_of_size_one, _BINARY_FIELDS),
+    "bulgarian": (("--n", "6"), solitaire, "bulgarian_image_defects",
+                  _one_defect_more,
+                  {"image_defects": {"rank_below_minus_1_in_image": 1,
+                                     "rank_at_least_minus_1_missed": 0}}),
+    "carolina": (("--n", "5"), solitaire, "carolina_degree", _plus_one,
+                 {"degree": "29/8", "engine_degree": "21/8"}),
+    "tree": (("--b", "5"), extremal, "stratified_degrees",
+             _base_degree_plus_one,
+             {"degree": "28/9", "engine_degree": "19/9"}),
+}
+# stack and hecke print the engine degree alone: no closed form to perturb
+_DEGREE_EXEMPT = {"stack", "hecke"}
+
+
+def test_every_degree_system_has_a_perturbed_case():
+    assert set(_DEGREE_CASES) | _DEGREE_EXEMPT == set(cli._SYSTEMS)
+    assert not set(_DEGREE_CASES) & _DEGREE_EXEMPT
+
+
+@pytest.mark.parametrize("system", sorted(_DEGREE_CASES))
+def test_degree_perturbed_check_exits_1_with_both_values(capsys, monkeypatch,
+                                                         system):
+    flags, module, name, perturb, fields = _DEGREE_CASES[system]
+    code, _ = run_json(capsys, "degree", system, *flags)
+    assert code == 0
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    code, payload = run_json(capsys, "degree", system, *flags)
+    assert code == 1
+    assert {key: payload.get(key) for key in fields} == fields
+
+
 def test_degree_bulgarian_image_defect_prints_payload(capsys, monkeypatch):
     # a rank off by one moves the rank >= -1 boundary, so the certificate fails
     monkeypatch.setattr(solitaire, "_rank", lambda lam: lam[0] - len(lam) - 1)

@@ -24,6 +24,10 @@ from noninv.endo import (
     is_constant,
     iterate,
     iterate_table,
+    lane_collisions,
+    lane_columns,
+    lane_compose,
+    lane_iterate,
 )
 from noninv.nibble import chip_endomap, nibble_binary_endomap
 from noninv.perms import permutation_domain
@@ -290,3 +294,55 @@ def test_histogram_from_image_sizes_fills_empty_fibers():
     assert FiberHistogram.from_sizes([2, 1]) == full
     assert FiberHistogram.from_sizes({5: 2, 7: 1}.values()) == full
     assert FiberHistogram.from_sizes([1, 1, 1]).counts == {1: 3}
+
+
+def _lane_cases():
+    """(n, tables) pairs: every table for n <= 3, random ones up to n = 23."""
+    rng = random.Random(7)
+    for n in range(1, 24):
+        if n <= 3:
+            yield n, list(itertools.product(range(n), repeat=n))
+        else:
+            yield n, [tuple(rng.randrange(n) for _ in range(n))
+                      for _ in range(40)]
+
+
+def _unpack(cols, lanes):
+    """The tables of lane columns, one tuple per lane."""
+    return list(zip(*(col.to_bytes(lanes, "little") for col in cols)))
+
+
+def test_lane_columns_put_each_table_in_one_byte_lane():
+    data = bytes([0, 1, 2, 2, 1, 0, 1, 1, 1])
+    assert lane_columns(data, 3, 3) == [0x010200, 0x010101, 0x010002]
+    # every other table, starting at the second
+    assert lane_columns(data, 3, 6, 3) == [0x02, 0x01, 0x00]
+    for n, tables in _lane_cases():
+        cols = lane_columns(bytes(itertools.chain(*tables)), n, n)
+        assert _unpack(cols, len(tables)) == tables
+
+
+def test_lane_kernels_match_the_per_table_kernels():
+    for n, tables in _lane_cases():
+        lanes = len(tables)
+        cols = lane_columns(bytes(itertools.chain(*tables)), n, n)
+        assert lane_collisions(cols, lanes) == list(map(collisions, tables))
+        # f runs over the tables, g over the same tables rotated by one
+        gs = tables[1:] + tables[:1]
+        gcols = lane_columns(bytes(itertools.chain(*gs)), n, n)
+        assert _unpack(lane_compose(cols, gcols, lanes), lanes) == [
+            compose_tables(f, g) for f, g in zip(tables, gs)]
+        for k in (1, 2, 3, 5, 8):
+            assert _unpack(lane_iterate(cols, k, lanes), lanes) == [
+                iterate_table(t, k) for t in tables], (n, k)
+
+
+def test_lane_kernels_refuse_more_than_23_points():
+    cols = lane_columns(bytes(24), 24, 24)
+    for kernel in (lambda: lane_collisions(cols, 1),
+                   lambda: lane_compose(cols, cols, 1),
+                   lambda: lane_iterate(cols, 2, 1)):
+        with pytest.raises(ValueError, match="n <= 23"):
+            kernel()
+    with pytest.raises(ValueError):
+        lane_iterate(cols[:3], 0, 1)

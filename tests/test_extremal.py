@@ -1,5 +1,6 @@
 """Tests for the tree family, inequality checks, and the ratio search."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,11 +9,14 @@ import pytest
 
 from noninv import extremal
 from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
-                         is_bijection, is_constant, iterate, iterate_table)
+                         is_bijection, is_constant, iterate, iterate_table,
+                         lane_columns)
 from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
                              check_theorem3_bound, check_theorem7,
+                             check_theorem7_lanes, draw_tables,
                              exhaustive_ratio_search, prop1_exact_degrees,
-                             random_table, stratified_degree, tree_branching,
+                             random_table, stratified_degree, table_blocks,
+                             theorem3_lane_failures, tree_branching,
                              tree_size, tree_spec)
 
 
@@ -196,6 +200,14 @@ def test_composition_inequality_edge_pairs():
         check_theorem7(const, (0, 1, 2))
 
 
+@pytest.mark.parametrize("ft, gt", [((-1, 0), (0, 0)), ((0, 5), (0, 1)),
+                                    ((0, 0), (0, -1)), ((0, 1), (2, 0))])
+def test_theorem7_refuses_entries_out_of_range(ft, gt):
+    # a negative entry would wrap silently and one >= n index past the end
+    with pytest.raises(ValueError, match="out of range 0..1"):
+        check_theorem7(ft, gt)
+
+
 def test_iterate_inequality_exhaustive_small():
     for n in (1, 2, 3, 4):
         for t in all_tables(n):
@@ -316,12 +328,114 @@ def test_witness_json_shape():
     json.dumps(obj)  # serializable as-is
 
 
+_STREAM_SEEDS = (0, 1, -7, 2 ** 100, 12345)
+
+
 def test_random_table_is_the_randrange_stream():
     # one generator per side carried across every n, so the state after each
     # table must match too
-    for seed in range(5):
+    for seed in _STREAM_SEEDS:
         fast, ref = random.Random(seed), random.Random(seed)
-        for n in range(1, 13):
+        for n in range(1, 24):
             assert random_table(n, fast) == tuple(ref.randrange(n)
                                                   for _ in range(n))
         assert fast.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_draw_tables_is_the_random_table_stream(seed):
+    # the same bytes, and the generator left in the same state, table count
+    # by table count
+    fast, ref = random.Random(seed), random.Random(seed)
+    for n in range(1, 24):
+        for count in (1, 3, 300):
+            want = [random_table(n, ref) for _ in range(count)]
+            assert draw_tables(n, count, fast) == bytes(
+                itertools.chain(*want)), (n, count)
+            assert fast.getstate() == ref.getstate(), (n, count)
+    assert draw_tables(0, 5, fast) == b""
+    assert draw_tables(5, 0, fast) == b""
+    assert fast.getstate() == ref.getstate()
+    with pytest.raises(ValueError):
+        draw_tables(256, 1, fast)
+
+
+def test_table_blocks_are_all_tables_in_order():
+    for n in range(1, 6):
+        blocks = list(table_blocks(n))
+        assert all(len(b) <= n * extremal._LANE_BLOCK for b in blocks)
+        assert b"".join(blocks) == bytes(itertools.chain(*all_tables(n)))
+
+
+def _pairs_by_lanes(pairs):
+    """check_theorem7_lanes over (f, g) pairs, as one (holds, equal) a pair."""
+    n = len(pairs[0][0])
+    data = bytes(itertools.chain.from_iterable(f + g for f, g in pairs))
+    holds, equal = check_theorem7_lanes(lane_columns(data, n, 2 * n),
+                                        lane_columns(data, n, 2 * n, n),
+                                        len(pairs))
+    return list(zip(holds, equal))
+
+
+def test_theorem7_lanes_match_the_per_pair_check():
+    for n in (1, 2, 3):
+        pairs = list(itertools.product(all_tables(n), repeat=2))
+        assert _pairs_by_lanes(pairs) == [check_theorem7(f, g)
+                                          for f, g in pairs]
+    rng = random.Random(3)
+    for n in range(4, 24):
+        pairs = [(random_table(n, rng), random_table(n, rng))
+                 for _ in range(200)]
+        # constant after bijection reaches equality in each n
+        pairs.append(((0,) * n, tuple(range(n))[::-1]))
+        got = _pairs_by_lanes(pairs)
+        assert got == [check_theorem7(f, g) for f, g in pairs], n
+        assert got[-1] == (True, True)
+
+
+def test_theorem3_lanes_match_the_per_map_check():
+    for n in range(1, 6):
+        tables = list(all_tables(n))
+        cols = lane_columns(bytes(itertools.chain(*tables)), n, n)
+        for k in (1, 2, 3, 5):
+            want = sum(not check_theorem3_bound(EndoMap.from_table(t), j)
+                       for t in tables for j in range(1, k + 1))
+            assert theorem3_lane_failures(cols, k, len(tables)) == want == 0
+    with pytest.raises(ValueError):
+        theorem3_lane_failures(cols, 0, len(tables))
+
+
+def test_theorem3_lanes_count_each_failing_order(monkeypatch):
+    # real maps never fail, so the count is checked against a comparison
+    # that refuses every pair whose first count exceeds the second: at
+    # j = 1 none, at j >= 2 each lane whose iterate lost invertibility
+    monkeypatch.setattr(extremal, "_power_le", lambda a, p, b, q: a <= b)
+    tables = list(all_tables(3))
+    cols = lane_columns(bytes(itertools.chain(*tables)), 3, 3)
+    want = sum(collisions(iterate_table(t, j)) > collisions(t)
+               for t in tables for j in (2, 3))
+    assert theorem3_lane_failures(cols, 3, len(tables)) == want > 0
+
+
+def _table_by_table_search(n, k, gamma):
+    """The ratio search one table at a time: its first table of each
+    collision pair, the pairs' exact powered ratios, the smallest table
+    among the maximal ones."""
+    a, m = extremal._normalize_gamma(gamma)
+    first = {}
+    for table in all_tables(n):
+        first.setdefault(extremal._collision_pair(table, k), table)
+    ratios = {pair: Fraction(*extremal._ratio_terms(n, *pair, a, m))
+              for pair in first}
+    best = max(ratios.values())
+    return min(first[p] for p, r in ratios.items() if r == best), best
+
+
+@pytest.mark.parametrize("gamma", [1, Fraction(3, 2), 2])
+def test_lane_search_matches_the_table_by_table_search(gamma):
+    for n in range(1, 6):
+        for k in (1, 2, 3, 5):
+            w = exhaustive_ratio_search(n, k, gamma)
+            assert (w.map.table, w.ratio_pow) == _table_by_table_search(
+                n, k, gamma), (n, k)
+            assert w.recompute()

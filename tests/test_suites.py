@@ -22,12 +22,12 @@ def _minus_one(real):
     return lambda *args: real(*args) - 1
 
 
-def _never_holds(real):
-    return lambda *args: (False, False)
+def _no_lane_holds(real):
+    return lambda fcols, gcols, lanes: ([False] * lanes, [False] * lanes)
 
 
-def _never_true(real):
-    return lambda *args: False
+def _every_lane_fails(real):
+    return lambda cols, k, lanes: k * lanes
 
 
 def _one_more_fiber_of_size_one(real):
@@ -75,15 +75,15 @@ _CASES = [
                  solitaire, "carolina_degree", _plus_one,
                  "brute force agrees n=2", "1/1 vs 2/1", id="thm6"),
     pytest.param(lambda: suites.thm7(samples=3),
-                 extremal, "check_theorem7", _never_holds,
+                 extremal, "check_theorem7_lanes", _no_lane_holds,
                  "random pairs n=4", "3 failures in 3", id="thm7"),
     pytest.param(lambda: suites.thm7_exhaustive(n=2),
-                 extremal, "check_theorem7", _never_holds,
+                 extremal, "check_theorem7_lanes", _no_lane_holds,
                  "equality only for constant after bijection",
                  "0 equality pairs vs 4; 4 pairs disagree with the predicate",
                  id="thm7_exhaustive"),
     pytest.param(lambda: suites.thm3(max_n=2, k=2),
-                 extremal, "check_theorem3_bound", _never_true,
+                 extremal, "theorem3_lane_failures", _every_lane_fails,
                  "powered bound over all maps n=2 k<=2",
                  "8 failures over 4 maps", id="thm3"),
     pytest.param(lambda: suites.prop1(k=2),

@@ -1,16 +1,25 @@
 """Single-pass bubble sort on permutations and multiset words.
 
 One pass sweeps left to right, swapping each adjacent descent.  On S_n the
-pass satisfies B(L n R) = B(L) R n, decrements every nonzero inversion-table
-entry, and becomes the constant map at the identity after n - 1 passes.  On
-words with content a = (a_1, ..., a_r) (a_j copies of letter j) the same
-sweep acts on W_a.
+pass satisfies B(L n R) = B(L) R n and becomes the constant map at the
+identity after n - 1 passes.  On words with content a = (a_1, ..., a_r)
+(a_j copies of letter j) the same sweep acts on W_a.
 
-The decrement lemma (Knuth, TAOCP 3, 5.2.2) gives a second tabulation of
-B^k on S_n: a permutation's rank is its inversion table read as a
-mixed-radix numeral, so ``bubble_rank_table`` builds the table of B^k from
-ranks alone, each digit e becoming max(e - k, 0), without enumerating S_n.
-The object-level map ``bubble_endomap`` stays the oracle that checks it.
+Gap digits.  A copy of letter v < r has gap digit g, the number of letters
+larger than v to its left, 0 <= g <= L_v = a_(v+1) + ... + a_r.  A word is
+the tuple of its letters' gap multisets: inserting the copies of r - 1,
+r - 2, ..., 1 among the larger letters at their gaps rebuilds it, and
+letter v has C(L_v + a_v, a_v) multisets, whose product is the multinomial.
+One pass lowers every positive gap by one (the running maximum carried
+past a copy is the one larger letter that crosses it, and no larger letter
+crosses a copy with gap 0), so B^k sends each multiset through
+g -> max(g - k, 0).  On S_n the gap digits are the inversion table, and
+this is the decrement lemma (Knuth, TAOCP 3, 5.2.2).
+
+``word_rank_table`` builds the table of B^k over W_a from these digits
+alone, without enumerating a word, and ``bubble_rank_table`` is its call
+with content (1, ..., 1).  The object-level maps ``bubble_endomap`` and
+``word_bubble_endomap`` stay the oracles that check it.
 
 Closed forms implemented here:
 
@@ -29,8 +38,11 @@ clamped values agree with brute force for every k.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 
 from .endo import EndoMap, EnumeratedDomain
 from .perms import (Perm, _check_ceiling, check_perm, lmax,
@@ -67,30 +79,18 @@ def bubble_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(permutation_domain(n), bubble_sort)
 
 
-def bubble_rank_table(n: int, k: int = 1) -> list[int]:
-    """The index table of B^k over S_n, in inversion-table rank order.
+def bubble_rank_table(n: int, k: int = 1) -> array:
+    """The index table of B^k over S_n, in inversion-table rank order: the
+    gap-digit kernel at content (1, ..., 1), where a permutation's rank is
+    its inversion table read as a mixed-radix numeral.
 
-    Pass k lowers every inversion-table digit e to max(e - k, 0).  Digits
-    are added from the least significant (radix 2) up: for a new digit of
-    radix r over the previous table T of size P, value e contributes a copy
-    of T shifted by max(e - k, 0) * P, so digits e <= k repeat T as is.
     Equals ``iterate(bubble_endomap(n), k).table``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_ceiling(n)
-    if k < 0:
-        raise ValueError("iterate order must be nonnegative")
-    table = [0]
-    size = 1
-    for radix in range(2, n + 1):
-        prev = table
-        table = prev * min(radix, k + 1)
-        for e in range(k + 1, radix):
-            shift = (e - k) * size
-            table += [t + shift for t in prev]
-        size *= radix
-    return table
+    # S_0 and S_1 both have the one-point table
+    return _gap_rank_table((1,) * max(n, 1), k)
 
 
 def bubble_preimage_count(pi: Perm, k: int = 1) -> int:
@@ -156,12 +156,11 @@ def check_content(a) -> tuple[int, ...]:
 
 
 def multinomial(a) -> int:
-    """(sum a)! / prod a_i! for a content a."""
-    a = check_content(a)
-    result = factorial(sum(a))
-    for x in a:
-        result //= factorial(x)
-    return result
+    """(sum a)! / prod a_i! for a content a, as the product over the letters
+    v of C(a_v + ... + a_r, a_v), so one huge letter costs no huge
+    factorial."""
+    a = check_content(a)[::-1]
+    return prod(map(comb, accumulate(a), a))
 
 
 def words_of_content(a):
@@ -192,9 +191,11 @@ def _words(content):
         w[j + 1:] = w[:j:-1]
 
 
-# the most words the codec enumerates: `degree word_bubble --content 8,4,4
-# --force` (900,900 words) takes 5 s and peaks at 262 MB on 2 cores,
-# Python 3.11
+# the most words of one content.  `degree word_bubble --force` builds its
+# table with word_rank_table, 0.2 s and 28 MB for content (8,4,4) (900,900
+# words); WordDomain lists every word, for `verify words` and the
+# benchmark's sweep, and the object map over it took 3.6 s and 259 MB for
+# that content (2 cores, Python 3.11)
 _WORD_HARD_LIMIT = 10 ** 6
 
 
@@ -242,3 +243,96 @@ def word_degree_formula(a) -> Fraction:
     for j in range(1, len(a)):
         result *= 2 * Fraction(a[j - 1], sum(a[j:]) + 1) + 1
     return result
+
+
+# ---------------------------------------------------------------------------
+# the gap-digit kernel
+
+def word_rank_table(a, k: int = 1) -> array:
+    """The index table of B^k over W_a, in gap-digit rank order.
+
+    Refuses more than _WORD_HARD_LIMIT words before it allocates; its
+    fiber histogram is that of ``iterate(word_bubble_endomap(a), k)``.
+    """
+    a = check_content(a)
+    size = multinomial(a)
+    if size > _WORD_HARD_LIMIT:
+        raise ValueError(
+            f"{size} words of content {a} exceed the enumeration limit "
+            f"{_WORD_HARD_LIMIT}")
+    return _gap_rank_table(a, k)
+
+
+def _gap_rank_table(a: tuple[int, ...], k: int) -> array:
+    """The table of B^k over W_a from gap digits alone.
+
+    A word's rank is the ranks of its letters' gap multisets read as a
+    mixed-radix numeral, letter r - 1 least significant.  Letters are added
+    from r - 1 down: for letter v, whose multiset m has image rank img[m],
+    over the previous table T of size P, multiset m contributes a copy of T
+    shifted by img[m] * P.
+    """
+    if k < 0:
+        raise ValueError("iterate order must be nonnegative")
+    table = array("I", [0])
+    larger = 0
+    for copies in reversed(a):
+        images = _gap_images(copies, larger, k)
+        size = len(table)
+        table = _copies(table, ((size, m * size) for m in images))
+        larger += copies
+    return table
+
+
+def _gap_images(copies: int, larger: int, k: int) -> array:
+    """The rank of B^k's image of each gap multiset of one letter, in rank
+    order, for `copies` gaps in 0..L, L = larger.
+
+    A multiset is ranked by a sorted tuple x_1 <= ... <= x_d in colex order,
+    rank sum_i C(x_i + i - 1, i), so the tuples with x_d <= j are the first
+    C(j + d, d).  With a = copies, the tuple is the gaps themselves if
+    a <= L (d = a, x <= L), and B^k sends x_i to max(x_i - k, 0) in place
+    i.  Otherwise it is the conjugate: n_t = #{gaps >= t} for t = 1..L,
+    sorted (d = L, x <= a); B^k sends n_t to n_(t+k), so the k largest drop
+    and x_i moves to place i + k.  Either way d = min(a, L), and the image's
+    rank is a sum of one term per place, so the images of the d-tuples
+    are the images of the (d - 1)-tuples with x_(d-1) <= j plus the term
+    of x_d = j, for each j.
+    """
+    if copies <= larger:
+        depth, top = copies, larger
+
+        def term(i, x):
+            return comb(max(x - k, 0) + i - 1, i)
+    else:
+        depth, top = larger, copies
+
+        def term(i, x):
+            return comb(x + k + i - 1, k + i) if i <= larger - k else 0
+    images = array("I", [0])
+    for d in range(1, depth + 1):
+        images = _copies(images, ((comb(j + d - 1, d - 1), term(d, j))
+                                  for j in range(top + 1)))
+    return images
+
+
+def _copies(prev: array, pieces) -> array:
+    """prev[:length] + shift for each (length, shift) of pieces, in turn.
+
+    A shifted copy is one big-integer addition of `length` copies of shift
+    to the copy's bytes, one lane per entry; a rank table stays below 2^32,
+    so no lane carries into the next.
+    """
+    if len(prev) == 1:
+        # every piece is one entry, which a bare sum builds faster
+        return array("I", [prev[0] + shift for _, shift in pieces])
+    data = memoryview(prev).cast("B")
+    out = array("I")
+    for length, shift in pieces:
+        part = data[:length * prev.itemsize]
+        if shift:
+            lanes = int.from_bytes(array("I", [shift]) * length, sys.byteorder)
+            part = (int.from_bytes(part, sys.byteorder) + lanes).to_bytes(
+                len(part), sys.byteorder)
+        out.frombytes(part)
+    return out

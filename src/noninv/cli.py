@@ -31,8 +31,8 @@ from .endo import (FiberHistogram, collisions, dec_str, fiber_sizes,
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
 # F^k takes at most 2 log2(k) compositions by repeated squaring: the
-# largest tree at --k 1024 (--b 63, 902,791 vertices) takes 1.1-1.2 s and
-# 35 MB (16-18 s and 66 MB at k - 1 compositions)
+# largest tree at --k 1024 (--b 63, 902,791 vertices) takes 0.7-1.2 s and
+# 32 MB (16-18 s and 66 MB at k - 1 compositions)
 _TREE_K_LIMIT = 1024
 # measured at search --n 7 with the other flags at their defaults (0.6 s):
 # a --gamma numerator of 512 takes 0.7 s and a denominator of 2^8 0.8 s
@@ -173,9 +173,9 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         size = bubble.multinomial(content)
         _guard(size, bubble._WORD_LIMIT, "word count", given.get("force"),
                bubble._WORD_HARD_LIMIT)
-        f = bubble.word_bubble_endomap(content)
+        table = bubble.word_rank_table(content)
         payload["content"] = list(content)
-        ok, _ = _degree_payload(payload, fiber_sizes(f.table),
+        ok, _ = _degree_payload(payload, fiber_sizes(table),
                                 bubble.word_degree_formula(content))
     elif system == "stack":
         fibers = stacksort.stack_fibers(n)
@@ -237,8 +237,11 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(b, k))
         ok, _ = _degree_payload(payload, fiber_sizes(f.table), closed_f)
-        # a composition of the validated table cannot leave its range
-        engine_fk = Fraction(collisions(iterate_table(f.table, k)), f.n)
+        # a composition of the validated table cannot leave its range; F
+        # goes before F^k is counted, so only F^k and its count are alive
+        fk = iterate_table(f.table, k)
+        del f
+        engine_fk = Fraction(collisions(fk), size)
         payload["iterate_degree"] = frac_str(closed_fk)
         payload["iterate_degree_decimal"] = dec_str(closed_fk)
         if engine_fk != closed_fk:

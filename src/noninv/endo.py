@@ -332,7 +332,10 @@ def lane_collisions(cols: list[int], lanes: int) -> list[int]:
     for i, a in enumerate(cols):
         for b in cols[i + 1:]:
             unequal += (((a ^ b) + low) & high) >> 7
-    return [n * n - 2 * c for c in unequal.to_bytes(lanes, "little")]
+    # S for each count a byte can hold, at most n(n-1)/2, read back per
+    # lane by one C-level map
+    sums = [n * n - 2 * c for c in range(n * (n - 1) // 2 + 1)]
+    return list(map(sums.__getitem__, unequal.to_bytes(lanes, "little")))
 
 
 def lane_compose(fcols: list[int], gcols: list[int], lanes: int) -> list[int]:

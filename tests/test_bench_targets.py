@@ -5,15 +5,21 @@ reports an entry it cannot find as missing instead of failing.  These tests
 resolve every entry here, so a refactor that renames or drops one fails
 tier-1 instead of silently losing a benchmark span.  Nothing is installed:
 the tracer module is only loaded, and its wrappers never replace a function.
+The last test runs the benchmark's own self-test, ``bench/run.py --smoke``,
+so a change that breaks its oracle or a traced command fails tier-1 too.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_TRACER_PATH = _BENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -57,3 +63,13 @@ def test_sweep_codec_builds_and_ranks(spec):
     assert len(objs) == codec.size > 1
     assert [codec.rank(x) for x in objs] == list(range(codec.size))
     assert tracer.sweep(spec)["points"] == codec.size
+
+
+def test_bench_smoke_run_passes():
+    # every workload at tiny sizes, checked against bench/oracle.py, plus
+    # one traced pass and one injected mismatch; about 11 s on 2 cores
+    done = subprocess.run([sys.executable, str(_BENCH / "run.py"), "--smoke"],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    report = json.loads(done.stdout.splitlines()[-1])
+    assert report["smoke_ok"] is True, report["problems"]

@@ -18,10 +18,11 @@ from noninv.bubble import (
     word_bubble_endomap,
     word_content,
     word_degree_formula,
+    word_rank_table,
     words_of_content,
     WordDomain,
 )
-from noninv.endo import degree, fiber_histogram, iterate
+from noninv.endo import degree, fiber_histogram, fiber_sizes, iterate
 from noninv.perms import inversion_table
 
 
@@ -99,11 +100,14 @@ def test_sorted_count_identity():
 
 
 def test_rank_table_equals_iterated_object_map():
+    # bubble_rank_table, and word_rank_table at content (1, ..., 1)
     for n in range(9):
         f = bubble_endomap(n)
         for k in range(n + 2):
-            assert bubble_rank_table(n, k) == list(iterate(f, k).table), (n, k)
-    assert bubble_rank_table(9, 1) == list(bubble_endomap(9).table)
+            table = list(iterate(f, k).table)
+            assert list(bubble_rank_table(n, k)) == table, (n, k)
+            assert list(word_rank_table((1,) * max(n, 1), k)) == table, (n, k)
+    assert list(bubble_rank_table(9, 1)) == list(bubble_endomap(9).table)
 
 
 def test_rank_table_refusals():
@@ -298,3 +302,73 @@ def test_words_match_recursive_reference_on_verify_contents():
     contents += [(2, 120), (120, 2), (40, 2, 1), (1,), (3,), (6, 4, 3)]
     for a in contents:
         assert list(words_of_content(a)) == _words_recursive(a), a
+
+
+# ---------------------------------------------------------------------------
+# the gap-digit kernel
+
+
+def gap_digits(w):
+    """For each letter v < max(w), the sorted gaps of its copies: the number
+    of letters larger than v left of each copy."""
+    return tuple(
+        tuple(sorted(sum(1 for y in w[:i] if y > v)
+                     for i, x in enumerate(w) if x == v))
+        for v in range(1, max(w)))
+
+
+def test_pass_lowers_every_positive_gap_digit_by_one():
+    for r in range(1, 5):
+        for a in itertools.product(range(1, 9), repeat=r):
+            if sum(a) > 8:
+                continue
+            for w in words_of_content(a):
+                expected = tuple(tuple(max(g - 1, 0) for g in gaps)
+                                 for gaps in gap_digits(w))
+                assert gap_digits(bubble_sort(w)) == expected, w
+
+
+def _histogram(table):
+    return Counter(fiber_sizes(table))
+
+
+def test_word_rank_table_histograms_match_the_object_map():
+    # the default `verify words` contents with at most 10^4 words
+    contents = [a for r in (2, 3, 4)
+                for a in itertools.product(range(1, 8), repeat=r)
+                if sum(a) <= 8 and multinomial(a) <= bubble._WORD_LIMIT]
+    contents += [a for a in ((2, 120), (120, 2), (40, 2, 1))
+                 if multinomial(a) <= bubble._WORD_LIMIT]
+    assert len(contents) == 156
+    for a in contents:
+        f = word_bubble_endomap(a)
+        for k in (1, 2, 3):
+            table = word_rank_table(a, k)
+            assert len(table) == f.n
+            assert _histogram(table) == _histogram(iterate(f, k).table), (a, k)
+
+
+def test_word_rank_table_refuses_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("allocated before the refusal")
+
+    monkeypatch.setattr(bubble, "_copies", no_table)
+    # the second content's count is C(10^9 + 2, 2), not (10^9 + 2)! / 10^9!
+    for a in ((6, 6, 6), (10 ** 9, 2)):
+        assert multinomial(a) > bubble._WORD_HARD_LIMIT
+        with pytest.raises(ValueError, match="enumeration limit"):
+            word_rank_table(a)
+    with pytest.raises(ValueError, match="nonnegative"):
+        word_rank_table((2, 1), -1)
+
+
+def test_word_rank_table_at_the_word_ceiling():
+    # one letter with 10^6 - 1 copies, or 10^6 - 1 larger letters: one
+    # multiset per gap count, built without a word of that length
+    for a in ((1, 999999), (999999, 1)):
+        assert multinomial(a) == bubble._WORD_HARD_LIMIT
+        table = word_rank_table(a)
+        assert len(table) == bubble._WORD_HARD_LIMIT
+        sizes = _histogram(table)
+        assert Fraction(sum(s * s * c for s, c in sizes.items()),
+                        len(table)) == word_degree_formula(a)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,7 +220,7 @@ def _refuse(*args, **kwargs):
 # the first call of real work for each refused row below
 _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (bubble, "bubble_endomap"), (bubble, "bubble_rank_table"),
-         (bubble, "word_bubble_endomap"),
+         (bubble, "word_bubble_endomap"), (bubble, "word_rank_table"),
          (hecke, "hecke_endomap"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
@@ -277,6 +278,8 @@ _DEGREE_REFUSED = [
     ("degree", "nibble_perm", "--n", "11", "--force"),
     # the tree's last level once took b's iterated root as a tuple length
     ("degree", "tree", "--b", "1" + "0" * 24),
+    # the word count once took (sum a)! first
+    ("degree", "word_bubble", "--content", "1000000000,2", "--force"),
 ]
 # the largest searches each flag accepts; the search is stubbed, not run
 _SEARCH_MAX = [
@@ -554,20 +557,45 @@ def test_sample_peak_rss_is_linear():
 
 
 def test_bubble_s10_peak_rss_is_a_third_of_the_object_map():
-    # tabulating the object map over S_10 peaked at 837 MB
+    # tabulating the object map over S_10 peaked at 837 MB, and the rank
+    # table as a list of ints at 177 MB
     payload, peak_mb = _peak_rss("degree", "bubble", "--n", "10", "--force")
     assert payload["degree"] == "22/1" and payload["domain_size"] == 3628800
     assert "engine_degree" not in payload
-    assert peak_mb < 279, f"peak RSS {peak_mb:.1f} MB"
+    assert peak_mb < 120, f"peak RSS {peak_mb:.1f} MB"
+
+
+def test_word_bubble_peak_rss_holds_a_compact_table():
+    # the object map over WordDomain((8, 4, 4)) peaked at 262 MB
+    payload, peak_mb = _peak_rss("degree", "word_bubble", "--content",
+                                 "8,4,4", "--force")
+    assert payload["degree"] == "65/9" and payload["domain_size"] == 900900
+    assert "engine_degree" not in payload
+    assert peak_mb < 64, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_tree_peak_rss_holds_compact_tables():
     # a million-vertex tree as a list, its tuple copy and a validated tuple
-    # for F^k peaked at 69 MB
+    # for F^k peaked at 69 MB, and F beside F^k and its count at 34 MB
     payload, peak_mb = _peak_rss("degree", "tree", "--b", "1000", "--k", "2")
     assert payload["domain_size"] == 993001
     assert "engine_iterate_degree" not in payload
-    assert peak_mb < 48, f"peak RSS {peak_mb:.1f} MB"
+    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("system, argv, name, size", [
+    ("bubble", ("--n", "4"), "bubble_rank_table", 24),
+    ("word_bubble", ("--content", "2,1,1"), "word_rank_table", 12),
+])
+def test_degree_wrong_rank_table_exits_1(capsys, monkeypatch, system, argv,
+                                         name, size):
+    # a kernel that returned the identity table, of degree 1, is caught by
+    # the closed form
+    monkeypatch.setattr(bubble, name, lambda *args: array("I", range(size)))
+    code, payload = run_json(capsys, "degree", system, *argv)
+    assert code == 1
+    assert payload["engine_degree"] == "1/1"
+    assert payload["domain_size"] == size
 
 
 @pytest.mark.parametrize("k", [1000, 1023, 1024])
@@ -769,9 +797,10 @@ def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
                         counted("bulgarian", solitaire.bulgarian_fibers))
     monkeypatch.setattr(extremal, "build_tree_map",
                         counted("tree", extremal.build_tree_map))
-    # bubble, bubble_iter, carolina, chip and nibble_bin build their one
-    # table from ranks
+    # bubble, bubble_iter, word_bubble, carolina, chip and nibble_bin build
+    # their one table from ranks
     for module, name in ((bubble, "bubble_rank_table"),
+                         (bubble, "word_rank_table"),
                          (solitaire, "carolina_rank_table"),
                          (nibble, "chip_rank_table"),
                          (nibble, "nibble_rank_table")):

@@ -199,16 +199,22 @@ def _words(content):
 _WORD_HARD_LIMIT = 10 ** 6
 
 
+def _check_word_count(a: tuple[int, ...]) -> None:
+    """Refuse a valid content a with more than _WORD_HARD_LIMIT words
+    before any word or table entry is built."""
+    size = multinomial(a)
+    if size > _WORD_HARD_LIMIT:
+        raise ValueError(
+            f"{size} words of content {a} exceed the enumeration limit "
+            f"{_WORD_HARD_LIMIT}")
+
+
 class WordDomain(EnumeratedDomain):
     """Words with letter multiplicities a, ranked lexicographically."""
 
     def __init__(self, a):
         self.content = check_content(a)
-        size = multinomial(self.content)
-        if size > _WORD_HARD_LIMIT:
-            raise ValueError(
-                f"{size} words of content {self.content} exceed the "
-                f"enumeration limit {_WORD_HARD_LIMIT}")
+        _check_word_count(self.content)
         super().__init__(list(_words(self.content)))
 
     def _key(self) -> tuple[int, ...]:
@@ -255,11 +261,7 @@ def word_rank_table(a, k: int = 1) -> array:
     fiber histogram is that of ``iterate(word_bubble_endomap(a), k)``.
     """
     a = check_content(a)
-    size = multinomial(a)
-    if size > _WORD_HARD_LIMIT:
-        raise ValueError(
-            f"{size} words of content {a} exceed the enumeration limit "
-            f"{_WORD_HARD_LIMIT}")
+    _check_word_count(a)
     return _gap_rank_table(a, k)
 
 

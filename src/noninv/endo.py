@@ -157,10 +157,6 @@ class EndoMap:
             table = tuple(table)
         return cls(IndexDomain(len(table)), table)
 
-    def apply(self, obj):
-        """Apply the map to a domain object (not an index)."""
-        return self.codec.unrank(self.table[self.codec.rank(obj)])
-
 
 @dataclass
 class FiberHistogram:
@@ -224,20 +220,6 @@ def degree(f: EndoMap) -> Fraction:
     if f.n == 0:
         raise ValueError("degree is undefined on the empty domain")
     return Fraction(collisions(f.table), f.n)
-
-
-def fiber_histogram(f: EndoMap) -> FiberHistogram:
-    if f.n == 0:
-        raise ValueError("fiber histogram is undefined on the empty domain")
-    return FiberHistogram.from_map(f)
-
-
-def degree_bounds(f: EndoMap) -> tuple[Fraction, int]:
-    """Sandwich for the degree: n/|f(X)| <= deg(f) <= max fiber size."""
-    if f.n == 0:
-        raise ValueError("degree bounds are undefined on the empty domain")
-    sizes = fiber_sizes(f.table)
-    return Fraction(f.n, f.n - sizes.count(0)), max(sizes)
 
 
 # keys per itemgetter call when composing arrays: each call boxes its
@@ -388,18 +370,6 @@ def is_bijection(f: EndoMap) -> bool:
 
 def is_constant(f: EndoMap) -> bool:
     return len(set(f.table)) <= 1
-
-
-def are_pseudoconjugate(f: EndoMap, g: EndoMap) -> bool:
-    """Whether f and g have identical fiber-size histograms.
-
-    This is an equivalence relation; pseudoconjugate maps have equal degrees.
-    Conjugate maps (relabelings of one another) are always pseudoconjugate,
-    but not conversely.
-    """
-    if f.n != g.n:
-        return False
-    return fiber_histogram(f) == fiber_histogram(g)
 
 
 def frac_str(x: Fraction) -> str:

@@ -96,15 +96,10 @@ def updown_count(n: int) -> int:
 class ScanReport:
     """Outcome of an exhaustive or sampled scan over operator words."""
 
-    eventually_constant_words: int = 0
     distinct_operators: int = 0
     violations: list = field(default_factory=list)
-    min_degree: Fraction | None = None
     bubble_degree: Fraction | None = None
     tla_degree: Fraction | None = None
-    # whether some scanned operator realizes each conjectured endpoint
-    lower_attained: bool = False
-    upper_attained: bool = False
 
 
 def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
@@ -145,18 +140,11 @@ def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
     for gens in words():
         if not set(gens) >= set(range(1, n)):
             continue
-        report.eventually_constant_words += 1
         table = table_of(gens)
         if table in seen:
             continue
         seen.add(table)
         d = table_degree(table)
-        if report.min_degree is None or d < report.min_degree:
-            report.min_degree = d
-        if d == lo:
-            report.lower_attained = True
-        if d == hi:
-            report.upper_attained = True
         if not lo <= d <= hi:
             report.violations.append({"word": gens, "degree": d})
     report.distinct_operators = len(seen)

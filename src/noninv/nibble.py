@@ -71,8 +71,12 @@ def nibble_degree_limit() -> float:
 _BINARY_HARD_LIMIT = 24
 
 
-def _check_length(n: int) -> None:
-    """Refuse words longer than _BINARY_HARD_LIMIT before anything is built."""
+def _check_length(n: int, least: int) -> None:
+    """Refuse words shorter than least or longer than _BINARY_HARD_LIMIT
+    before anything is built."""
+    if n < least:
+        raise ValueError(f"words of length {n} are outside the tabulation "
+                         f"range {least} <= n <= {_BINARY_HARD_LIMIT}")
     if n > _BINARY_HARD_LIMIT:
         raise ValueError(f"words of length {n} exceed the enumeration "
                          f"limit n <= {_BINARY_HARD_LIMIT}")
@@ -82,9 +86,7 @@ class BinaryDomain(DomainCodec):
     """All binary words of a fixed length, ranked as big-endian integers."""
 
     def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("length must be >= 0")
-        _check_length(n)
+        _check_length(n, 0)
         self.n = n
 
     @property
@@ -176,10 +178,7 @@ def nibble_rank_table(n: int) -> array:
     then b up, then the fixed word) the table is a concatenation of ranges.
     Equals ``nibble_binary_endomap(n).table``.
     """
-    if n < 1:
-        raise ValueError(f"words of length {n} are outside the tabulation "
-                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
-    _check_length(n)
+    _check_length(n, 1)
     table = array("I", [0])
     for a in range(n - 1, -1, -1):
         for b in range(1, n - a):
@@ -207,10 +206,7 @@ def chip_rank_table(n: int) -> array:
     shifts by a constant, so the table is a concatenation of ranges.
     Equals ``chip_endomap(n).table``.
     """
-    if n < 1:
-        raise ValueError(f"words of length {n} are outside the tabulation "
-                         f"range 1 <= n <= {_BINARY_HARD_LIMIT}")
-    _check_length(n)
+    _check_length(n, 1)
     size = 1 << n
     table = array("I", range(size >> 1, size))
     for k in range(1, n):

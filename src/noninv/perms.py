@@ -26,15 +26,9 @@ def check_perm(pi) -> Perm:
     return pi
 
 
-def apply_t(pi: Perm, i: int) -> Perm:
-    """Sorting operator t_i: swap positions i, i+1 (1-based) if descending."""
-    if not 1 <= i <= len(pi) - 1:
-        raise ValueError(f"t_{i} undefined on length {len(pi)}")
-    return _t(pi, i)
-
-
 def _t(pi: Perm, i: int) -> Perm:
-    # apply_t for an index already known to lie in 1..len(pi)-1
+    # sorting operator t_i: swap positions i, i+1 (1-based) if descending;
+    # callers pass only i in 1..len(pi)-1
     if pi[i - 1] > pi[i]:
         return pi[: i - 1] + (pi[i], pi[i - 1]) + pi[i + 1 :]
     return pi
@@ -96,7 +90,9 @@ def perm_rank(pi: Perm) -> int:
 
 
 def perm_unrank(r: int, n: int) -> Perm:
-    """Inverse of perm_rank, the oracle of the same three tests."""
+    """Inverse of perm_rank: with it, the oracle of
+    test_rank_unrank_round_trip, test_rank_round_trip_property and
+    test_domain_agrees_with_arithmetic_rank."""
     if not 0 <= r < factorial(n):
         raise ValueError(f"rank {r} out of range for S_{n}")
     e = []

@@ -293,11 +293,6 @@ def _sampler(n: int) -> PartitionSampler:
     return PartitionSampler(n)
 
 
-def random_partition(n: int, rng_seed: int) -> Partition:
-    """One uniform draw from Part(n), deterministic per seed."""
-    return _sampler(n).sample(random.Random(rng_seed))
-
-
 def monte_carlo_bulgarian(n: int, samples: int,
                           rng_seed: int) -> tuple[float, float]:
     """Mean and sample stddev of |B^{-1}(B(lam))| over uniform lam in Part(n)."""
@@ -406,25 +401,6 @@ def carolina_preimage_count(c: Sequence[int]) -> int:
     c = check_composition(c)
     # the empty composition is its own and only preimage
     return comb(c[0], len(c) - 1) if c else 1
-
-
-def carolina_preimages(c: Sequence[int]) -> list[Composition]:
-    """All preimages: the parts c_2+1, ..., c_ell+1 kept in order, with
-    c_1 - (ell - 1) ones interleaved."""
-    c = check_composition(c)
-    if not c:
-        return [()]
-    ell = len(c)
-    if c[0] < ell - 1:
-        return []
-    big = [p + 1 for p in c[1:]]
-    out = []
-    for pos in itertools.combinations(range(c[0]), ell - 1):
-        parts = [1] * c[0]
-        for slot, val in zip(pos, big):
-            parts[slot] = val
-        out.append(tuple(parts))
-    return out
 
 
 def carolina_endomap(n: int) -> EndoMap:

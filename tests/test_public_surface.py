@@ -1,7 +1,9 @@
-"""The package's public surface: what it exports and what each module imports."""
+"""The package's public surface: what it exports, what each module imports,
+and that every public name has a caller outside the tests."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ import noninv
 
 PACKAGE = pathlib.Path(noninv.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = pathlib.Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def top_level_imports(tree):
@@ -42,3 +46,136 @@ def test_no_unused_top_level_imports(path):
     unused = {name: line for name, line in top_level_imports(tree).items()
               if name not in used}
     assert unused == {}, f"{path.name}: imported but never used"
+
+
+# ---------------------------------------------------------------------------
+# every public name has a caller
+
+# cli.py holds the entry points, suites.py is dispatched by name through
+# cli._SUITES (tests/test_suites.py ties the two), and __init__.py only
+# re-exports
+_NO_CALLER_NEEDED = {"__init__.py", "cli.py", "suites.py"}
+_TEST_NAME = re.compile(r"\btest_\w+")
+
+
+def _referenced(node) -> set[str]:
+    """Every ast.Name id and ast.Attribute attr under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _cites_real_tests(doc, tests) -> bool:
+    """Whether doc says "oracle of" and every test_... it cites exists."""
+    doc = " ".join((doc or "").split())
+    cited = set(_TEST_NAME.findall(doc))
+    return "oracle of" in doc and bool(cited) and cited <= tests
+
+
+def _exports(init) -> set[tuple[str, str]]:
+    """(file, name) for each __all__ name that init imports from a module."""
+    exported = set()
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return {(f"{node.module}.py", alias.name) for node in init.body
+            if isinstance(node, ast.ImportFrom) and node.module
+            for alias in node.names if alias.name in exported}
+
+
+def names_without_caller(modules, bench_text, tests) -> list[str]:
+    """The public names of modules that only tests could reach.
+
+    modules maps a file name to its source, bench_text is the benchmark's
+    source and tests holds the test function names and test file stems.
+    Checked are the top-level public defs and classes of every module but
+    those in _NO_CALLER_NEEDED, and every name in __init__'s __all__.  Each
+    must (a) appear as a Name or Attribute in a module other than
+    __init__.py, outside its own definition, (b) appear as a word in
+    bench_text, or (c) have a docstring that says "oracle of" and names
+    only tests that exist.  Returns "module.name" for each that does none.
+    """
+    trees = {file: ast.parse(src) for file, src in modules.items()}
+    defs = {(file, node.name): node for file, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    checked = {(file, name) for file, name in defs
+               if file not in _NO_CALLER_NEEDED and not name.startswith("_")}
+    if "__init__.py" in trees:
+        checked |= _exports(trees["__init__.py"])
+    statements = [(stmt, _referenced(stmt)) for file, tree in trees.items()
+                  if file != "__init__.py" for stmt in tree.body]
+    flagged = []
+    for file, name in sorted(checked):
+        node = defs.get((file, name))
+        if any(name in refs for stmt, refs in statements if stmt is not node):
+            continue
+        if re.search(rf"\b{re.escape(name)}\b", bench_text):
+            continue
+        doc = ast.get_docstring(node) if node is not None else None
+        if _cites_real_tests(doc, tests):
+            continue
+        flagged.append(f"{file[:-3]}.{name}")
+    return flagged
+
+
+def _test_names() -> set[str]:
+    names = set()
+    for path in TESTS.glob("test_*.py"):
+        names.add(path.stem)
+        names |= {node.name for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.name.startswith("test_")}
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    modules = {path.name: path.read_text() for path in MODULES}
+    bench_text = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
+    flagged = names_without_caller(modules, bench_text, _test_names())
+    assert flagged == [], "public names that only tests reach"
+
+
+_SYNTHETIC = {
+    "__init__.py": "from .m import lonely, used\n__all__ = ['lonely', 'used']\n",
+    "cli.py": "from .m import used\n\n\ndef main():\n    used()\n",
+    "m.py": '''
+def used():
+    return helper()
+
+
+def helper():
+    return 1
+
+
+def lonely():
+    return lonely()
+
+
+def timed():
+    pass
+
+
+def cited():
+    """Brute force: the oracle of test_here in tests/test_file.py."""
+
+
+def stale():
+    """Brute force: the oracle of test_gone."""
+
+
+def half():
+    """Brute force: the oracle of test_here and test_gone."""
+
+
+def uncited():
+    """Brute force, an oracle for no test named here."""
+''',
+}
+
+
+def test_guard_flags_uncalled_defs_and_stale_citations():
+    bench_text = 'TARGETS = {"m.timed": ("m", "timed", None)}'
+    flagged = names_without_caller(_SYNTHETIC, bench_text,
+                                   {"test_here", "test_file"})
+    assert flagged == ["m.half", "m.lonely", "m.stale", "m.uncited"]

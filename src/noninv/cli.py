@@ -200,9 +200,9 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                     str(s): c for s, c in expected.items()}
                 ok = False
     elif system == "bulgarian":
-        fibers = solitaire.bulgarian_fibers(n)
+        fibers, shapes = solitaire.bulgarian_fibers(n)
         ok, _ = _degree_payload(payload, fibers.values())
-        outside, missed = solitaire.bulgarian_image_defects(n, fibers)
+        outside, missed = solitaire.bulgarian_image_defects(n, fibers, shapes)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
                                         "rank_at_least_minus_1_missed": missed}
@@ -268,7 +268,7 @@ _SUITES = {
     "thm4": {"max_n": _S_N},
     "binary32": {"max_n": (2, 20)},  # 23 s
     "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
-    "thm5": {"max_n": (1, 50)},  # 4.0-4.9 s, 42 MB
+    "thm5": {"max_n": (1, 50)},  # 0.8-1.2 s, 42 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 1.9-2.3 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s

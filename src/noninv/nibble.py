@@ -24,17 +24,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .endo import DomainCodec, EndoMap, degree
-from .perms import Perm, _t, check_perm, permutation_domain
+from .perms import Perm, _t, permutation_domain
 
 Bits = tuple[int, ...]
 
 
-def nibble(pi: Perm) -> Perm:
-    """Swap the entries at the first descent; sorted input is fixed."""
-    return _nibble(check_perm(pi))
-
-
 def _nibble(pi: Perm) -> Perm:
+    """Swap the entries at the first descent; sorted input is fixed."""
     for i in range(1, len(pi)):
         if pi[i - 1] > pi[i]:
             return _t(pi, i)

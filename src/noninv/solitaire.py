@@ -26,11 +26,12 @@ import itertools
 import random
 import statistics
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from operator import lshift, or_
+from operator import lshift, mod, or_
 from typing import Iterator, Sequence
 
 from .endo import DomainCodec, EndoMap, EnumeratedDomain, square_sum
@@ -95,9 +96,8 @@ def partitions_desc(n: int) -> Iterator[Partition]:
 
 # the largest Part(n) the codec and the fiber count enumerate: `degree
 # bulgarian --n 65 --force` (p(65) = 2,012,558 partitions, counted by
-# bulgarian_fibers) takes 7-8 s and peaks at 113 MB on 2 cores, Python 3.11.
-# bulgarian_fibers stores each image as one byte per part, which holds only
-# while every part, at most n, is below 256, so the limit must stay below 256
+# bulgarian_fibers) takes 1.8-2.3 s and peaks at 109 MB on 2 cores,
+# Python 3.11; its image keys are exact ints, so no part size bounds them
 _PARTITION_HARD_LIMIT = 65
 
 
@@ -161,49 +161,133 @@ def partition_rank(lam: Sequence[int]) -> int:
     lam = check_partition(lam)
     if not lam:
         raise ValueError("rank needs a nonempty partition")
-    return _rank(lam)
-
-
-def _rank(lam: Partition) -> int:
-    return lam[0] - len(lam)
+    return _rank(lam[0], len(lam))
 
 
 def bulgarian_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(partition_domain(n), _bulgarian)
 
 
-def bulgarian_fibers(n: int) -> Counter:
-    """Fiber sizes of Bulgarian solitaire on Part(n), keyed by image.
+def _part_keys(n: int) -> list[int]:
+    """The additive image keys of Part(n): pl[v] for each part value v.
 
-    One pass over the partitions counts every image; no domain list, rank
-    dictionary or table is built.  Each key is ``bytes(image)``, the parts
-    largest first at one byte each.  Unlike ``stacksort.stack_fibers``,
-    whose at most 76,028 images are rekeyed to tuples, the keys stay bytes:
-    the count holds about 1.1 M images at n = 65, and tuple keys would
-    nearly double its peak (214 MB against 113 MB).
+    With R = n + 1 and P_v = prod_{u < v} (floor(n/u) + 1), pl[v] is
+    P_v R + 1 and pl[0] is 0, and a partition's key is the sum of pl over
+    its parts.  P is a mixed radix, and a partition of n has at most
+    floor(n/u) parts equal to u, so the digits never carry: the key is
+    injective on Part(n), its length is the key mod R (as ell <= n < R),
+    and its largest part is the number of pl[1..n] at most the key.
+    """
+    r = n + 1
+    pl, place = [0], 1
+    for v in range(1, n + 1):
+        pl.append(place * r + 1)
+        place *= n // v + 1
+    return pl
+
+
+def _bulgarian_keys(n: int, pl: list[int], runs: list[int]) -> Iterator[int]:
+    """The key of B(lam) for each lam in Part(n), in partitions_desc order.
+
+    The loop is partitions_desc's Algorithm P.  With lam = a[1..m] and
+    a[1..q] its parts >= 2, key(B(lam)) = s + pl[m], where
+    s = sum_{i <= q} pl[a_i - 1] is kept by addition as the parts change.
+    Each run of points between two outer steps shares its largest part
+    a[1], and its lengths are consecutive; it is recorded in runs, a
+    difference array over a[1] (n + 1) + length.
+    """
+    r, p1 = n + 1, pl[1]
+    a = [0] * (n + 1)
+    m, rest, x = 1, n, n
+    s, top = 0, n * r
+    while True:
+        px = pl[x - 1]
+        while rest > x:
+            a[m] = x
+            m += 1
+            rest -= x
+            s += px
+        a[m] = rest
+        s += pl[rest - 1]
+        q = m - (rest == 1)
+        runs[top + m] += 1
+        while True:
+            yield s + pl[m]
+            if a[q] != 2:
+                break
+            # a final 2 becomes 1 + 1; only a[1..q] are read, so the new
+            # ones are never stored
+            a[q] = 1
+            q -= 1
+            m += 1
+            s -= p1
+        if q == 0:
+            # the run ends at 1^n, whose largest part is 1, not the run's
+            # a[1] = 2 (for n = 1 the two agree)
+            runs[top + n] -= 1
+            runs[r + n] += 1
+            runs[r + n + 1] -= 1
+            return
+        runs[top + m + 1] -= 1
+        x = a[q] - 1
+        a[q] = x
+        s += pl[x - 1] - pl[x]
+        if q == 1:
+            top = x * r
+        rest = m - q + 1
+        m = q + 1
+
+
+def bulgarian_fibers(n: int) -> tuple[Counter, dict]:
+    """Fiber sizes of Bulgarian solitaire on Part(n), and Part(n)'s shapes.
+
+    One Algorithm P pass counts every image by its ``_part_keys`` key, an
+    int, with no tuple, sort or bytes built for any point, and no domain
+    list, rank dictionary or table.  The pass also counts the domain by
+    shape: the second value maps (largest part, length) to the number of
+    partitions of n with that shape, for ``bulgarian_image_defects``.
     """
     _check_partition_size(n)
-    return Counter(map(bytes, map(_bulgarian, partitions_desc(n))))
+    pl = _part_keys(n)
+    r = n + 1
+    runs = [0] * (r * r + 1)
+    fibers = Counter(_bulgarian_keys(n, pl, runs))
+    shapes = {divmod(i, r): c
+              for i, c in enumerate(itertools.accumulate(runs)) if c}
+    return fibers, shapes
 
 
-def bulgarian_image_defects(n: int, fibers: Counter) -> tuple[int, int]:
+def _rank(largest: int, length: int) -> int:
+    return largest - length
+
+
+def _split_by_rank(shapes: dict) -> tuple[int, int]:
+    """Points of rank >= -1 and of rank < -1 in a count keyed by shape."""
+    high = sum(c for (big, ell), c in shapes.items() if _rank(big, ell) >= -1)
+    return high, sum(shapes.values()) - high
+
+
+def bulgarian_image_defects(n: int, fibers: Counter,
+                            shapes: dict) -> tuple[int, int]:
     """Image points of rank < -1 and rank >= -1 points outside the image.
 
-    fibers is ``bulgarian_fibers(n)``, or any count keyed by partitions of n
-    as sequences of parts; (0, 0) certifies that its keys are exactly the
-    partitions of n of rank >= -1.  The keys are partitions of n, so the
-    missed ones number all partitions of rank >= -1, counted by one more
-    pass over Part(n), less the keys of rank >= -1.
+    fibers and shapes are ``bulgarian_fibers(n)``'s; (0, 0) certifies that
+    the keys of fibers are exactly the partitions of n of rank >= -1.  Each
+    key is decoded to its shape, and both counts are split by rank through
+    ``_rank``.  The keys are partitions of n, so the missed ones number the
+    domain's partitions of rank >= -1 less the keys of rank >= -1.
     """
-    outside = sum(1 for lam in fibers if _rank(lam) < -1)
-    expected = sum(1 for lam in partitions_desc(n) if _rank(lam) >= -1)
-    return outside, expected - (len(fibers) - outside)
+    # pl[1..n] at most the key number its largest part
+    largest = map(bisect_right, itertools.repeat(_part_keys(n)[1:]), fibers)
+    image = Counter(zip(largest, map(mod, fibers, itertools.repeat(n + 1))))
+    high, outside = _split_by_rank(image)
+    return outside, _split_by_rank(shapes)[0] - high
 
 
 def bulgarian_degree(n: int) -> Fraction:
     """Exact degree on Part(n); also certifies image = {rank >= -1}."""
-    fibers = bulgarian_fibers(n)
-    if bulgarian_image_defects(n, fibers) != (0, 0):
+    fibers, shapes = bulgarian_fibers(n)
+    if bulgarian_image_defects(n, fibers, shapes) != (0, 0):
         raise RuntimeError(f"image of Part({n}) is not the rank >= -1 set")
     return Fraction(square_sum(fibers.values()), sum(fibers.values()))
 

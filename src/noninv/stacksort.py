@@ -125,9 +125,8 @@ def stack_fibers(n: int) -> Counter:
     """Fiber sizes of stack sorting on S_n, keyed by image permutation.
 
     The count is rekeyed from bytes to tuples on purpose, to match
-    ``stack_sort``: it holds at most 76,028 images, at n = 10, whereas
-    ``solitaire.bulgarian_fibers`` keeps bytes for its ~1.1 M images at
-    n = 65, where tuple keys would nearly double the peak.
+    ``stack_sort``: it holds at most 76,028 images, at n = 10, so tuple
+    keys cost little there.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -159,12 +159,12 @@ def thm5(max_n: int = 20) -> list[dict]:
     """Theorem 5: Bulgarian solitaire's fiber bound and its image."""
     checks = []
     for n in range(1, max_n + 1):
-        fibers = solitaire.bulgarian_fibers(n)
+        fibers, shapes = solitaire.bulgarian_fibers(n)
         bound = solitaire.max_preimage_bound(n)
         largest = max(fibers.values())
         checks.append(_check(f"max fiber within bound n={n}", largest <= bound,
                              f"max {largest} <= {bound}"))
-        defects = solitaire.bulgarian_image_defects(n, fibers)
+        defects = solitaire.bulgarian_image_defects(n, fibers, shapes)
         checks.append(_check(f"image is rank >= -1 n={n}", defects == (0, 0),
                              f"{len(fibers)} image points"))
     return checks

@@ -692,8 +692,8 @@ def _one_more_fiber_of_size_one(real):
 
 
 def _one_defect_more(real):
-    def perturbed(n, fibers):
-        outside, missed = real(n, fibers)
+    def perturbed(*args):
+        outside, missed = real(*args)
         return outside + 1, missed
     return perturbed
 
@@ -756,13 +756,36 @@ def test_degree_perturbed_check_exits_1_with_both_values(capsys, monkeypatch,
 
 
 def test_degree_bulgarian_image_defect_prints_payload(capsys, monkeypatch):
-    # a rank off by one moves the rank >= -1 boundary, so the certificate fails
-    monkeypatch.setattr(solitaire, "_rank", lambda lam: lam[0] - len(lam) - 1)
+    # a rank off by one moves the rank >= -1 boundary on both sides of the
+    # certificate, so the image's rank -1 points fall outside it
+    monkeypatch.setattr(solitaire, "_rank",
+                        lambda largest, length: largest - length - 1)
     code, payload = run_json(capsys, "degree", "bulgarian", "--n", "6")
     assert code == 1
     assert payload["degree"] == "17/11"
     assert payload["image_defects"]["rank_below_minus_1_in_image"] > 0
     assert payload["image_defects"]["rank_at_least_minus_1_missed"] == 0
+
+
+def test_degree_bulgarian_shifted_key_prints_both_defects(capsys, monkeypatch):
+    # adding pl[1] to a key adds a part 1: the image point (3, 1, 1, 1) of
+    # rank -1 turns into a key of rank -2, so one point leaves the rank >= -1
+    # set and one lands outside it
+    real = solitaire.bulgarian_fibers
+
+    def shifted(n):
+        fibers, shapes = real(n)
+        pl = solitaire._part_keys(n)
+        key = pl[3] + 3 * pl[1]
+        fibers[key + pl[1]] = fibers.pop(key)
+        return fibers, shapes
+
+    monkeypatch.setattr(solitaire, "bulgarian_fibers", shifted)
+    code, payload = run_json(capsys, "degree", "bulgarian", "--n", "6")
+    assert code == 1
+    assert payload["degree"] == "17/11"
+    assert payload["image_defects"] == {"rank_below_minus_1_in_image": 1,
+                                        "rank_at_least_minus_1_missed": 1}
 
 
 _ONE_BUILD = [

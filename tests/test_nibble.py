@@ -19,7 +19,6 @@ from noninv.nibble import (
     chip_rank_table,
     chip_two_preimage_words,
     expected_binary_histogram,
-    nibble,
     nibble_binary,
     nibble_binary_endomap,
     nibble_degree_formula,
@@ -30,13 +29,11 @@ from noninv.nibble import (
 
 
 def test_nibble_examples():
+    nibble = nibble_module._nibble
     assert nibble((1, 2, 3)) == (1, 2, 3)
     assert nibble((1, 3, 2)) == (1, 2, 3)
     assert nibble((3, 1, 2)) == (1, 3, 2)
     assert nibble((2, 3, 1)) == (2, 1, 3)
-    for bad in [(1, 1, 2), (0, 1), (1, 2, 4)]:
-        with pytest.raises(ValueError):
-            nibble(bad)
 
 
 def test_formula_small_values():

@@ -64,6 +64,19 @@ def _referenced(node) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _module_name_refs(node) -> set[str]:
+    """Each m that node names as m.m or imports by from .m import m."""
+    refs = set()
+    for n in ast.walk(node):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == n.attr):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            module = n.module.rsplit(".", 1)[-1]
+            refs |= {alias.name for alias in n.names if alias.name == module}
+    return refs
+
+
 def _cites_real_tests(doc, tests) -> bool:
     """Whether doc says "oracle of" and every test_... it cites exists."""
     doc = " ".join((doc or "").split())
@@ -93,7 +106,10 @@ def names_without_caller(modules, bench_text, tests) -> list[str]:
     must (a) appear as a Name or Attribute in a module other than
     __init__.py, outside its own definition, (b) appear as a word in
     bench_text, or (c) have a docstring that says "oracle of" and names
-    only tests that exist.  Returns "module.name" for each that does none.
+    only tests that exist.  A def named like its module, m.m, is matched
+    in (a) only within m itself or as m.m or from .m import m elsewhere,
+    since every m.anything access names m; in (b), only as the word m.m.
+    Returns "module.name" for each that does none.
     """
     trees = {file: ast.parse(src) for file, src in modules.items()}
     defs = {(file, node.name): node for file, tree in trees.items()
@@ -103,14 +119,19 @@ def names_without_caller(modules, bench_text, tests) -> list[str]:
                if file not in _NO_CALLER_NEEDED and not name.startswith("_")}
     if "__init__.py" in trees:
         checked |= _exports(trees["__init__.py"])
-    statements = [(stmt, _referenced(stmt)) for file, tree in trees.items()
-                  if file != "__init__.py" for stmt in tree.body]
+    statements = [(file, stmt, _referenced(stmt), _module_name_refs(stmt))
+                  for file, tree in trees.items() if file != "__init__.py"
+                  for stmt in tree.body]
     flagged = []
     for file, name in sorted(checked):
         node = defs.get((file, name))
-        if any(name in refs for stmt, refs in statements if stmt is not node):
+        own_module = name == file[:-3]
+        if any(name in (module_refs if own_module and where != file else refs)
+               for where, stmt, refs, module_refs in statements
+               if stmt is not node):
             continue
-        if re.search(rf"\b{re.escape(name)}\b", bench_text):
+        word = f"{file[:-3]}.{name}" if own_module else name
+        if re.search(rf"\b{re.escape(word)}\b", bench_text):
             continue
         doc = ast.get_docstring(node) if node is not None else None
         if _cites_real_tests(doc, tests):
@@ -138,7 +159,20 @@ def test_every_public_name_has_a_caller():
 
 _SYNTHETIC = {
     "__init__.py": "from .m import lonely, used\n__all__ = ['lonely', 'used']\n",
-    "cli.py": "from .m import used\n\n\ndef main():\n    used()\n",
+    "cli.py": """from . import nib, pin, pip
+from .m import used
+from .pop import pop
+
+
+def main():
+    used(nib.other(), pin.pin(), pip.other(), pop())
+""",
+    # nib.other() names nib but does not call nib.nib; pip.pip has a
+    # caller in its own module
+    "nib.py": "def nib():\n    pass\n\n\ndef other():\n    pass\n",
+    "pin.py": "def pin():\n    pass\n",
+    "pip.py": "def pip():\n    pass\n\n\ndef other():\n    pip()\n",
+    "pop.py": "def pop():\n    pass\n",
     "m.py": '''
 def used():
     return helper()
@@ -175,7 +209,9 @@ def uncited():
 
 
 def test_guard_flags_uncalled_defs_and_stale_citations():
-    bench_text = 'TARGETS = {"m.timed": ("m", "timed", None)}'
+    bench_text = ('TARGETS = {"m.timed": ("m", "timed", None), '
+                  '"nib.other": ("nib", "other", None)}')
     flagged = names_without_caller(_SYNTHETIC, bench_text,
                                    {"test_here", "test_file"})
-    assert flagged == ["m.half", "m.lonely", "m.stale", "m.uncited"]
+    assert flagged == ["m.half", "m.lonely", "m.stale", "m.uncited",
+                       "nib.nib"]

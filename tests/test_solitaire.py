@@ -1,6 +1,9 @@
 """Bulgarian and Carolina solitaire: maps, fibers, series, sampling."""
 
+import bisect
+import importlib.util
 import math
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -425,38 +428,96 @@ def test_partitions_desc_matches_recursive_order():
         assert list(partitions_desc(n)) == list(_partitions_recursive(n, n)), n
 
 
+def encode(n, lam):
+    """The bulgarian_fibers key of a partition of n, from its parts."""
+    pl = solitaire._part_keys(n)
+    return sum(pl[v] for v in lam)
+
+
+def decode(n, key):
+    """The partition of n with the given key, read digit by digit."""
+    pl = solitaire._part_keys(n)
+    r = n + 1
+    digits, parts = key // r, []
+    for v in range(n, 0, -1):
+        count, digits = divmod(digits, (pl[v] - 1) // r)
+        parts += [v] * count
+    assert digits == 0 and len(parts) == key % r
+    return tuple(parts)
+
+
+def test_bulgarian_fibers_match_one_move_per_partition():
+    # the kernel against partitions_desc and _bulgarian, the independent
+    # enumeration and move
+    for n in range(1, 36):
+        fibers, shapes = bulgarian_fibers(n)
+        decoded = Counter({decode(n, k): c for k, c in fibers.items()})
+        assert decoded == Counter(map(solitaire._bulgarian,
+                                      partitions_desc(n))), n
+        assert shapes == Counter((lam[0], len(lam))
+                                 for lam in partitions_desc(n)), n
+
+
 def test_bulgarian_image_defects_certify_and_catch():
-    from noninv.endo import EndoMap
     for n in range(1, 13):
-        assert bulgarian_image_defects(n, bulgarian_fibers(n)) == (0, 0)
+        assert bulgarian_image_defects(n, *bulgarian_fibers(n)) == (0, 0)
     f = bulgarian_endomap(8)
     dom = f.codec
+    _, shapes = bulgarian_fibers(8)
     # send one point to (1^8), of rank -7, which is never an image
     low = dom.rank((1,) * 8)
     moved = EndoMap(dom, (low,) + f.table[1:])
-    outside, missed = bulgarian_image_defects(8, Counter(map(dom.unrank,
-                                                             moved.table)))
+    keys = Counter(encode(8, dom.unrank(i)) for i in moved.table)
+    outside, missed = bulgarian_image_defects(8, keys, shapes)
     assert outside == 1 and missed == (f.table[0] not in f.table[1:])
     # move the one preimage of a rank >= -1 image point of Part(10) to
     # (1^10): one point outside the rank >= -1 set and one missed; without
     # the moved point, the dropped fiber alone is one miss
-    fibers = bulgarian_fibers(10)
-    single = next(lam for lam, c in fibers.items() if c == 1)
+    fibers, shapes = bulgarian_fibers(10)
+    single = next(key for key, c in fibers.items() if c == 1)
     dropped = fibers.copy()
     del dropped[single]
-    injected = dropped + Counter([bytes((1,) * 10)])
-    assert bulgarian_image_defects(10, injected) == (1, 1)
-    assert bulgarian_image_defects(10, dropped) == (0, 1)
+    injected = dropped + Counter([encode(10, (1,) * 10)])
+    assert bulgarian_image_defects(10, injected, shapes) == (1, 1)
+    assert bulgarian_image_defects(10, dropped, shapes) == (0, 1)
+    # one more domain point of rank >= -1 than the keys is one miss
+    more = dict(shapes)
+    more[10, 1] += 1
+    assert bulgarian_image_defects(10, fibers, more) == (0, 1)
 
 
 def test_bulgarian_fibers_match_the_table():
     for n in range(1, 31):
         f = bulgarian_endomap(n)
-        fibers = bulgarian_fibers(n)
-        assert fibers == Counter(map(bytes, map(f.codec.unrank, f.table))), n
-        assert all(type(image) is bytes for image in fibers)
+        fibers, _ = bulgarian_fibers(n)
+        assert fibers == Counter(encode(n, f.codec.unrank(i))
+                                 for i in f.table), n
+        assert all(type(image) is int for image in fibers)
 
 
-def test_partition_ceiling_fits_one_byte_per_part():
-    # bulgarian_fibers keys each image by one byte per part
-    assert solitaire._PARTITION_HARD_LIMIT < 256
+def test_partition_ceiling_keys_never_carry():
+    # at the ceiling, a partition has at most n // u parts equal to u; with
+    # every such digit at its maximum, the places below v still sum to less
+    # than the place of v, up to P_(n+1) = 2 P_n, and no length reaches R
+    n = solitaire._PARTITION_HARD_LIMIT
+    pl, r = solitaire._part_keys(n), n + 1
+    place = [(key - 1) // r for key in pl]  # P_v at index v
+    for v in range(1, n + 1):
+        assert sum((n // u) * place[u] for u in range(1, v)) < place[v]
+    assert sum((n // u) * place[u] for u in range(1, n + 1)) < 2 * place[n]
+    assert n < r
+    for lam in [(n,), (1,) * n, (2,) * (n // 2) + (1,), (n - 1, 1),
+                tuple(range(10, 0, -1)) + (1,) * (n - 55)]:
+        key = encode(n, lam)
+        assert decode(n, key) == lam
+        assert bisect.bisect_right(pl, key) - 1 == lam[0]
+
+
+def test_bulgarian_degree_50_matches_benchmark_oracle():
+    # bench/oracle.py pins deg(B_50); reading it here puts that value in
+    # tier-1 too
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert bulgarian_degree(50) == oracle.BULGARIAN_DEGREE[50]

@@ -16,11 +16,9 @@ as "p/q" and every decimal is display-only at 12 significant digits.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from math import inf
 
@@ -402,11 +400,15 @@ def _flatten(obj, prefix: str = ""):
 
 
 def _emit(payload: dict, args) -> None:
+    # csv and datetime are imported where they are used, so a command that
+    # writes neither loads neither
     if not args.no_timestamp:
+        from datetime import datetime, timezone
         payload["timestamp"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     elif args.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["key", "value"])

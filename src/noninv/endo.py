@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, Iterator
@@ -112,7 +111,6 @@ class EnumeratedDomain(DomainCodec):
         return iter(self._objs)
 
 
-@dataclass(frozen=True)
 class EndoMap:
     """A self-map of a finite domain, tabulated as index -> index.
 
@@ -121,10 +119,16 @@ class EndoMap:
     keep its table's type.
     """
 
-    codec: DomainCodec
-    table: tuple[int, ...] | array
+    __slots__ = ("codec", "table")
+
+    def __init__(self, codec: DomainCodec, table: tuple[int, ...] | array):
+        self.codec = codec
+        self.table = table
+        self.__post_init__()
 
     def __post_init__(self):
+        """Refuse a table that is not a self-map of the codec's domain; a
+        method of its own, so a tracer can wrap the check."""
         n = self.codec.size
         if len(self.table) != n:
             raise ValueError(f"table length {len(self.table)} != domain size {n}")
@@ -158,16 +162,23 @@ class EndoMap:
         return cls(IndexDomain(len(table)), table)
 
 
-@dataclass
 class FiberHistogram:
     """Multiset of fiber sizes: counts[s] = number of points with |f^-1(y)| = s.
 
     Both sum_s counts[s] (points of the codomain) and sum_s s*counts[s]
     (points of the domain) equal the domain size, since size-0 fibers are
-    included.
+    included.  Two maps are pseudoconjugate when their histograms are equal.
     """
 
-    counts: dict[int, int]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: dict[int, int]):
+        self.counts = counts
+
+    def __eq__(self, other) -> bool:
+        if type(self) is not type(other):
+            return NotImplemented
+        return self.counts == other.counts
 
     @classmethod
     def from_map(cls, f: EndoMap) -> "FiberHistogram":

@@ -24,7 +24,6 @@ import math
 import random
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import eq, le, mul
@@ -36,15 +35,24 @@ from .endo import (EndoMap, collisions, compose_tables, degree, iterate_table,
 # the extremal tree family
 
 
-@dataclass(frozen=True)
 class TreeSpec:
-    """A rooted tree where every depth-t vertex has branching[t] children."""
+    """A rooted tree where every depth-t vertex has branching[t] children;
+    specs with equal branching are equal."""
 
-    branching: tuple[int, ...]
+    __slots__ = ("branching",)
 
-    def __post_init__(self) -> None:
-        if any(m < 1 for m in self.branching):
+    def __init__(self, branching: tuple[int, ...]):
+        if any(m < 1 for m in branching):
             raise ValueError("branching factors must be >= 1")
+        self.branching = branching
+
+    def __eq__(self, other) -> bool:
+        if type(self) is not type(other):
+            return NotImplemented
+        return self.branching == other.branching
+
+    def __hash__(self) -> int:
+        return hash(self.branching)
 
     @property
     def level_sizes(self) -> tuple[int, ...]:
@@ -349,14 +357,17 @@ def _ratio_terms(n: int, s1: int, sk: int, a: int, m: int) -> tuple[int, int]:
     return sk ** p * n ** a, s1 ** a * n ** p
 
 
-@dataclass
 class RatioWitness:
     """Maximizer of deg(f^k)/deg(f)^gamma with the exact powered ratio."""
 
-    map: EndoMap
-    k: int
-    gamma: Fraction  # dyadic, a/2^m
-    ratio_pow: Fraction  # (deg(f^k)/deg(f)^gamma) ** 2^m
+    __slots__ = ("map", "k", "gamma", "ratio_pow")
+
+    def __init__(self, map: EndoMap, k: int, gamma: Fraction,
+                 ratio_pow: Fraction):
+        self.map = map
+        self.k = k
+        self.gamma = gamma  # dyadic, a/2^m
+        self.ratio_pow = ratio_pow  # (deg(f^k)/deg(f)^gamma) ** 2^m
 
     def recompute(self) -> bool:
         pair = _collision_pair(self.map.table, self.k)

@@ -14,7 +14,6 @@ reverse-complementation, hence share a fiber histogram.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -22,19 +21,19 @@ from .endo import EndoMap, collisions, compose_tables
 from .perms import Perm, _t, check_perm, permutation_domain
 
 
-@dataclass(frozen=True)
 class HeckeWord:
     """A composition of sorting operators on S_n, applied left to right."""
 
-    n: int
-    gens: tuple[int, ...]
+    __slots__ = ("n", "gens")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, gens: tuple[int, ...]):
+        if n < 1:
             raise ValueError("n must be positive")
-        for i in self.gens:
-            if not 1 <= i <= self.n - 1:
-                raise ValueError(f"generator t_{i} undefined for S_{self.n}")
+        for i in gens:
+            if not 1 <= i <= n - 1:
+                raise ValueError(f"generator t_{i} undefined for S_{n}")
+        self.n = n
+        self.gens = gens
 
 
 def hecke_apply(word: HeckeWord, pi: Perm) -> Perm:
@@ -92,14 +91,17 @@ def updown_count(n: int) -> int:
     return row[-1]
 
 
-@dataclass
 class ScanReport:
     """Outcome of an exhaustive or sampled scan over operator words."""
 
-    distinct_operators: int = 0
-    violations: list = field(default_factory=list)
-    bubble_degree: Fraction | None = None
-    tla_degree: Fraction | None = None
+    __slots__ = ("distinct_operators", "violations", "bubble_degree",
+                 "tla_degree")
+
+    def __init__(self, bubble_degree: Fraction, tla_degree: Fraction):
+        self.distinct_operators = 0
+        self.violations: list = []
+        self.bubble_degree = bubble_degree
+        self.tla_degree = tla_degree
 
 
 def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:

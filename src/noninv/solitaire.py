@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import statistics
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -168,20 +167,28 @@ def bulgarian_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(partition_domain(n), _bulgarian)
 
 
+def _key_radices(n: int) -> tuple[int, int]:
+    """R = n + 1 and Q = (n^2 + 1) R, the radices of a ``_part_keys`` key."""
+    r = n + 1
+    return r, (n * n + 1) * r
+
+
 def _part_keys(n: int) -> list[int]:
     """The additive image keys of Part(n): pl[v] for each part value v.
 
-    With R = n + 1 and P_v = prod_{u < v} (floor(n/u) + 1), pl[v] is
-    P_v R + 1 and pl[0] is 0, and a partition's key is the sum of pl over
-    its parts.  P is a mixed radix, and a partition of n has at most
-    floor(n/u) parts equal to u, so the digits never carry: the key is
-    injective on Part(n), its length is the key mod R (as ell <= n < R),
-    and its largest part is the number of pl[1..n] at most the key.
+    With R and Q from ``_key_radices`` and P_v = prod_{u < v}
+    (floor(n/u) + 1), pl[v] is P_v Q + v R + 1 and pl[0] is 0, and a
+    key is the sum of pl over its parts.  The key mod Q is the sum of the
+    parts times R plus their number: exact for any at most n parts from
+    1..n, whose sum is at most n^2.  P is a mixed radix, and a partition of
+    n has at most floor(n/u) parts equal to u, so the digits never carry:
+    the key is injective on Part(n), and its largest part is the number of
+    pl[1..n] at most the key.
     """
-    r = n + 1
+    r, q = _key_radices(n)
     pl, place = [0], 1
     for v in range(1, n + 1):
-        pl.append(place * r + 1)
+        pl.append(place * q + v * r + 1)
         place *= n // v + 1
     return pl
 
@@ -273,15 +280,25 @@ def bulgarian_image_defects(n: int, fibers: Counter,
 
     fibers and shapes are ``bulgarian_fibers(n)``'s; (0, 0) certifies that
     the keys of fibers are exactly the partitions of n of rank >= -1.  Each
-    key is decoded to its shape, and both counts are split by rank through
-    ``_rank``.  The keys are partitions of n, so the missed ones number the
-    domain's partitions of rank >= -1 less the keys of rank >= -1.
+    key is decoded to its largest part and, by one mod, to the sum and
+    number of its parts.  A key whose parts do not sum to n is outside; the
+    others are partitions of n, split by rank through ``_rank``, so the
+    missed ones number the domain's partitions of rank >= -1 less the keys
+    of rank >= -1.
     """
+    r, q = _key_radices(n)
     # pl[1..n] at most the key number its largest part
     largest = map(bisect_right, itertools.repeat(_part_keys(n)[1:]), fibers)
-    image = Counter(zip(largest, map(mod, fibers, itertools.repeat(n + 1))))
-    high, outside = _split_by_rank(image)
-    return outside, _split_by_rank(shapes)[0] - high
+    image = Counter(zip(largest, map(mod, fibers, itertools.repeat(q))))
+    own, off_sum = {}, 0
+    for (big, low), c in image.items():
+        total, ell = divmod(low, r)
+        if total == n:
+            own[big, ell] = c
+        else:
+            off_sum += c
+    high, outside = _split_by_rank(own)
+    return outside + off_sum, _split_by_rank(shapes)[0] - high
 
 
 def bulgarian_degree(n: int) -> Fraction:
@@ -380,6 +397,8 @@ def _sampler(n: int) -> PartitionSampler:
 def monte_carlo_bulgarian(n: int, samples: int,
                           rng_seed: int) -> tuple[float, float]:
     """Mean and sample stddev of |B^{-1}(B(lam))| over uniform lam in Part(n)."""
+    import statistics  # imported here, so a CLI child that never samples skips it
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(rng_seed)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import importlib.util
 import inspect
 import json
 import os
@@ -181,6 +182,28 @@ def test_verify_prop1_mismatch_is_a_failed_check(capsys, monkeypatch):
     details = {c["name"]: c["detail"] for c in payload["checks"]}
     assert details["engine equals stratified b=10 k=2"] == \
         "deg=301/131 iterate=1831/131"
+
+
+def test_verify_binary32_histogram_mismatch_exits_1(capsys, monkeypatch):
+    # binary32 compares the nibble and chip FiberHistograms; a chip map with
+    # one point moved at n = 3 has another histogram, and only that fails
+    real = nibble.chip_endomap
+
+    def moved_at_3(n):
+        f = real(n)
+        if n != 3:
+            return f
+        return EndoMap(f.codec, f.table[-1:] + f.table[1:])
+
+    monkeypatch.setattr(nibble, "chip_endomap", moved_at_3)
+    code, payload = run_json(capsys, "verify", "binary32", "--max-n", "3")
+    assert code == 1
+    assert payload["ok"] is False and payload["failed"] == 1
+    failed = [c for c in payload["checks"] if not c["ok"]]
+    assert failed == [{
+        "name": "degree 3/2 and histogram n=3", "ok": False,
+        "detail": "degrees 3/2, 2/1 vs 3/2; histograms {0: 2, 1: 4, 2: 2}, "
+                  "{0: 3, 1: 3, 2: 1, 3: 1} vs {0: 2, 1: 4, 2: 2}"}]
 
 
 def test_verify_thm7_exhaustive_reports_18_equalities(capsys):
@@ -534,18 +557,40 @@ def _peak_rss(*argv):
     return json.loads(done.stdout), maxrss_kib * 1024 / 1e6
 
 
-def test_cli_import_starts_no_process_machinery():
-    # every command runs in one process, so importing the CLI must not load
-    # the process-pool modules
+def _modules_after_cli_import():
+    """sys.modules of a fresh interpreter that has run import noninv.cli."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c",
-         "import sys, noninv.cli; print(sorted(m for m in sys.modules if "
-         "m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+         "import json, sys, noninv.cli; print(json.dumps(sorted(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return set(json.loads(done.stdout))
+
+
+def test_cli_import_starts_no_process_machinery():
+    # every command runs in one process, so importing the CLI must not load
+    # the process-pool modules
+    loaded = _modules_after_cli_import()
+    assert not {m for m in loaded
+                if m.split(".")[0] in ("multiprocessing", "concurrent")}
+
+
+def test_cli_import_loads_every_traced_module_and_no_unused_stdlib():
+    # each child pays for what it imports: dataclasses (with inspect) and
+    # the stdlib modules that only some commands use stay unloaded ...
+    loaded = _modules_after_cli_import()
+    unused = {"dataclasses", "inspect", "csv", "datetime", "statistics"}
+    assert not unused & loaded
+    # ... while every module the benchmark's tracer wraps is loaded by the
+    # import itself, since the tracer looks its targets up in sys.modules
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    traced = {f"noninv.{module}" for module, _, _ in tracer.TARGETS.values()}
+    assert traced <= loaded, sorted(traced - loaded)
 
 
 def test_sample_peak_rss_is_linear():

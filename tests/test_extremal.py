@@ -11,11 +11,12 @@ from noninv import extremal
 from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
                          is_bijection, is_constant, iterate, iterate_table,
                          lane_columns)
-from noninv.extremal import (RatioWitness, all_tables, build_tree_map,
-                             check_theorem3_bound, check_theorem7,
-                             check_theorem7_lanes, draw_tables,
-                             exhaustive_ratio_search, prop1_exact_degrees,
-                             random_table, stratified_degree, table_blocks,
+from noninv.extremal import (RatioWitness, TreeSpec, all_tables,
+                             build_tree_map, check_theorem3_bound,
+                             check_theorem7, check_theorem7_lanes,
+                             draw_tables, exhaustive_ratio_search,
+                             prop1_exact_degrees, random_table,
+                             stratified_degree, table_blocks,
                              theorem3_lane_failures, tree_branching,
                              tree_size, tree_spec)
 
@@ -32,6 +33,17 @@ def test_tree_branching_and_size():
         tree_branching(1, 2)
     with pytest.raises(ValueError):
         tree_branching(5, 1)
+
+
+def test_tree_specs_are_equal_exactly_when_their_branching_is():
+    # the prop1 perturbation tests pick one tree by comparing specs
+    assert tree_spec(5, 2) == TreeSpec((5, 2, 1, 1))
+    assert hash(tree_spec(5, 2)) == hash(TreeSpec((5, 2, 1, 1)))
+    assert tree_spec(5, 2) != tree_spec(10, 2)
+    assert not tree_spec(5, 2) != TreeSpec((5, 2, 1, 1))
+    assert tree_spec(5, 2) != (5, 2, 1, 1)
+    with pytest.raises(ValueError, match=r"^branching factors must be >= 1$"):
+        TreeSpec((2, 0, 1))
 
 
 def test_tree_map_structure():

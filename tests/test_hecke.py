@@ -29,10 +29,12 @@ def test_repeated_generator_is_idempotent():
 
 
 def test_word_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator t_3 undefined for S_3$"):
         HeckeWord(3, (3,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^generator t_0 undefined for S_3$"):
         HeckeWord(3, (0,))
+    with pytest.raises(ValueError, match=r"^n must be positive$"):
+        HeckeWord(0, ())
     with pytest.raises(ValueError):
         hecke_apply(HeckeWord(3, (1,)), (1, 2))
     for bad in [(1, 1, 2), (0, 1, 2), (1, 2, 3, 4), (2, 3, 4)]:

@@ -437,12 +437,12 @@ def encode(n, lam):
 def decode(n, key):
     """The partition of n with the given key, read digit by digit."""
     pl = solitaire._part_keys(n)
-    r = n + 1
-    digits, parts = key // r, []
+    r, q = solitaire._key_radices(n)
+    digits, parts = key // q, []
     for v in range(n, 0, -1):
-        count, digits = divmod(digits, (pl[v] - 1) // r)
+        count, digits = divmod(digits, pl[v] // q)
         parts += [v] * count
-    assert digits == 0 and len(parts) == key % r
+    assert digits == 0 and key % q == n * r + len(parts) and sum(parts) == n
     return tuple(parts)
 
 
@@ -484,6 +484,12 @@ def test_bulgarian_image_defects_certify_and_catch():
     more = dict(shapes)
     more[10, 1] += 1
     assert bulgarian_image_defects(10, fibers, more) == (0, 1)
+    # the key of the image point (4, 2) of Part(6) replaced by that of
+    # (4, 2, 1): its rank, 1, is in range, but its parts sum to 7, so it is
+    # outside and (4, 2) is missed
+    fibers, shapes = bulgarian_fibers(6)
+    fibers[encode(6, (4, 2, 1))] = fibers.pop(encode(6, (4, 2)))
+    assert bulgarian_image_defects(6, fibers, shapes) == (1, 1)
 
 
 def test_bulgarian_fibers_match_the_table():
@@ -498,14 +504,17 @@ def test_bulgarian_fibers_match_the_table():
 def test_partition_ceiling_keys_never_carry():
     # at the ceiling, a partition has at most n // u parts equal to u; with
     # every such digit at its maximum, the places below v still sum to less
-    # than the place of v, up to P_(n+1) = 2 P_n, and no length reaches R
+    # than the place of v, up to P_(n+1) = 2 P_n; at most n parts of at
+    # most n each keep the low digit, sum R + length, below Q
     n = solitaire._PARTITION_HARD_LIMIT
-    pl, r = solitaire._part_keys(n), n + 1
-    place = [(key - 1) // r for key in pl]  # P_v at index v
+    pl = solitaire._part_keys(n)
+    r, q = solitaire._key_radices(n)
+    place = [key // q for key in pl]  # P_v at index v
     for v in range(1, n + 1):
         assert sum((n // u) * place[u] for u in range(1, v)) < place[v]
     assert sum((n // u) * place[u] for u in range(1, n + 1)) < 2 * place[n]
-    assert n < r
+    assert n < r and n * n * r + n < q
+    assert [key % q for key in pl] == [0] + [v * r + 1 for v in range(1, n + 1)]
     for lam in [(n,), (1,) * n, (2,) * (n // 2) + (1,), (n - 1, 1),
                 tuple(range(10, 0, -1)) + (1,) * (n - 55)]:
         key = encode(n, lam)

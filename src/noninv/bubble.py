@@ -199,14 +199,35 @@ def _words(content):
 _WORD_HARD_LIMIT = 10 ** 6
 
 
+def _word_count(a: tuple[int, ...]) -> int | None:
+    """multinomial(a) for a valid content a, or None once it exceeds
+    _WORD_HARD_LIMIT.
+
+    Each factor C(L_v + a_v, a_v) is built as C(M + j, j) for
+    j = 1..min(a_v, L_v), with M = max(a_v, L_v).  Every partial product
+    is at most the count, so the first one above the limit decides, before
+    any integer much larger than the limit is built.
+    """
+    count, larger = 1, 0
+    for av in reversed(a):
+        top = max(av, larger)
+        binom = 1
+        for j in range(1, min(av, larger) + 1):
+            binom = binom * (top + j) // j
+            if count * binom > _WORD_HARD_LIMIT:
+                return None
+        count *= binom
+        larger += av
+    return count
+
+
 def _check_word_count(a: tuple[int, ...]) -> None:
     """Refuse a valid content a with more than _WORD_HARD_LIMIT words
     before any word or table entry is built."""
-    size = multinomial(a)
-    if size > _WORD_HARD_LIMIT:
+    if _word_count(a) is None:
         raise ValueError(
-            f"{size} words of content {a} exceed the enumeration limit "
-            f"{_WORD_HARD_LIMIT}")
+            f"content {a} has more than {_WORD_HARD_LIMIT} words, the "
+            f"enumeration limit")
 
 
 class WordDomain(EnumeratedDomain):

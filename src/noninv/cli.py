@@ -37,6 +37,10 @@ _TREE_K_LIMIT = 1024
 # (511/256: 0.85 s)
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
+# each letter of a Hecke word is one more pass over S_n (20,000 letters
+# took 70 s at --n 8); by the 0-Hecke relations a word of at most
+# n(n - 1)/2 <= 45 letters gives any operator a longer word gives
+_HECKE_WORD_LIMIT = 100
 
 
 class CLIError(Exception):
@@ -143,6 +147,7 @@ _SYSTEMS = {
     "chip": {"n": _BINARY_N},
     "bulgarian": {"n": (1, solitaire._PARTITION_HARD_LIMIT, 50)},
     "carolina": {"n": (1, solitaire._COMPOSITION_HARD_LIMIT, 20)},
+    # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.95 s at --n 8
     "hecke": {"n": _PERM_N, "word": None},
     "tree": {"b": (2, _TREE_LIMIT), "k": (2, _TREE_K_LIMIT)},
 }
@@ -168,7 +173,10 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
             raise CLIError(str(exc))
         if len(content) < 2:
             raise CLIError("--content needs at least two letters")
-        size = bubble.multinomial(content)
+        size = bubble._word_count(content)
+        if size is None:
+            raise CLIError(f"--content has more than "
+                           f"{bubble._WORD_HARD_LIMIT} words, the hard limit")
         _guard(size, bubble._WORD_LIMIT, "word count", given.get("force"),
                bubble._WORD_HARD_LIMIT)
         table = bubble.word_rank_table(content)
@@ -212,6 +220,9 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
     elif system == "hecke":
         gens = (_parse_ints(given["word"], "--word") if "word" in given
                 else tuple(range(1, n)))
+        if len(gens) > _HECKE_WORD_LIMIT:
+            raise CLIError(f"--word has {len(gens)} letters, more than the "
+                           f"hard limit {_HECKE_WORD_LIMIT}")
         try:
             word = hecke.HeckeWord(n, gens)
         except ValueError as exc:
@@ -347,6 +358,9 @@ _COMMANDS = {
         "k": (1, 32),  # 1.0 s
         "gamma": None,
     }}),
+    # RANPAR with guide rows of at most 512 KB: --n 3000 draws 0.47 ms each
+    # and peaks at 17 MB over 1000 draws; --n 10^5 builds p(0..n) in 6.2 s,
+    # draws 30 ms each and peaks at 37 MB over 100 draws
     "sample": (cmd_sample, "seeded partition experiment", {"bulgarian": {
         "n": (1, 10 ** 5), "samples": (1, 10 ** 6), "seed": (-inf, inf),
     }}),

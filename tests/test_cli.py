@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -236,8 +237,56 @@ def test_sample_shape_and_determinism(capsys):
     assert 1.0 <= float(a["mean"]) <= 6.0
 
 
+@pytest.mark.parametrize("n, count, seed, mean, stddev", [
+    ("1000", "100", "1", "2.61", "1.71089792716"),
+    ("50", "2000", "0", "2.1585", "0.976142498352"),
+    ("3000", "1000", "1", "2.926", "1.83518170542"),
+])
+def test_sample_payloads_are_pinned(capsys, n, count, seed, mean, stddev):
+    # recorded from the plain-scan sampler; the guide rows draw the same
+    # partitions from the same rng calls
+    code, payload = run_json(capsys, "sample", "bulgarian", "--n", n,
+                             "--count", count, "--seed", seed)
+    assert code == 0
+    assert (payload["mean"], payload["stddev"]) == (mean, stddev)
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("work started before the argument check")
+
+
+@pytest.mark.parametrize("content", ["3000,3000", "20000,20000",
+                                     "1000000,1000000"])
+@pytest.mark.parametrize("force", [(), ("--force",)])
+def test_huge_word_content_exits_2_at_once(capsys, monkeypatch, content,
+                                            force):
+    # the count was once built in full and formatted into the refusal:
+    # C(2*10^6, 10^6) took 43 s, and its 600,000 digits raised ValueError
+    # (exit 1) in str()
+    monkeypatch.setattr(bubble, "word_rank_table", _refuse)
+    t0 = time.perf_counter()
+    code = cli.main(["degree", "word_bubble", "--content", content, *force])
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: --content has more than 1000000 words, the hard limit\n")
+
+
+def test_hecke_word_length_has_a_hard_limit(capsys, monkeypatch):
+    word = ",".join(["1", "2"] * 50)
+    code, payload = run_json(capsys, "degree", "hecke", "--n", "3",
+                             "--word", word)
+    assert code == 0 and len(payload["word"]) == cli._HECKE_WORD_LIMIT
+    # one letter more is refused before S_n is built
+    monkeypatch.setattr(hecke, "hecke_endomap", _refuse)
+    monkeypatch.setattr(hecke, "permutation_domain", _refuse)
+    for n, letters in ((3, 101), (8, 20000)):
+        code = cli.main(["degree", "hecke", "--n", str(n), "--word",
+                         ",".join(["1"] * letters)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --word has {letters} "
+                                       "letters, more than the hard limit "
+                                       "100\n")
 
 
 # the first call of real work for each refused row below

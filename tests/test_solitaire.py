@@ -2,6 +2,7 @@
 
 import bisect
 import importlib.util
+import itertools
 import math
 import pathlib
 import random
@@ -263,6 +264,94 @@ def test_sampler_every_rng_outcome_is_uniform():
         assert dict(mass) == {lam: Fraction(1, sampler.p[sampler.n])
                               for lam in partitions_desc(n)}
     assert leaves == 45060  # at n = 6
+
+
+def _linear_ranpar(sampler, rng):
+    """One RANPAR draw by plain linear scans: k from 1 up by its weights
+    sigma(k) p(m - k), then d over every integer up to k.  This was the
+    sampler before its guide rows, and every draw of sampler.sample must
+    equal it, rng call for rng call."""
+    p, sigma = sampler.p, sampler.sigma
+    parts = []
+    m = sampler.n
+    while m > 0:
+        r = rng.randrange(m * p[m])
+        k = 0
+        while r >= 0:
+            k += 1
+            r -= sigma[k] * p[m - k]
+        r = rng.randrange(sigma[k])
+        d = 0
+        while r >= 0:
+            d += 1
+            if k % d == 0:
+                r -= d
+        parts.extend([d] * (k // d))
+        m -= k
+    parts.sort(reverse=True)
+    return tuple(parts)
+
+
+def _same_draws(sampler, seed, draws):
+    """Whether sampler.sample and _linear_ranpar give the same partitions
+    and leave their rngs in the same state."""
+    fast, slow = random.Random(seed), random.Random(seed)
+    return ([sampler.sample(fast) for _ in range(draws)]
+            == [_linear_ranpar(sampler, slow) for _ in range(draws)]
+            and fast.getstate() == slow.getstate())
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_draws_equal_the_linear_scan(seed):
+    for n in range(1, 13):
+        assert _same_draws(PartitionSampler(n), seed, 100), n
+    assert _same_draws(PartitionSampler(50), seed, 200)
+    assert _same_draws(PartitionSampler(500), seed, 100)
+    assert _same_draws(PartitionSampler(3000), seed, 50)
+
+
+def test_sampler_guide_branches_equal_the_linear_scan(monkeypatch):
+    sampler = PartitionSampler(50)
+    p, sigma = sampler.p, sampler.sigma
+    total = 50 * p[50]
+    shift = total.bit_length() - 16
+    prefix = list(itertools.accumulate(sigma[k] * p[50 - k]
+                                       for k in range(1, 51)))
+    assert prefix[-1] == total and prefix[0] >> shift > 0
+    scans = []
+    scan = sampler._scan
+
+    def record(m, r, s, tie):
+        scans.append((m, tie))
+        return scan(m, r, s, tie)
+
+    monkeypatch.setattr(sampler, "_scan", record)
+    # the first randrange picks k at m = 50; every later one answers 0.
+    # Each case gives r, k, the ties of the scans at m = 50 and the row's
+    # length after the draw
+    for r, k, ties, row_length in [
+            (prefix[4] - 1, 5, [False], 5),  # a new row, extended to k
+            (total - 1, 50, [False], 50),  # extended from the exact W_50(5)
+            (0, 1, [], 50),  # a guide hit: top bits below the first entry
+            (prefix[9], 11, [True], 50),  # top bits equal the tenth entry
+    ]:
+        scans.clear()
+        fast, slow = _ReplayRng([r]), _ReplayRng([r])
+        assert sampler.sample(fast) == _linear_ranpar(sampler, slow)
+        assert fast.calls == slow.calls
+        assert fast.calls[1] == (sigma[k], 0)
+        assert [tie for m, tie in scans if m == 50] == ties
+        assert len(sampler._rows[50]) == row_length
+    assert sampler._ends[50] == total
+
+
+@pytest.mark.parametrize("budget", [0, 7])
+def test_sampler_spent_budget_equals_the_linear_scan(monkeypatch, budget):
+    monkeypatch.setattr(solitaire, "_GUIDE_BUDGET", budget)
+    sampler = PartitionSampler(500)
+    assert _same_draws(sampler, 3, 50)
+    assert sampler._budget == 0
+    assert sum(map(len, sampler._rows)) == budget
 
 
 def test_sampler_total_is_partition_count():

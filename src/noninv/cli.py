@@ -37,9 +37,8 @@ _TREE_K_LIMIT = 1024
 # (511/256: 0.85 s)
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
-# each letter of a Hecke word is one more pass over S_n (20,000 letters
-# took 70 s at --n 8); by the 0-Hecke relations a word of at most
-# n(n - 1)/2 <= 45 letters gives any operator a longer word gives
+# bounds parsing only: a Hecke word is tabulated as its reduced word, of
+# at most n(n - 1)/2 <= 45 letters by the 0-Hecke relations
 _HECKE_WORD_LIMIT = 100
 
 
@@ -147,7 +146,7 @@ _SYSTEMS = {
     "chip": {"n": _BINARY_N},
     "bulgarian": {"n": (1, solitaire._PARTITION_HARD_LIMIT, 50)},
     "carolina": {"n": (1, solitaire._COMPOSITION_HARD_LIMIT, 20)},
-    # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.95 s at --n 8
+    # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.6 s at --n 8
     "hecke": {"n": _PERM_N, "word": None},
     "tree": {"b": (2, _TREE_LIMIT), "k": (2, _TREE_K_LIMIT)},
 }

@@ -10,6 +10,7 @@ import sys
 import time
 from array import array
 from fractions import Fraction
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -568,6 +569,47 @@ def test_force_is_refused_where_no_row_reads_it(capsys, monkeypatch,
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err == \
             f"error: {command} {target} takes no --force\n"
+
+
+def _boundary_cases():
+    """Each int flag of each _COMMANDS row just outside its bounds.
+
+    A flag goes to min - 1 and to max + 1 (with --force where it has a
+    force_limit, so only the hard limit refuses it), and to force_limit + 1
+    without --force; an unbounded seed has no boundary.
+    """
+    for command, (_, _, rows) in cli._COMMANDS.items():
+        for target, row in rows.items():
+            prefix = [command, target.removesuffix("_exhaustive")]
+            if target.endswith("_exhaustive"):
+                prefix.append("--exhaustive")
+            for flag, bounds in row.items():
+                if bounds is None or bounds[0] == -inf:
+                    continue
+                lo, hi, *force_limit = bounds
+                option = "--" + flag.replace("_", "-")
+                values = [(lo - 1, [])]
+                if hi is not None:
+                    values.append((hi + 1, ["--force"] if force_limit else []))
+                values += [(limit + 1, []) for limit in force_limit]
+                for value, force in values:
+                    argv = [*prefix, option, str(value), *force]
+                    yield pytest.param(argv, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv", _boundary_cases())
+def test_every_flag_is_refused_just_outside_its_bounds(capsys, monkeypatch,
+                                                       argv):
+    # generated from the rows, so a row added later is swept too
+    for module, name in _WORK:
+        monkeypatch.setattr(module, name, _refuse)
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, ""), err
+    assert err.startswith("error: ")
+    assert elapsed < 0.5
 
 
 def test_degree_default_n_needs_no_force():

@@ -1,15 +1,20 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
 from noninv.bubble import bubble_sort
-from noninv.endo import FiberHistogram, degree, is_constant, iterate
+from noninv import hecke
+from noninv.endo import (FiberHistogram, collisions, compose_tables, degree,
+                         is_constant, iterate)
 from noninv.hecke import (
     HeckeWord,
+    ScanReport,
     bubble_word,
     conjecture2_scan,
+    demazure,
     hecke_apply,
     hecke_endomap,
     is_eventually_constant,
@@ -89,7 +94,7 @@ def test_degree_lower_bound_via_image_size():
 
 
 def test_odd_n_reverse_complement_intertwining():
-    for n in (3, 5):
+    for n in (3, 5, 7):
         alt, tla = t_alt_word(n), t_tla_word(n)
         for pi in itertools.permutations(range(1, n + 1)):
             assert hecke_apply(alt, reverse_complement(pi)) == reverse_complement(hecke_apply(tla, pi))
@@ -137,11 +142,119 @@ def test_scan_rejects_trivial_n():
         conjecture2_scan(1, 3)
 
 
+def _random_words(rng):
+    # seeded words over every n <= 6 and length <= 30, and one of 100 letters
+    for n in range(1, 7):
+        for _ in range(50):
+            length = rng.randint(0, 30) if n > 1 else 0
+            yield HeckeWord(n, tuple(rng.randint(1, n - 1)
+                                     for _ in range(length)))
+    yield HeckeWord(6, tuple(rng.randint(1, 5) for _ in range(100)))
+
+
 def test_endomap_matches_public_apply():
-    # the endomap skips the per-point checks; its table must not change
-    for n in range(1, 6):
-        reverse = HeckeWord(n, tuple(range(n - 1, 0, -1)) * 2)
-        for word in (bubble_word(n), t_alt_word(n), reverse):
-            dom = permutation_domain(n)
-            want = tuple(dom.rank(hecke_apply(word, pi)) for pi in dom.objects())
-            assert hecke_endomap(word).table == want
+    # the endomap tabulates the reduced word and skips the per-point
+    # checks; its table must equal the unreduced word applied point by point
+    fixed = [word for n in range(1, 6) for word in (
+        bubble_word(n), t_alt_word(n),
+        HeckeWord(n, tuple(range(n - 1, 0, -1)) * 2))]
+    for word in fixed + list(_random_words(random.Random(27))):
+        dom = permutation_domain(word.n)
+        want = tuple(dom.rank(hecke_apply(word, pi)) for pi in dom.objects())
+        assert hecke_endomap(word).table == want, (word.n, word.gens)
+
+
+def test_endomap_applies_the_reduced_word(monkeypatch):
+    word = HeckeWord(4, (1, 2) * 50)
+    applied = set()
+
+    def recorded(gens, pi):
+        applied.add(gens)
+        return real(gens, pi)
+
+    real = hecke._hecke_apply
+    monkeypatch.setattr(hecke, "_hecke_apply", recorded)
+    hecke_endomap(word)
+    assert applied == {(1, 2, 1)}
+
+
+def _inversions(w):
+    return sum(a > b for a, b in itertools.combinations(w, 2))
+
+
+def test_demazure_keeps_a_reduced_word_of_its_product():
+    assert demazure(HeckeWord(3, (1, 1, 2, 1, 2, 2))) == ((1, 2, 1), (3, 2, 1))
+    assert demazure(HeckeWord(1, ())) == ((), (1,))
+    for word in _random_words(random.Random(28)):
+        n = word.n
+        kept, w = demazure(word)
+        assert len(kept) == _inversions(w) <= n * (n - 1) // 2
+        assert demazure(HeckeWord(n, kept)) == (kept, w)
+        # the word sorts the reversal w0 to w0 w, the complement of w
+        image = hecke_apply(word, tuple(range(n, 0, -1)))
+        assert tuple(n + 1 - x for x in image) == w
+
+
+def _generator_table_scan(n, max_word_length):
+    """The scan by generator tables, the oracle of test_scan_equals_generator_table_oracle.
+
+    Each generator is tabulated once, each word's table is folded from them
+    and operators are deduplicated by their full table, so no word is
+    reduced.
+    """
+    dom = permutation_domain(n)
+    generators = {i: tuple(dom.rank(hecke_apply(HeckeWord(n, (i,)), pi))
+                           for pi in dom.objects())
+                  for i in range(1, n)}
+
+    def table_of(gens):
+        # t_{i_1} acts first, so each later generator is composed after it
+        out = generators[gens[0]]
+        for i in gens[1:]:
+            out = compose_tables(generators[i], out)
+        return out
+
+    def table_degree(table):
+        return Fraction(collisions(table), len(table))
+
+    lo = table_degree(table_of(bubble_word(n).gens))
+    hi = table_degree(table_of(t_tla_word(n).gens))
+    report = ScanReport(bubble_degree=lo, tla_degree=hi)
+    words = itertools.chain(
+        (bubble_word(n).gens, t_tla_word(n).gens),
+        *(itertools.product(range(1, n), repeat=length)
+          for length in range(1, max_word_length + 1)))
+    seen = set()
+    for gens in words:
+        if not set(gens) >= set(range(1, n)):
+            continue
+        table = table_of(gens)
+        if table in seen:
+            continue
+        seen.add(table)
+        d = table_degree(table)
+        if not lo <= d <= hi:
+            report.violations.append({"word": gens, "degree": d})
+    report.distinct_operators = len(seen)
+    return report
+
+
+def _fields(report):
+    return {name: getattr(report, name) for name in ScanReport.__slots__}
+
+
+@pytest.mark.parametrize("n, length", [(2, 3), (3, 6), (4, 6), (5, 6)])
+def test_scan_equals_generator_table_oracle(monkeypatch, n, length):
+    # one tabulation per distinct product: at n = 2 the bubble and T_tla
+    # words are one word, built twice for the two endpoints
+    builds = []
+
+    def counted(word):
+        builds.append(word.gens)
+        return real(word)
+
+    real = hecke.hecke_endomap
+    monkeypatch.setattr(hecke, "hecke_endomap", counted)
+    report = conjecture2_scan(n, length)
+    assert _fields(report) == _fields(_generator_table_scan(n, length))
+    assert len(builds) == report.distinct_operators + (n == 2)

@@ -124,3 +124,35 @@ def test_verify_flags_are_suite_keywords_with_defaults_in_bounds(name):
             # a force_limit is checked only on a given flag, so the default
             # must lie at or under it
             assert all(params[flag].default <= f for f in force_limit), flag
+
+
+def test_hecke_odd_builds_each_operator_once(monkeypatch):
+    # T_alt at n = 1..7 and T_tla at n = 5 and 7; the intertwining is checked
+    # on those tables, never point by point
+    builds = []
+
+    def counted(word):
+        builds.append((word.n, word.gens))
+        return real(word)
+
+    def refuse(*args):
+        raise AssertionError("hecke_apply called")
+
+    real = hecke.hecke_endomap
+    monkeypatch.setattr(hecke, "hecke_endomap", counted)
+    monkeypatch.setattr(hecke, "hecke_apply", refuse)
+    checks = suites.hecke_odd(max_n=7, scans=())
+    assert all(c["ok"] for c in checks), checks
+    assert sorted(builds) == sorted(
+        [(n, hecke.t_alt_word(n).gens) for n in range(1, 8)]
+        + [(n, hecke.t_tla_word(n).gens) for n in (5, 7)])
+
+
+def test_hecke_odd_intertwining_can_fail(monkeypatch):
+    # with T_tla replaced by the bubble pass the tables no longer intertwine
+    # and the degrees differ
+    monkeypatch.setattr(hecke, "t_tla_word", hecke.bubble_word)
+    failed = {c["name"]: c["detail"]
+              for c in suites.hecke_odd(max_n=5, scans=()) if not c["ok"]}
+    assert failed == {"reverse-complement intertwining n=5": "pointwise",
+                      "alternating operators share a degree n=5": "44/5 vs 7/1"}

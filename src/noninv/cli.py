@@ -281,7 +281,7 @@ _SUITES = {
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 1.9-2.3 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 1.5-1.9 s, k: 0.13 s
-    "prop1": {"k": (2, 30)},  # 8.6 s, 154 MB
+    "prop1": {"k": (2, 30)},  # 8.6 s, 119 MB
     "hecke_odd": {"max_n": _S_N},
 }
 
@@ -479,9 +479,13 @@ def main(argv=None) -> int:
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    except Exception as exc:
+        # every refusal is a CLIError, so anything else is a bug: exit 1
+        # stays "a check failed"
+        import traceback
+        traceback.print_exc()
+        sys.stderr.write(f"error: internal error: {exc!r}\n")
+        return 3
     _emit(payload, args)
     return code
 

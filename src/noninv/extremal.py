@@ -135,11 +135,14 @@ def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
     The engine pair is the generic fiber count over the explicit map, the
     closed pair the depth-stratified formula.  The iterate's table is a
     composition of a validated table, so it is counted without another
-    range check.
+    range check.  As in ``degree tree``, F is dropped before F^k's fiber
+    count is built, so the two never share the peak.
     """
     f = build_tree_map(b, k)
-    engine = (degree(f), Fraction(collisions(iterate_table(f.table, k)), f.n))
-    return engine, stratified_degrees(b, k)
+    deg_f = degree(f)
+    fk = iterate_table(f.table, k)
+    del f
+    return (deg_f, Fraction(collisions(fk), len(fk))), stratified_degrees(b, k)
 
 
 def stratified_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:

@@ -18,7 +18,6 @@ n(n-1)/2 letters, and the degree-range scan tabulates each product once.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import partial
 
@@ -58,8 +57,7 @@ def _hecke_apply(gens: tuple[int, ...], pi: Perm) -> Perm:
 def demazure(word: HeckeWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The letters of word that lengthen its product w, and w; a dropped
     letter is absorbed by t_i t_i = t_i, so the kept letters act as word."""
-    w = list(range(1, word.n + 1))
-    kept = []
+    w, kept = list(range(1, word.n + 1)), []
     for i in word.gens:
         if w[i - 1] < w[i]:
             w[i - 1], w[i] = w[i], w[i - 1]
@@ -122,12 +120,11 @@ class ScanReport:
 
 
 def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
-    """Scan eventually constant words, checking deg(bubble) <= deg(T) <= deg(T_tla).
+    """Scan eventually constant operators, checking deg(bubble) <= deg(T) <= deg(T_tla).
 
-    Words are visited in length-lexicographic order after the bubble and
-    T_tla words; each Demazure product is tabulated once, for the first word
-    that reaches it.  Any operator whose degree falls outside the
-    conjectured interval is recorded in ``violations``.
+    Level L + 1 of a walk from the identity extends level L's least reduced
+    words, in order, by each lengthening letter; each full-support product
+    is tabulated once, and one outside the interval goes to ``violations``.
     """
     if n < 2:
         raise ValueError("scan needs n >= 2")
@@ -135,17 +132,20 @@ def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
     lo, hi = (degree(hecke_endomap(word)) for word in ends)
     report = ScanReport(bubble_degree=lo, tla_degree=hi)
     seen = {demazure(word)[1] for word in ends}
-    for length in range(1, max_word_length + 1):
-        for gens in itertools.product(range(1, n), repeat=length):
-            word = HeckeWord(n, gens)
-            if not is_eventually_constant(word):
-                continue
-            product = demazure(word)[1]
-            if product in seen:
-                continue
-            seen.add(product)
-            d = degree(hecke_endomap(word))
-            if not lo <= d <= hi:
-                report.violations.append({"word": gens, "degree": d})
+    level = {tuple(range(1, n + 1)): HeckeWord(n, ())}  # product -> word
+    for _ in range(min(max_word_length, n * (n - 1) // 2)):
+        below, level = level, {}
+        for w, parent in below.items():
+            for i in range(1, n):
+                v = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
+                if w[i - 1] > w[i] or v in level:
+                    continue
+                level[v] = word = HeckeWord(n, parent.gens + (i,))
+                if v in seen or not is_eventually_constant(word):
+                    continue
+                seen.add(v)
+                d = degree(hecke_endomap(word))
+                if not lo <= d <= hi:
+                    report.violations.append({"word": word.gens, "degree": d})
     report.distinct_operators = len(seen)
     return report

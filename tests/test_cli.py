@@ -597,7 +597,20 @@ def _boundary_cases():
                     yield pytest.param(argv, id=" ".join(argv))
 
 
-@pytest.mark.parametrize("argv", _boundary_cases())
+def _list_cases():
+    """--content and --word with huge entries and huge lengths."""
+    entries = {"1": "1", "10**30": str(10 ** 30)}
+    shapes = [("10**30", 2), *((entry, length) for entry in entries
+                               for length in (10 ** 4, 10 ** 5))]
+    for flag, prefix in (("--content", ["degree", "word_bubble"]),
+                         ("--word", ["degree", "hecke", "--n", "8"])):
+        for entry, length in shapes:
+            argv = [*prefix, flag, ",".join([entries[entry]] * length)]
+            yield pytest.param(argv, id=" ".join(
+                [*prefix, flag, f"{entry}x{length}"]))
+
+
+@pytest.mark.parametrize("argv", [*_boundary_cases(), *_list_cases()])
 def test_every_flag_is_refused_just_outside_its_bounds(capsys, monkeypatch,
                                                        argv):
     # generated from the rows, so a row added later is swept too
@@ -610,6 +623,20 @@ def test_every_flag_is_refused_just_outside_its_bounds(capsys, monkeypatch,
     assert (code, out) == (2, ""), err
     assert err.startswith("error: ")
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("exc", [ValueError, RuntimeError, KeyError])
+def test_library_exception_is_an_internal_error(capsys, monkeypatch, exc):
+    # exit 1 means only "a check failed", and a refusal exits 2
+    def broken(n):
+        raise exc("kernel fault")
+
+    monkeypatch.setattr(stacksort, "stack_fibers", broken)
+    assert cli.main(["degree", "stack", "--n", "4"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(f"error: internal error: {exc('kernel fault')!r}\n")
 
 
 def test_degree_default_n_needs_no_force():

@@ -243,7 +243,8 @@ def _fields(report):
     return {name: getattr(report, name) for name in ScanReport.__slots__}
 
 
-@pytest.mark.parametrize("n, length", [(2, 3), (3, 6), (4, 6), (5, 6)])
+@pytest.mark.parametrize("n, length", [(2, 3), (3, 4), (3, 6), (4, 6),
+                                       (5, 6), (6, 5), (4, 8), (5, 8)])
 def test_scan_equals_generator_table_oracle(monkeypatch, n, length):
     # one tabulation per distinct product: at n = 2 the bubble and T_tla
     # words are one word, built twice for the two endpoints
@@ -258,3 +259,13 @@ def test_scan_equals_generator_table_oracle(monkeypatch, n, length):
     report = conjecture2_scan(n, length)
     assert _fields(report) == _fields(_generator_table_scan(n, length))
     assert len(builds) == report.distinct_operators + (n == 2)
+
+
+@pytest.mark.parametrize("n, full_support", [(2, 1), (3, 3), (4, 13), (5, 71),
+                                             (6, 461)])
+def test_scan_reaches_the_whole_monoid(n, full_support):
+    # the longest product has n(n-1)/2 letters, so this length reaches every
+    # full-support operator; the word loop would visit 5^15 words at n = 6
+    report = conjecture2_scan(n, n * (n - 1) // 2)
+    assert report.distinct_operators == full_support
+    assert all(v["degree"] > report.bubble_degree for v in report.violations)

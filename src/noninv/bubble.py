@@ -150,8 +150,12 @@ def word_content(w) -> tuple[int, ...]:
 
 def check_content(a) -> tuple[int, ...]:
     a = tuple(a)
-    if not a or any(x < 1 for x in a):
-        raise ValueError(f"content must be a nonempty tuple of positive counts: {a!r}")
+    if not a:
+        raise ValueError("content must be a nonempty tuple of positive counts")
+    for i, x in enumerate(a, 1):
+        if x < 1:
+            raise ValueError(f"content must be positive counts: "
+                             f"entry {i} of {len(a)} is {x}")
     return a
 
 

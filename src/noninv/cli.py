@@ -476,6 +476,8 @@ def main(argv=None) -> int:
                 raise CLIError(f"{name} takes no --exhaustive")
             name += " --exhaustive"
         payload, code = args.fn(target, _given(args, args.rows[target], name))
+        _emit(payload, args)
+        sys.stdout.flush()
     except CLIError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
@@ -485,8 +487,10 @@ def main(argv=None) -> int:
         import traceback
         traceback.print_exc()
         sys.stderr.write(f"error: internal error: {exc!r}\n")
+        if isinstance(exc, BrokenPipeError):
+            # exit would flush the unwritten payload into the closed pipe
+            sys.stdout = None
         return 3
-    _emit(payload, args)
     return code
 
 

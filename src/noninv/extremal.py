@@ -35,37 +35,6 @@ from .endo import (EndoMap, collisions, compose_tables, degree, iterate_table,
 # the extremal tree family
 
 
-class TreeSpec:
-    """A rooted tree where every depth-t vertex has branching[t] children;
-    specs with equal branching are equal."""
-
-    __slots__ = ("branching",)
-
-    def __init__(self, branching: tuple[int, ...]):
-        if any(m < 1 for m in branching):
-            raise ValueError("branching factors must be >= 1")
-        self.branching = branching
-
-    def __eq__(self, other) -> bool:
-        if type(self) is not type(other):
-            return NotImplemented
-        return self.branching == other.branching
-
-    def __hash__(self) -> int:
-        return hash(self.branching)
-
-    @property
-    def level_sizes(self) -> tuple[int, ...]:
-        sizes = [1]
-        for m in self.branching:
-            sizes.append(sizes[-1] * m)
-        return tuple(sizes)
-
-    @property
-    def size(self) -> int:
-        return sum(self.level_sizes)
-
-
 def tree_branching(b: int, k: int) -> tuple[int, ...]:
     """The factors b_0, ..., b_k: iterated floor square roots, last repeated."""
     if b < 2 or k < 2:
@@ -77,28 +46,38 @@ def tree_branching(b: int, k: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def tree_spec(b: int, k: int) -> TreeSpec:
+def tree_spec(b: int, k: int) -> tuple[tuple[int, ...], int]:
+    """T_b as (branching, path): branching[t] children below each depth-t
+    vertex for t < k, then a path of b_k vertices below each depth-k one."""
     bs = tree_branching(b, k)
-    # k branching levels, then a path of length b_k below each depth-k vertex
-    return TreeSpec(bs[:k] + (1,) * bs[k])
+    return bs[:k], bs[k]
+
+
+def _level_sizes(branching: tuple[int, ...]) -> list[int]:
+    """L_0, ..., L_k: the vertex counts of the branching levels."""
+    return list(itertools.accumulate(branching, mul, initial=1))
 
 
 def tree_size(b: int, k: int) -> int:
-    return tree_spec(b, k).size
+    branching, path = tree_spec(b, k)
+    sizes = _level_sizes(branching)
+    return sum(sizes) + path * sizes[-1]
 
 
 def build_tree_map(b: int, k: int) -> EndoMap:
     """Parent map of T_b with vertices in depth-lexicographic order.
 
-    Vertex j of level t has parent j // branching[t-1] of level t - 1, so
-    level t's slice of the table lists level t - 1's vertices, each
-    repeated branching[t-1] times, and is appended in one C-level pass to
-    an ``array('I')`` (4 bytes per vertex).
+    Vertex j of level t <= k has parent j // branching[t-1] of level t - 1,
+    so level t's slice of the table lists level t - 1's vertices, each
+    repeated branching[t-1] times; a path vertex's parent sits one level
+    (L_k vertices) lower, so the path's slice is one range.  Each slice is
+    appended in one C-level pass to an ``array('I')`` (4 bytes per vertex).
     """
-    spec = tree_spec(b, k)
+    branching, path = tree_spec(b, k)
+    sizes = _level_sizes(branching)
     table = array("I", [0])
     start = 0
-    for width, size in zip(spec.branching, spec.level_sizes):
+    for width, size in zip(branching, sizes):
         parents = range(start, start + size)
         if width == 1:
             table.extend(parents)
@@ -106,26 +85,31 @@ def build_tree_map(b: int, k: int) -> EndoMap:
             table.extend(itertools.chain.from_iterable(
                 map(itertools.repeat, parents, itertools.repeat(width))))
         start += size
+    table.extend(range(start, start + path * sizes[-1]))
     return EndoMap.from_table(table)
 
 
-def stratified_degree(spec: TreeSpec, r: int = 1) -> Fraction:
+def stratified_degree(spec: tuple[tuple[int, ...], int],
+                      r: int = 1) -> Fraction:
     """Degree of the r-th iterate of the parent map, from depth strata alone.
 
     The root's fiber consists of every vertex within distance r of the root
     (the root is a fixed point); a depth-t vertex's fiber is its set of
-    depth-(t+r) descendants, empty once t + r exceeds the tree depth.
+    depth-(t+r) descendants, empty once t + r exceeds the depth k + path.
+    The path levels all hold L_k vertices with fibers of one, so they are
+    summed in closed form, in O(k^2) for any path length.
     """
     if r < 1:
         raise ValueError("iterate order must be >= 1")
-    sizes = spec.level_sizes
-    depth = len(spec.branching)
-    root_fiber = sum(sizes[t] for t in range(min(r, depth) + 1))
-    total = root_fiber * root_fiber
-    for t in range(1, depth - r + 1):
-        fiber = math.prod(spec.branching[t:t + r])
+    branching, path = spec
+    sizes = _level_sizes(branching)
+    k, leaves = len(branching), sizes[-1]
+    root = sum(sizes[:min(r, k) + 1]) + max(0, min(r, k + path) - k) * leaves
+    total = root * root + max(0, path - r) * leaves
+    for t in range(1, min(k, k + path - r) + 1):
+        fiber = math.prod(branching[t:t + r])
         total += sizes[t] * fiber * fiber
-    return Fraction(total, spec.size)
+    return Fraction(total, sum(sizes) + path * leaves)
 
 
 def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],

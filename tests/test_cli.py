@@ -351,6 +351,8 @@ _DEGREE_REFUSED = [
     ("degree", "nibble_perm", "--n", "11", "--force"),
     # the tree's last level once took b's iterated root as a tuple length
     ("degree", "tree", "--b", "1" + "0" * 24),
+    ("degree", "tree", "--b", "2", "--k", "1025"),
+    ("degree", "tree", "--b", "2", "--k", "4000000"),
     # the word count once took (sum a)! first
     ("degree", "word_bubble", "--content", "1000000000,2", "--force"),
 ]
@@ -471,13 +473,12 @@ _FORCE = [
     (("search", "ratio", "--gamma", "513"), 2),
     (("search", "ratio", "--gamma", "1/512"), 2),
     (("search", "ratio", "--n", "3", "--gamma", "1/16777216"), 2),
-    (("degree", "tree", "--b", "2", "--k", "1025"), 2),
-    (("degree", "tree", "--b", "2", "--k", "4000000"), 2),
-    (("degree", "tree", "--b", "2", "--k", "1024"), 0),
-    *((argv, 0) for argv in _SEARCH_MAX),
     # later rows carry explicit ids, which do not shift when a row goes
     *(pytest.param(argv, 2, id=" ".join(argv))
       for argv in _UNREAD + _DEGREE_REFUSED),
+    *(pytest.param(argv, 0, id=" ".join(argv))
+      for argv in [("degree", "tree", "--b", "2", "--k", "1024"),
+                   *_SEARCH_MAX]),
     *(pytest.param(argv, want, id=" ".join(argv)) for argv, want in _FORCE),
 ])
 def test_sample_series_exit_codes(capsys, monkeypatch, argv, want):
@@ -625,6 +626,17 @@ def test_every_flag_is_refused_just_outside_its_bounds(capsys, monkeypatch,
     assert elapsed < 0.5
 
 
+def test_content_refusal_names_the_entry_not_the_whole_content(capsys):
+    argv = ["degree", "word_bubble", "--content",
+            ",".join(["0"] + ["1"] * 20000)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: content must be positive counts: "
+                   "entry 1 of 20001 is 0\n")
+    assert len(err.encode()) < 200
+
+
 @pytest.mark.parametrize("exc", [ValueError, RuntimeError, KeyError])
 def test_library_exception_is_an_internal_error(capsys, monkeypatch, exc):
     # exit 1 means only "a check failed", and a refusal exits 2
@@ -637,6 +649,39 @@ def test_library_exception_is_an_internal_error(capsys, monkeypatch, exc):
     assert out == ""
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith(f"error: internal error: {exc('kernel fault')!r}\n")
+
+
+def test_failed_payload_write_is_an_internal_error(capsys, monkeypatch):
+    # a closed pipe under the payload is no failed check
+    def closed_pipe(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys.stdout, "write", closed_pipe)
+    assert cli.main(["degree", "stack", "--n", "4"]) == 3
+    _, err = capsys.readouterr()
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith(
+        "error: internal error: BrokenPipeError(32, 'Broken pipe')\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_3(unbuffered):
+    # with buffered stdout the payload fails on the flush, and the exit
+    # flush must not fail again (exit 120)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "noninv.cli", "degree", "stack", "--n", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.endswith(
+        "error: internal error: BrokenPipeError(32, 'Broken pipe')\n")
 
 
 def test_degree_default_n_needs_no_force():

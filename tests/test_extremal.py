@@ -2,8 +2,11 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import pytest
 
@@ -11,12 +14,13 @@ from noninv import extremal
 from noninv.endo import (EndoMap, collisions, compose, compose_tables, degree,
                          is_bijection, is_constant, iterate, iterate_table,
                          lane_columns)
-from noninv.extremal import (RatioWitness, TreeSpec, all_tables,
+from noninv.extremal import (RatioWitness, all_tables,
                              build_tree_map, check_theorem3_bound,
                              check_theorem7, check_theorem7_lanes,
                              draw_tables, exhaustive_ratio_search,
                              prop1_exact_degrees, random_table,
-                             stratified_degree, table_blocks,
+                             stratified_degree, stratified_degrees,
+                             table_blocks,
                              theorem3_lane_failures, tree_branching,
                              tree_size, tree_spec)
 
@@ -28,7 +32,7 @@ def test_tree_branching_and_size():
     # 1 + 5 + 10, then a length-2 path below each of the 10 leaves
     assert tree_size(5, 2) == 36
     assert tree_size(10, 2) == 131
-    assert tree_spec(5, 2).branching == (5, 2, 1, 1)
+    assert tree_spec(16, 3) == ((16, 4, 2), 2)
     with pytest.raises(ValueError):
         tree_branching(1, 2)
     with pytest.raises(ValueError):
@@ -37,13 +41,7 @@ def test_tree_branching_and_size():
 
 def test_tree_specs_are_equal_exactly_when_their_branching_is():
     # the prop1 perturbation tests pick one tree by comparing specs
-    assert tree_spec(5, 2) == TreeSpec((5, 2, 1, 1))
-    assert hash(tree_spec(5, 2)) == hash(TreeSpec((5, 2, 1, 1)))
-    assert tree_spec(5, 2) != tree_spec(10, 2)
-    assert not tree_spec(5, 2) != TreeSpec((5, 2, 1, 1))
-    assert tree_spec(5, 2) != (5, 2, 1, 1)
-    with pytest.raises(ValueError, match=r"^branching factors must be >= 1$"):
-        TreeSpec((2, 0, 1))
+    assert tree_spec(5, 2) == ((5, 2), 2) != tree_spec(10, 2)
 
 
 def test_tree_map_structure():
@@ -59,16 +57,15 @@ def test_tree_map_structure():
 @pytest.mark.parametrize("b, k", [(2, 2), (5, 2), (10, 3), (16, 3), (63, 5),
                                   (100, 2), (300, 4)])
 def test_tree_map_matches_parent_definition(b, k):
-    # vertex offsets[t] + j has parent offsets[t-1] + j // branching[t-1]
-    spec = tree_spec(b, k)
-    sizes = spec.level_sizes
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    want = [0] * spec.size
+    # vertex offsets[t] + j has parent offsets[t-1] + j // levels[t-1], with
+    # the path expanded into levels of branching 1
+    levels = _levels(tree_spec(b, k))
+    sizes = list(itertools.accumulate(levels, mul, initial=1))
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    want = [0] * sum(sizes)
     for t in range(1, len(sizes)):
         for j in range(sizes[t]):
-            want[offsets[t] + j] = offsets[t - 1] + j // spec.branching[t - 1]
+            want[offsets[t] + j] = offsets[t - 1] + j // levels[t - 1]
     assert list(build_tree_map(b, k).table) == want
 
 
@@ -103,13 +100,47 @@ def test_stratified_matches_engine_for_other_iterates():
         stratified_degree(spec, 0)
 
 
+def _levels(spec):
+    """The branching of every level, the path as levels of branching 1."""
+    branching, path = spec
+    return branching + (1,) * path
+
+
+def _stratified_by_levels(spec, r):
+    """deg(F^r) summed level by level over _levels(spec), in O(path): the
+    oracle of stratified_degree's closed-form path sum."""
+    levels = _levels(spec)
+    sizes = list(itertools.accumulate(levels, mul, initial=1))
+    depth = len(levels)
+    total = sum(sizes[:min(r, depth) + 1]) ** 2
+    for t in range(1, depth - r + 1):
+        total += sizes[t] * math.prod(levels[t:t + r]) ** 2
+    return Fraction(total, sum(sizes))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_stratified_degree_equals_level_by_level_oracle(k):
+    for b in [*range(2, 60), 100, 257, 1000, 4096]:
+        spec = tree_spec(b, k)
+        for r in [*range(1, 12), 40, 10 ** 4]:
+            assert stratified_degree(spec, r) == _stratified_by_levels(spec, r)
+
+
+def test_k2_base_degree_closed_form():
+    # the root's fiber holds 1 + b vertices, each depth-1 vertex's s, and
+    # each of the b s vertices at depths 2..s+1 has one; at b = 10^16 the
+    # level-by-level sum would run over 10^8 path levels
+    for b in [*range(2, 200), 10 ** 16, 2 ** 64]:
+        s = isqrt(b)
+        assert stratified_degrees(b, 2)[0] == Fraction(
+            (1 + b) ** 2 + 2 * b * s * s, 1 + b + b * s * (s + 1))
+
+
 def test_k2_trends():
     rows = []
     for b in (5, 10, 100, 1000):
-        spec = tree_spec(b, 2)
-        d1 = stratified_degree(spec, 1)
-        d2 = stratified_degree(spec, 2)
-        rows.append((float(d1), float(d2) / spec.size ** 0.5))
+        d1, d2 = stratified_degrees(b, 2)
+        rows.append((float(d1), float(d2) / tree_size(b, 2) ** 0.5))
     base = [r[0] for r in rows]
     ratio = [r[1] for r in rows]
     assert base == sorted(base) and base[-1] < 3

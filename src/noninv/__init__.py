@@ -15,7 +15,7 @@ from .endo import (EndoMap, FiberHistogram, collisions, compose, degree,
 from .bubble import (bubble_degree_formula, bubble_endomap, bubble_moment,
                      bubble_preimage_count, bubble_sort, word_bubble_endomap,
                      word_degree_formula)
-from .stacksort import catalan, stack_degree, stack_sort
+from .stacksort import catalan, stack_degree
 # the one-swap step on permutations stays at noninv.nibble.nibble; exporting
 # it here would shadow the submodule itself
 from .nibble import (binary_degree, chip_fire, nibble_binary,
@@ -34,7 +34,7 @@ __all__ = [
     "bubble_sort", "bubble_endomap", "bubble_degree_formula",
     "bubble_preimage_count", "bubble_moment", "word_bubble_endomap",
     "word_degree_formula",
-    "stack_sort", "stack_degree", "catalan",
+    "stack_degree", "catalan",
     "nibble_degree_formula", "nibble_degree_limit", "nibble_binary",
     "chip_fire", "binary_degree",
     "bulgarian", "bulgarian_degree", "monte_carlo_bulgarian", "carolina",

@@ -62,19 +62,6 @@ def bubble_sort(seq) -> tuple:
     return tuple(out)
 
 
-def bubble_sort_recursive(pi: Perm) -> Perm:
-    """Reference recursion B(L n R) = B(L) R n, permutations only: the
-    oracle of test_sweep_matches_recursion."""
-    return _bubble_rec(check_perm(pi))
-
-
-def _bubble_rec(seq: tuple) -> tuple:
-    if not seq:
-        return seq
-    m = seq.index(max(seq))
-    return _bubble_rec(seq[:m]) + seq[m + 1 :] + (seq[m],)
-
-
 def bubble_endomap(n: int) -> EndoMap:
     return EndoMap.from_function(permutation_domain(n), bubble_sort)
 
@@ -165,12 +152,6 @@ def multinomial(a) -> int:
     factorial."""
     a = check_content(a)[::-1]
     return prod(map(comb, accumulate(a), a))
-
-
-def words_of_content(a):
-    """All words with content a, in lexicographic order: the oracle of
-    brute_word_degree in test_word_degree_formula_small_contents."""
-    return _words(check_content(a))
 
 
 def _words(content):

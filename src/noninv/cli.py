@@ -19,6 +19,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 from fractions import Fraction
 from math import inf
 
@@ -190,10 +191,13 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         ok, _ = _degree_payload(payload, fiber_sizes(f.table),
                                 nibble.nibble_degree_formula(n))
     elif system in ("nibble_bin", "chip"):
-        table = nibble.binary_rank_table(
-            "nib" if system == "nibble_bin" else "chi", n)
         # both maps have degree 3/2 and one histogram for n >= 2; n = 1 is
         # outside the theorems and only warns
+        if n < 2:
+            warnings.warn(
+                f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)")
+        table = (nibble.nibble_rank_table(n) if system == "nibble_bin"
+                 else nibble.chip_rank_table(n))
         ok, hist = _degree_payload(payload, fiber_sizes(table),
                                    Fraction(3, 2) if n >= 2 else None)
         if n >= 2:

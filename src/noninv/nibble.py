@@ -213,18 +213,12 @@ def chip_rank_table(n: int) -> array:
 
 
 def _check_binary_map(map_id: str, n: int) -> None:
-    # warns on behalf of the caller of binary_degree or binary_rank_table
+    # warns on behalf of the caller of binary_degree
     if map_id not in ("nib", "chi"):
         raise ValueError(f"unknown binary map {map_id!r}; use 'nib' or 'chi'")
     if n < 2:
         warnings.warn(f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)",
                       stacklevel=3)
-
-
-def binary_rank_table(map_id: str, n: int) -> array:
-    """The table of a binary map ('nib' or 'chi'), from its rank kernel."""
-    _check_binary_map(map_id, n)
-    return nibble_rank_table(n) if map_id == "nib" else chip_rank_table(n)
 
 
 def binary_degree(map_id: str, n: int) -> Fraction:
@@ -240,17 +234,3 @@ def expected_binary_histogram(n: int) -> dict[int, int]:
     if n < 2:
         raise ValueError("histogram form needs n >= 2")
     return {0: 1 << (n - 2), 1: 1 << (n - 1), 2: 1 << (n - 2)}
-
-
-def chip_two_preimage_words(n: int) -> set[Bits]:
-    """Words with exactly two chip-firing preimages: 1^(n-1)0 and 1^k01x,
-    k >= 1; the oracle of test_chip_two_preimage_characterization."""
-    if n < 2:
-        raise ValueError("needs n >= 2")
-    out = {tuple([1] * (n - 1) + [0])}
-    for k in range(1, n - 1):
-        head = tuple([1] * k + [0, 1])
-        for tail in range(1 << (n - k - 2)):
-            suffix = tuple((tail >> (n - k - 3 - i)) & 1 for i in range(n - k - 2))
-            out.add(head + suffix)
-    return out

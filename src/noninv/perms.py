@@ -1,14 +1,13 @@
 """Permutations of {1..n} in one-line notation, stored as tuples.
 
-Ranking and unranking go through the inversion table e = (e_1, ..., e_n),
-where e_j counts entries larger than j that sit to the left of j; entry e_j
-ranges over 0..n-j, so e is a mixed-radix numeral for a rank in 0..n!-1.
+The S_n codec ranks by the inversion table e = (e_1, ..., e_n), where e_j
+counts entries larger than j that sit to the left of j; entry e_j ranges
+over 0..n-j, so e is a mixed-radix numeral for a rank in 0..n!-1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
 
 from .endo import EnumeratedDomain
 
@@ -32,24 +31,6 @@ def _t(pi: Perm, i: int) -> Perm:
     if pi[i - 1] > pi[i]:
         return pi[: i - 1] + (pi[i], pi[i - 1]) + pi[i + 1 :]
     return pi
-
-
-def inversion_table(pi: Perm) -> tuple[int, ...]:
-    n = len(pi)
-    pos = [0] * (n + 1)
-    for p, v in enumerate(pi):
-        pos[v] = p
-    return tuple(sum(1 for p in range(pos[j]) if pi[p] > j) for j in range(1, n + 1))
-
-
-def from_inversion_table(e) -> Perm:
-    # insert values n, n-1, ..., 1; inserting j at slot e_j leaves exactly
-    # e_j larger values to its left, and later (smaller) insertions keep that
-    n = len(e)
-    out: list[int] = []
-    for j in range(n, 0, -1):
-        out.insert(e[j - 1], j)
-    return tuple(out)
 
 
 def lmax(pi: Perm) -> int:
@@ -77,32 +58,6 @@ def reverse_complement(pi: Perm) -> Perm:
     return tuple(n + 1 - pi[n - j] for j in range(1, n + 1))
 
 
-def perm_rank(pi: Perm) -> int:
-    """Rank from the inversion table: with perm_unrank, the oracle of
-    test_rank_unrank_round_trip, test_rank_round_trip_property and
-    test_domain_agrees_with_arithmetic_rank."""
-    n = len(pi)
-    e = inversion_table(pi)
-    r = 0
-    for j in range(1, n + 1):
-        r += e[j - 1] * factorial(n - j)
-    return r
-
-
-def perm_unrank(r: int, n: int) -> Perm:
-    """Inverse of perm_rank: with it, the oracle of
-    test_rank_unrank_round_trip, test_rank_round_trip_property and
-    test_domain_agrees_with_arithmetic_rank."""
-    if not 0 <= r < factorial(n):
-        raise ValueError(f"rank {r} out of range for S_{n}")
-    e = []
-    for j in range(1, n + 1):
-        w = factorial(n - j)
-        e.append(r // w)
-        r %= w
-    return from_inversion_table(e)
-
-
 # the largest S_n the codec enumerates: `verify thm1 --max-n 10`
 # takes 11-13 s and peaks at 916 MB on 2 cores, Python 3.11
 _PERM_HARD_LIMIT = 10
@@ -118,8 +73,9 @@ def _check_ceiling(n: int) -> None:
 def _rank_order(n: int) -> list[Perm]:
     """S_n in inversion-table rank order.
 
-    from_inversion_table for every e at once: inserting v at slot e_v into
-    each tuple of the previous level, slot-major, keeps the inversion
+    Inserting n, n-1, ..., 1 in turn, v at slot e_v, leaves exactly e_v
+    larger values left of v.  Doing it for every e at once, inserting v
+    into each tuple of the previous level slot-major, keeps the inversion
     tables in lex order, which is rank order.
     """
     objs: list[Perm] = [()]

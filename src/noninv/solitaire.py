@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import isqrt
 from operator import lshift, mod, or_
 from typing import Iterator, Sequence
 
@@ -143,24 +143,9 @@ def _bulgarian(lam: Partition) -> Partition:
     return tuple(parts)
 
 
-def bulgarian_preimage_count(lam: Sequence[int]) -> int:
-    """Number of preimages: distinct part values that are >= ell - 1; the
-    oracle of test_preimage_rule_matches_brute_force."""
-    return _preimage_count(check_partition(lam))
-
-
 def _preimage_count(lam: Partition) -> int:
     ell = len(lam)
     return len({p for p in lam if p >= ell - 1})
-
-
-def partition_rank(lam: Sequence[int]) -> int:
-    """Largest part minus number of parts: the oracle of
-    test_image_is_rank_at_least_minus_one."""
-    lam = check_partition(lam)
-    if not lam:
-        raise ValueError("rank needs a nonempty partition")
-    return _rank(lam[0], len(lam))
 
 
 def bulgarian_endomap(n: int) -> EndoMap:
@@ -350,7 +335,10 @@ class PartitionSampler:
     on from W_m(L) and extends the row).  The rows hold at most
     _GUIDE_BUDGET entries in all, and d is drawn by a walk over the
     divisors of k, cached per k, so memory is O(n) words plus the entry
-    budget.  Every rng call, k and d is that of the plain scans.
+    budget.  Every rng call, k and d is that of the plain scans.  Both
+    draws of a step call ``getrandbits`` as ``randrange`` does, with the
+    bound's bit length, redrawing while the value is at or above the
+    bound, and skip randrange's argument handling.
 
     The tables are kept as the lists ``p`` (p[m] for 0 <= m <= n) and
     ``sigma`` (sigma[k] for 1 <= k <= n, with sigma[0] = 0).
@@ -396,12 +384,16 @@ class PartitionSampler:
     def sample(self, rng: random.Random) -> Partition:
         p, sigma = self.p, self.sigma
         rows, divisors = self._rows, self._divisors
+        getrandbits = rng.getrandbits
         parts = []
         m = self.n
         while m > 0:
             total = m * p[m]
-            r = rng.randrange(total)
-            shift = max(0, total.bit_length() - 16)
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            shift = max(0, bits - 16)
             row = rows[m]
             top = r >> shift
             i = bisect_left(row, top)
@@ -411,7 +403,11 @@ class PartitionSampler:
                 k = i + 1
             else:
                 k = self._scan(m, r, shift, i < len(row))
-            r = rng.randrange(sigma[k])
+            total = sigma[k]
+            bits = total.bit_length()
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
             for d in divisors.get(k) or self._divisors_of(k):
                 r -= d
                 if r < 0:
@@ -565,14 +561,6 @@ def _carolina(c: Composition) -> Composition:
         return ()
     out = [len(c)] + [p - 1 for p in c]
     return tuple(p for p in out if p > 0)
-
-
-def carolina_preimage_count(c: Sequence[int]) -> int:
-    """Number of preimages, C(c_1, ell - 1): the oracle of
-    test_carolina_fibers_match_brute_force."""
-    c = check_composition(c)
-    # the empty composition is its own and only preimage
-    return comb(c[0], len(c) - 1) if c else 1
 
 
 def carolina_endomap(n: int) -> EndoMap:

@@ -40,41 +40,7 @@ from itertools import chain, combinations, product, repeat, starmap
 from operator import add
 
 from .endo import square_sum
-from .perms import Perm, _check_ceiling, check_perm
-
-
-def stack_sort(seq) -> tuple:
-    """Run one stack-sorting pass over a sequence of distinct entries: the
-    oracle of test_fibers_match_one_pass_per_permutation and
-    test_degree_agrees_with_generic_engine.
-
-    >>> stack_sort((4, 1, 6, 3, 5, 2))
-    (1, 4, 3, 2, 5, 6)
-    >>> stack_sort(())
-    ()
-    """
-    out: list = []
-    stack: list = []
-    for x in seq:
-        while stack and stack[-1] < x:
-            out.append(stack.pop())
-        stack.append(x)
-    while stack:
-        out.append(stack.pop())
-    return tuple(out)
-
-
-def _stack_rec(seq: tuple) -> tuple:
-    if not seq:
-        return ()
-    m = seq.index(max(seq))
-    return _stack_rec(seq[:m]) + _stack_rec(seq[m + 1:]) + (seq[m],)
-
-
-def stack_sort_recursive(pi: Perm) -> Perm:
-    """Reference recursion s(L m R) = s(L) s(R) m: the oracle of
-    test_recursion_matches_stack_pass."""
-    return _stack_rec(check_perm(pi))
+from .perms import _check_ceiling
 
 
 def catalan(n: int) -> int:
@@ -122,12 +88,8 @@ def _middle_images(levels: list[list[bytes]], m: int):
 
 
 def stack_fibers(n: int) -> Counter:
-    """Fiber sizes of stack sorting on S_n, keyed by image permutation.
-
-    The count is rekeyed from bytes to tuples on purpose, to match
-    ``stack_sort``: it holds at most 76,028 images, at n = 10, so tuple
-    keys cost little there.
-    """
+    """Fiber sizes of stack sorting on S_n, keyed by image permutation as
+    ``bytes``, one byte per entry."""
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_ceiling(n)
@@ -141,13 +103,7 @@ def stack_fibers(n: int) -> Counter:
     counts = Counter({image + top: min(n, 2) * c
                       for image, c in below.items()})
     counts.update(_middle_images(levels, n))
-    del levels, below
-    # rekey one image at a time, freeing each bytes key as its tuple is made
-    fibers = Counter()
-    while counts:
-        image, c = counts.popitem()
-        fibers[tuple(image)] = c
-    return fibers
+    return counts
 
 
 def stack_degree(n: int) -> Fraction:

@@ -13,17 +13,15 @@ from noninv.bubble import (
     bubble_preimage_count,
     bubble_rank_table,
     bubble_sort,
-    bubble_sort_recursive,
     multinomial,
     word_bubble_endomap,
     word_content,
     word_degree_formula,
     word_rank_table,
-    words_of_content,
     WordDomain,
 )
 from noninv.endo import FiberHistogram, degree, fiber_sizes, iterate
-from noninv.perms import inversion_table
+from oracles import bubble_sort_recursive, inversion_table
 
 
 def brute_fibers(n, k=1):
@@ -189,11 +187,11 @@ def test_word_content_and_validation():
 
 
 def test_words_of_content_enumeration():
-    words = list(words_of_content((2, 1)))
+    words = list(bubble._words((2, 1)))
     assert words == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
     assert multinomial((2, 1)) == 3
     for a in [(1, 1), (2, 2), (1, 2, 1), (3, 1)]:
-        ws = list(words_of_content(a))
+        ws = list(bubble._words(a))
         assert len(ws) == multinomial(a) == len(set(ws))
         assert ws == sorted(ws)
 
@@ -216,7 +214,7 @@ def test_word_domain_rank_round_trip(monkeypatch):
     f = word_bubble_endomap(a)
     assert f.n == multinomial(a) == 168168
     assert degree(f) == word_degree_formula(a)
-    words = list(words_of_content(a))
+    words = list(bubble._words(a))
     for i in range(0, f.n, 997):
         assert f.codec.unrank(i) == words[i]
         assert f.codec.rank(words[i]) == i
@@ -247,7 +245,7 @@ def test_two_letter_gap_tuple_action():
 
 
 def brute_word_degree(a):
-    fibers = Counter(bubble_sort(w) for w in words_of_content(a))
+    fibers = Counter(bubble_sort(w) for w in bubble._words(a))
     return Fraction(sum(c * c for c in fibers.values()), multinomial(a))
 
 
@@ -301,7 +299,7 @@ def test_words_match_recursive_reference_on_verify_contents():
                 if sum(a) <= 8 and multinomial(a) <= 10 ** 4]
     contents += [(2, 120), (120, 2), (40, 2, 1), (1,), (3,), (6, 4, 3)]
     for a in contents:
-        assert list(words_of_content(a)) == _words_recursive(a), a
+        assert list(bubble._words(a)) == _words_recursive(a), a
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,7 @@ def test_pass_lowers_every_positive_gap_digit_by_one():
         for a in itertools.product(range(1, 9), repeat=r):
             if sum(a) > 8:
                 continue
-            for w in words_of_content(a):
+            for w in bubble._words(a):
                 expected = tuple(tuple(max(g - 1, 0) for g in gaps)
                                  for gaps in gap_digits(w))
                 assert gap_digits(bubble_sort(w)) == expected, w

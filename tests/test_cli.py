@@ -855,6 +855,25 @@ def test_degree_output_is_pinned(capsys, command):
     assert [code, out] == _GOLDEN[command]
 
 
+def test_binary_degree_at_n_1_warns_and_prints_the_pinned_output(
+        capsys, monkeypatch):
+    # n = 1 lies outside the degree-3/2 theorems: the command warns, from
+    # cli.py, and still prints its payload, from its own map's kernel
+    calls = []
+    for name in ("chip_rank_table", "nibble_rank_table"):
+        monkeypatch.setattr(nibble, name, lambda n, real=getattr(nibble, name),
+                            name=name: calls.append(name) or real(n))
+    for system, kernel in (("chip", "chip_rank_table"),
+                           ("nibble_bin", "nibble_rank_table")):
+        calls.clear()
+        command = f"degree {system} --n 1 --no-timestamp --format json"
+        with pytest.warns(UserWarning, match="theorem scope") as record:
+            code, out = run(capsys, *command.split())
+        assert [code, out] == _GOLDEN[command]
+        assert [w.filename for w in record] == [cli.__file__]
+        assert calls == [kernel]
+
+
 # Exact stdout and exit code of every verify suite at its defaults, plus the
 # exhaustive thm7 scan and one csv case.
 _GOLDEN_VERIFY = json.loads(

@@ -13,11 +13,9 @@ from noninv.nibble import (
     _BINARY_HARD_LIMIT,
     BinaryDomain,
     binary_degree,
-    binary_rank_table,
     chip_endomap,
     chip_fire,
     chip_rank_table,
-    chip_two_preimage_words,
     expected_binary_histogram,
     nibble_binary,
     nibble_binary_endomap,
@@ -26,6 +24,7 @@ from noninv.nibble import (
     nibble_endomap,
     nibble_rank_table,
 )
+from oracles import chip_two_preimage_words
 
 
 def test_nibble_examples():
@@ -214,17 +213,7 @@ def test_codec_and_kernels_refuse_length_25_alike(monkeypatch):
     assert messages == {"words of length 25 exceed the enumeration limit n <= 24"}
 
 
-def test_binary_rank_table_dispatch():
-    assert list(binary_rank_table("nib", 5)) == list(nibble_rank_table(5))
-    assert list(binary_rank_table("chi", 5)) == list(chip_rank_table(5))
-    with pytest.raises(ValueError, match="unknown binary map"):
-        binary_rank_table("bogus", 3)
-    with pytest.warns(UserWarning, match="theorem scope"):
-        assert list(binary_rank_table("chi", 1)) == [1, 0]
-
-
 def test_scope_warning_points_at_the_caller():
-    for call in (binary_degree, binary_rank_table):
-        with pytest.warns(UserWarning, match="theorem scope") as record:
-            call("chi", 1)
-        assert [w.filename for w in record] == [__file__]
+    with pytest.warns(UserWarning, match="theorem scope") as record:
+        binary_degree("chi", 1)
+    assert [w.filename for w in record] == [__file__]

@@ -8,16 +8,14 @@ from noninv import perms
 from noninv.endo import EndoMap, compose
 from noninv.perms import (
     _t,
-    from_inversion_table,
-    inversion_table,
     is_perm,
     lmax,
-    perm_rank,
-    perm_unrank,
     permutation_domain,
     reverse_complement,
     tail_length,
 )
+from oracles import (from_inversion_table, inversion_table, perm_rank,
+                     perm_unrank)
 
 
 def test_inversion_table_examples():

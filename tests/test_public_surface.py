@@ -55,7 +55,6 @@ def test_no_unused_top_level_imports(path):
 # cli._SUITES (tests/test_suites.py ties the two), and __init__.py only
 # re-exports
 _NO_CALLER_NEEDED = {"__init__.py", "cli.py", "suites.py"}
-_TEST_NAME = re.compile(r"\btest_\w+")
 
 
 def _referenced(node) -> set[str]:
@@ -77,13 +76,6 @@ def _module_name_refs(node) -> set[str]:
     return refs
 
 
-def _cites_real_tests(doc, tests) -> bool:
-    """Whether doc says "oracle of" and every test_... it cites exists."""
-    doc = " ".join((doc or "").split())
-    cited = set(_TEST_NAME.findall(doc))
-    return "oracle of" in doc and bool(cited) and cited <= tests
-
-
 def _exports(init) -> set[tuple[str, str]]:
     """(file, name) for each __all__ name that init imports from a module."""
     exported = set()
@@ -96,20 +88,18 @@ def _exports(init) -> set[tuple[str, str]]:
             for alias in node.names if alias.name in exported}
 
 
-def names_without_caller(modules, bench_text, tests) -> list[str]:
+def names_without_caller(modules, bench_text) -> list[str]:
     """The public names of modules that only tests could reach.
 
-    modules maps a file name to its source, bench_text is the benchmark's
-    source and tests holds the test function names and test file stems.
-    Checked are the top-level public defs and classes of every module but
-    those in _NO_CALLER_NEEDED, and every name in __init__'s __all__.  Each
-    must (a) appear as a Name or Attribute in a module other than
-    __init__.py, outside its own definition, (b) appear as a word in
-    bench_text, or (c) have a docstring that says "oracle of" and names
-    only tests that exist.  A def named like its module, m.m, is matched
-    in (a) only within m itself or as m.m or from .m import m elsewhere,
-    since every m.anything access names m; in (b), only as the word m.m.
-    Returns "module.name" for each that does none.
+    modules maps a file name to its source and bench_text is the
+    benchmark's source.  Checked are the top-level public defs and classes
+    of every module but those in _NO_CALLER_NEEDED, and every name in
+    __init__'s __all__.  Each must (a) appear as a Name or Attribute in a
+    module other than __init__.py, outside its own definition, or (b)
+    appear as a word in bench_text.  A def named like its module, m.m, is
+    matched in (a) only within m itself or as m.m or from .m import m
+    elsewhere, since every m.anything access names m; in (b), only as the
+    word m.m.  Returns "module.name" for each that does neither.
     """
     trees = {file: ast.parse(src) for file, src in modules.items()}
     defs = {(file, node.name): node for file, tree in trees.items()
@@ -133,28 +123,28 @@ def names_without_caller(modules, bench_text, tests) -> list[str]:
         word = f"{file[:-3]}.{name}" if own_module else name
         if re.search(rf"\b{re.escape(word)}\b", bench_text):
             continue
-        doc = ast.get_docstring(node) if node is not None else None
-        if _cites_real_tests(doc, tests):
-            continue
         flagged.append(f"{file[:-3]}.{name}")
     return flagged
-
-
-def _test_names() -> set[str]:
-    names = set()
-    for path in TESTS.glob("test_*.py"):
-        names.add(path.stem)
-        names |= {node.name for node in ast.walk(ast.parse(path.read_text()))
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and node.name.startswith("test_")}
-    return names
 
 
 def test_every_public_name_has_a_caller():
     modules = {path.name: path.read_text() for path in MODULES}
     bench_text = "\n".join(p.read_text() for p in sorted(BENCH.glob("*.py")))
-    flagged = names_without_caller(modules, bench_text, _test_names())
+    flagged = names_without_caller(modules, bench_text)
     assert flagged == [], "public names that only tests reach"
+
+
+def test_every_oracle_is_used_by_a_test():
+    # tests/oracles.py holds the reference routes that only tests call; one
+    # that no test uses is dead code
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    oracles = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")}
+    used = set()
+    for path in TESTS.glob("test_*.py"):
+        used |= _referenced(ast.parse(path.read_text()))
+    assert sorted(oracles - used) == []
 
 
 _SYNTHETIC = {
@@ -192,26 +182,13 @@ def timed():
 
 def cited():
     """Brute force: the oracle of test_here in tests/test_file.py."""
-
-
-def stale():
-    """Brute force: the oracle of test_gone."""
-
-
-def half():
-    """Brute force: the oracle of test_here and test_gone."""
-
-
-def uncited():
-    """Brute force, an oracle for no test named here."""
 ''',
 }
 
 
-def test_guard_flags_uncalled_defs_and_stale_citations():
+def test_guard_flags_uncalled_defs_even_when_a_docstring_cites_a_test():
+    # a docstring naming a test earns no credit: m.cited has no caller
     bench_text = ('TARGETS = {"m.timed": ("m", "timed", None), '
                   '"nib.other": ("nib", "other", None)}')
-    flagged = names_without_caller(_SYNTHETIC, bench_text,
-                                   {"test_here", "test_file"})
-    assert flagged == ["m.half", "m.lonely", "m.stale", "m.uncited",
-                       "nib.nib"]
+    flagged = names_without_caller(_SYNTHETIC, bench_text)
+    assert flagged == ["m.cited", "m.lonely", "nib.nib"]

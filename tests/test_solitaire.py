@@ -21,20 +21,18 @@ from noninv.solitaire import (
     bulgarian_endomap,
     bulgarian_fibers,
     bulgarian_image_defects,
-    bulgarian_preimage_count,
     carolina,
     carolina_degree,
     carolina_endomap,
-    carolina_preimage_count,
     carolina_rank_table,
     check_partition,
     eta_series,
     max_preimage_bound,
     monte_carlo_bulgarian,
     partition_domain,
-    partition_rank,
     partitions_desc,
 )
+from oracles import carolina_preimage_count
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]  # p(0)..p(10)
 
@@ -93,9 +91,9 @@ def test_bulgarian_examples():
 
 
 def test_preimage_count_examples():
-    assert bulgarian_preimage_count((2, 1)) == 2
-    assert bulgarian_preimage_count((1, 1, 1)) == 0
-    assert bulgarian_preimage_count((7, 5, 2, 2)) == 2
+    assert solitaire._preimage_count((2, 1)) == 2
+    assert solitaire._preimage_count((1, 1, 1)) == 0
+    assert solitaire._preimage_count((7, 5, 2, 2)) == 2
 
 
 def test_preimage_rule_matches_brute_force():
@@ -104,7 +102,7 @@ def test_preimage_rule_matches_brute_force():
         dom = f.codec
         fib = Counter(f.table)
         for i in range(dom.size):
-            assert bulgarian_preimage_count(dom.unrank(i)) == fib.get(i, 0)
+            assert solitaire._preimage_count(dom.unrank(i)) == fib.get(i, 0)
 
 
 def test_image_is_rank_at_least_minus_one():
@@ -112,18 +110,20 @@ def test_image_is_rank_at_least_minus_one():
         f = bulgarian_endomap(n)
         dom = f.codec
         image = set(f.table)
-        expected = {i for i in range(dom.size)
-                    if partition_rank(dom.unrank(i)) >= -1}
+        expected = {i for i, lam in enumerate(dom.objects())
+                    if solitaire._rank(lam[0], len(lam)) >= -1}
         assert image == expected
 
 
 def test_rank_and_conjugate():
-    assert partition_rank((7, 5, 2, 2)) == 3
+    # (7, 5, 2, 2): largest part minus number of parts
+    assert solitaire._rank(7, 4) == 3
 
 
 def test_rank_count_symmetry():
     for n in range(1, 13):
-        by_rank = Counter(partition_rank(lam) for lam in partitions_desc(n))
+        by_rank = Counter(solitaire._rank(lam[0], len(lam))
+                          for lam in partitions_desc(n))
         for r, c in by_rank.items():
             assert by_rank[-r] == c
 
@@ -220,32 +220,45 @@ def test_sampler_exact_law_is_uniform():
 
 
 class _ReplayRng:
-    """Replays a prefix of randrange outcomes, then answers 0; records every
-    (bound, outcome) pair it handed out."""
+    """Replays a prefix of outcomes, then answers 0; records every
+    (argument, outcome) pair it handed out.  The argument is the bound of a
+    randrange call or the bit count of a getrandbits call."""
 
     def __init__(self, prefix):
         self.prefix = prefix
         self.calls = []
 
-    def randrange(self, bound):
+    def randrange(self, arg):
         i = len(self.calls)
         value = self.prefix[i] if i < len(self.prefix) else 0
-        self.calls.append((bound, value))
+        self.calls.append((arg, value))
         return value
+
+    getrandbits = randrange
+
+
+def _as_bits(calls):
+    """The getrandbits calls that draw randrange's (bound, outcome) calls,
+    each accepted at its first draw."""
+    return [(bound.bit_length(), value) for bound, value in calls]
 
 
 def _every_leaf(sampler):
-    """Run sampler.sample once per leaf of its tree of randrange outcomes,
-    advancing the recorded outcomes like an odometer."""
+    """Run sampler.sample once per leaf of the linear scan's tree of
+    randrange outcomes, advancing the recorded outcomes like an odometer.
+    At each leaf the sampler draws the same outcomes with getrandbits and
+    returns the linear scan's partition."""
     prefix = []
     while True:
-        rng = _ReplayRng(prefix)
+        rng, oracle = _ReplayRng(prefix), _ReplayRng(prefix)
         lam = sampler.sample(rng)
+        assert lam == _linear_ranpar(sampler, oracle)
+        assert rng.calls == _as_bits(oracle.calls)
         weight = Fraction(1)
-        for bound, _ in rng.calls:
+        for bound, _ in oracle.calls:
             weight /= bound
         yield lam, weight
-        calls = rng.calls
+        calls = oracle.calls
         while calls and calls[-1][1] + 1 == calls[-1][0]:
             calls.pop()
         if not calls:
@@ -326,7 +339,7 @@ def test_sampler_guide_branches_equal_the_linear_scan(monkeypatch):
         return scan(m, r, s, tie)
 
     monkeypatch.setattr(sampler, "_scan", record)
-    # the first randrange picks k at m = 50; every later one answers 0.
+    # the first draw picks k at m = 50; every later one answers 0.
     # Each case gives r, k, the ties of the scans at m = 50 and the row's
     # length after the draw
     for r, k, ties, row_length in [
@@ -338,8 +351,8 @@ def test_sampler_guide_branches_equal_the_linear_scan(monkeypatch):
         scans.clear()
         fast, slow = _ReplayRng([r]), _ReplayRng([r])
         assert sampler.sample(fast) == _linear_ranpar(sampler, slow)
-        assert fast.calls == slow.calls
-        assert fast.calls[1] == (sigma[k], 0)
+        assert fast.calls == _as_bits(slow.calls)
+        assert slow.calls[1] == (sigma[k], 0)
         assert [tie for m, tie in scans if m == 50] == ties
         assert len(sampler._rows[50]) == row_length
     assert sampler._ends[50] == total

@@ -24,14 +24,14 @@ from fractions import Fraction
 from math import inf
 
 from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
-from .endo import (FiberHistogram, collisions, dec_str, fiber_sizes,
-                   frac_str, iterate_table)
+from .endo import FiberHistogram, dec_str, frac_str, iterate_collisions
 
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
 # F^k takes at most 2 log2(k) compositions by repeated squaring: the
-# largest tree at --k 1024 (--b 63, 902,791 vertices) takes 0.7-1.2 s and
-# 32 MB (16-18 s and 66 MB at k - 1 compositions)
+# largest tree at --k 1024 (--b 63, 902,791 vertices) takes 0.7-0.8 s and
+# 31 MB, F and F^512 beside the byte count of F^1024 as it is composed
+# (16-18 s and 66 MB at k - 1 compositions)
 _TREE_K_LIMIT = 1024
 # measured at search --n 7 with the other flags at their defaults (0.6 s):
 # a --gamma numerator of 512 takes 0.7 s and a denominator of 2^8 0.8 s
@@ -104,17 +104,14 @@ def _given(args, row: dict, command: str) -> dict:
 # degree subcommand
 
 
-def _degree_payload(payload: dict, sizes, exact: Fraction | None = None,
-                    ) -> tuple[bool, FiberHistogram]:
+def _degree_payload(payload: dict, hist: FiberHistogram,
+                    exact: Fraction | None = None) -> bool:
     """Add the degree and fiber histogram of one fiber count to payload.
 
-    sizes lists the fiber size of every image point, as
-    ``FiberHistogram.from_sizes`` takes them.  ``degree`` is exact when
-    given, else the engine value; a mismatch adds the engine value as
-    ``engine_degree`` and gives False.  Returns that verdict and the
-    histogram.
+    ``degree`` is exact when given, else the engine value; a mismatch adds
+    the engine value as ``engine_degree`` and gives False.  Returns that
+    verdict.
     """
-    hist = FiberHistogram.from_sizes(sizes)
     got = hist.degree()
     if exact is None:
         exact = got
@@ -124,7 +121,7 @@ def _degree_payload(payload: dict, sizes, exact: Fraction | None = None,
     payload["histogram"] = {str(s): c for s, c in hist.counts.items()}
     if got != exact:
         payload["engine_degree"] = frac_str(got)
-    return got == exact, hist
+    return got == exact
 
 
 # system -> {flag: (minimum, maximum[, force_limit])} of each flag it reads;
@@ -163,8 +160,8 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
             raise CLIError("degree bubble_iter requires --k")
         table = bubble.bubble_rank_table(n, k)
         payload["k"] = k
-        ok, _ = _degree_payload(payload, fiber_sizes(table),
-                                bubble.bubble_degree_formula(n, k))
+        ok = _degree_payload(payload, FiberHistogram.from_table(table),
+                             bubble.bubble_degree_formula(n, k))
     elif system == "word_bubble":
         try:
             content = bubble.check_content(
@@ -181,15 +178,15 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                bubble._WORD_HARD_LIMIT)
         table = bubble.word_rank_table(content)
         payload["content"] = list(content)
-        ok, _ = _degree_payload(payload, fiber_sizes(table),
-                                bubble.word_degree_formula(content))
+        ok = _degree_payload(payload, FiberHistogram.from_table(table),
+                             bubble.word_degree_formula(content))
     elif system == "stack":
         fibers = stacksort.stack_fibers(n)
-        ok, _ = _degree_payload(payload, fibers.values())
+        ok = _degree_payload(payload, FiberHistogram.from_sizes(fibers.values()))
     elif system == "nibble_perm":
         f = nibble.nibble_endomap(n)
-        ok, _ = _degree_payload(payload, fiber_sizes(f.table),
-                                nibble.nibble_degree_formula(n))
+        ok = _degree_payload(payload, FiberHistogram.from_map(f),
+                             nibble.nibble_degree_formula(n))
     elif system in ("nibble_bin", "chip"):
         # both maps have degree 3/2 and one histogram for n >= 2; n = 1 is
         # outside the theorems and only warns
@@ -198,8 +195,8 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                 f"n = {n} is outside the degree-3/2 theorem scope (n >= 2)")
         table = (nibble.nibble_rank_table(n) if system == "nibble_bin"
                  else nibble.chip_rank_table(n))
-        ok, hist = _degree_payload(payload, fiber_sizes(table),
-                                   Fraction(3, 2) if n >= 2 else None)
+        hist = FiberHistogram.from_table(table)
+        ok = _degree_payload(payload, hist, Fraction(3, 2) if n >= 2 else None)
         if n >= 2:
             expected = nibble.expected_binary_histogram(n)
             matches = payload["matches_three_halves_histogram"] = (
@@ -209,17 +206,17 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                     str(s): c for s, c in expected.items()}
                 ok = False
     elif system == "bulgarian":
-        fibers, shapes = solitaire.bulgarian_fibers(n)
-        ok, _ = _degree_payload(payload, fibers.values())
-        outside, missed = solitaire.bulgarian_image_defects(n, fibers, shapes)
+        hist, image, shapes = solitaire.bulgarian_fibers(n)
+        ok = _degree_payload(payload, hist)
+        outside, missed = solitaire.bulgarian_image_defects(n, image, shapes)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
                                         "rank_at_least_minus_1_missed": missed}
             ok = False
     elif system == "carolina":
         table = solitaire.carolina_rank_table(n)
-        ok, _ = _degree_payload(payload, fiber_sizes(table),
-                                solitaire.carolina_degree(n))
+        ok = _degree_payload(payload, FiberHistogram.from_table(table),
+                             solitaire.carolina_degree(n))
     elif system == "hecke":
         gens = (_parse_ints(given["word"], "--word") if "word" in given
                 else tuple(range(1, n)))
@@ -233,7 +230,8 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         f = hecke.hecke_endomap(word)
         payload["word"] = list(gens)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
-        ok, hist = _degree_payload(payload, fiber_sizes(f.table))
+        hist = FiberHistogram.from_map(f)
+        ok = _degree_payload(payload, hist)
         payload["image_size"] = hist.n - hist.counts.get(0, 0)
     else:  # tree
         b, k = given.get("b"), given.get("k", 2)
@@ -248,12 +246,10 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         payload["b"] = b
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(b, k))
-        ok, _ = _degree_payload(payload, fiber_sizes(f.table), closed_f)
-        # a composition of the validated table cannot leave its range; F
-        # goes before F^k is counted, so only F^k and its count are alive
-        fk = iterate_table(f.table, k)
-        del f
-        engine_fk = Fraction(collisions(fk), size)
+        ok = _degree_payload(payload, FiberHistogram.from_map(f), closed_f)
+        # a composition of the validated table cannot leave its range, and
+        # F^k's table is counted as it is composed, never stored
+        engine_fk = Fraction(iterate_collisions(f.table, k), size)
         payload["iterate_degree"] = frac_str(closed_fk)
         payload["iterate_degree_decimal"] = dec_str(closed_fk)
         if engine_fk != closed_fk:
@@ -280,12 +276,12 @@ _SUITES = {
     "thm4": {"max_n": _S_N},
     "binary32": {"max_n": (2, 20)},  # 23 s
     "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
-    "thm5": {"max_n": (1, 50)},  # 0.8-1.2 s, 42 MB
+    "thm5": {"max_n": (1, 50)},  # 0.8-0.9 s, 20 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 1.9-2.3 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 1.5-1.9 s, k: 0.13 s
-    "prop1": {"k": (2, 30)},  # 8.6 s, 119 MB
+    "prop1": {"k": (2, 30)},  # 4.6-5.8 s, 121 MB
     "hecke_odd": {"max_n": _S_N},
 }
 

@@ -13,11 +13,12 @@ pairs (x, x') with f(x) = f(x').
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 class DomainCodec:
@@ -182,14 +183,24 @@ class FiberHistogram:
 
     @classmethod
     def from_map(cls, f: EndoMap) -> "FiberHistogram":
-        return cls.from_sizes(fiber_sizes(f.table))
+        return cls.from_table(f.table)
+
+    @classmethod
+    def from_table(cls, table) -> "FiberHistogram":
+        return cls.from_counts(fiber_counts(table, len(table)))
 
     @classmethod
     def from_sizes(cls, sizes) -> "FiberHistogram":
         """Histogram of the fiber sizes of the image points, empty fibers
+        optional."""
+        return cls.from_counts(Counter(sizes))
+
+    @classmethod
+    def from_counts(cls, counts: dict[int, int]) -> "FiberHistogram":
+        """Histogram of a count of points by fiber size, empty fibers
         optional: the domain size is sum s * c, since every point lies in one
         fiber, and the codomain points left out have empty fibers."""
-        counts = Counter(sizes)
+        counts = Counter(counts)
         counts[0] += sum(s * c for s, c in counts.items()) - sum(counts.values())
         return cls({s: c for s, c in sorted(counts.items()) if c})
 
@@ -198,15 +209,52 @@ class FiberHistogram:
         return sum(self.counts.values())
 
     def degree(self) -> Fraction:
-        return Fraction(sum(s * s * c for s, c in self.counts.items()), self.n)
+        return Fraction(_pairs(self.counts), self.n)
 
 
 def fiber_sizes(table) -> list[int]:
-    """sizes[y] = |f^-1(y)| for an index table over 0..len(table)-1."""
+    """sizes[y] = |f^-1(y)| for an index table over 0..len(table)-1.
+
+    A list slot per point; ``fiber_counts`` counts in a byte per point
+    where only the histogram is read.
+    """
     sizes = [0] * len(table)
     for v in table:
         sizes[v] += 1
     return sizes
+
+
+def fiber_counts(images: Iterable[int], n: int) -> dict[int, int]:
+    """counts[s] = number of points y of 0..n-1 hit by exactly s of the
+    images, empty fibers (s = 0) included.
+
+    Each point's count is kept mod 256 in a byte, and a dict counts how
+    often it wrapped, so the count holds one byte per point plus one entry
+    per fiber of more than 255 points.  images may be any iterable of
+    points, an iterator too.
+    """
+    low = bytearray(n)
+    wraps: dict[int, int] = {}
+    for v in images:
+        try:
+            low[v] += 1
+        except ValueError:  # a byte holds at most 255
+            low[v] = 0
+            wraps[v] = wraps.get(v, 0) + 1
+    counts = {s: low.count(s) for s in set(low)}
+    for v, w in wraps.items():
+        s = low[v]
+        counts[s] -= 1
+        if not counts[s]:
+            del counts[s]
+        s += w << 8
+        counts[s] = counts.get(s, 0) + 1
+    return counts
+
+
+def _pairs(counts: dict[int, int]) -> int:
+    """Ordered pairs within a fiber, sum s^2 c over a count by fiber size."""
+    return sum(s * s * c for s, c in counts.items())
 
 
 def square_sum(sizes) -> int:
@@ -223,7 +271,18 @@ def collisions(table) -> int:
 
     This is the sum of squared fiber sizes, n * deg(f), as an exact integer.
     """
-    return square_sum(fiber_sizes(table))
+    return _pairs(fiber_counts(table, len(table)))
+
+
+def iterate_collisions(table, k: int) -> int:
+    """collisions(iterate_table(table, k)), k >= 0, without storing the
+    table of f^k: the last composition of the repeated squaring is counted
+    chunk by chunk as it is composed."""
+    if k < 2:
+        return collisions(iterate_table(table, k))
+    images = itertools.chain.from_iterable(
+        _compose_chunks(*_last_composition(_as_table(table), k)))
+    return _pairs(fiber_counts(images, len(table)))
 
 
 def degree(f: EndoMap) -> Fraction:
@@ -243,18 +302,30 @@ def compose_tables(ft, gt) -> tuple[int, ...] | array:
     """The table of f after g, (ft[v] for v in gt), with the type of gt.
 
     A tuple (or any other sequence) gt gives a tuple, from one C-level
-    call; an array gt gives an array of its typecode, filled chunk by chunk.
+    call; an array gt gives an array of its typecode, allocated at once
+    and filled chunk by chunk, so no chunk moves it.
     """
     if isinstance(gt, array):
-        out = array(gt.typecode)
-        for i in range(0, len(gt), _COMPOSE_CHUNK):
-            # a list chunk takes the tuple path below
-            out.extend(compose_tables(ft, gt[i:i + _COMPOSE_CHUNK].tolist()))
+        code = gt.typecode
+        out = array(code, bytes(gt.itemsize * len(gt)))
+        for i, chunk in zip(range(0, len(gt), _COMPOSE_CHUNK),
+                            _compose_chunks(ft, gt)):
+            out[i:i + _COMPOSE_CHUNK] = array(code, chunk)
         return out
     if len(gt) > 1:
         return itemgetter(*gt)(ft)
     # itemgetter returns a bare item for one key and needs at least one key
     return (ft[gt[0]],) if gt else ()
+
+
+def _compose_chunks(ft, gt) -> Iterator[tuple[int, ...]]:
+    """f after g as tuples of up to _COMPOSE_CHUNK images, in order."""
+    for i in range(0, len(gt), _COMPOSE_CHUNK):
+        yield compose_tables(ft, tuple(gt[i:i + _COMPOSE_CHUNK]))
+
+
+def _as_table(table) -> tuple[int, ...] | array:
+    return table if isinstance(table, array) else tuple(table)
 
 
 def iterate_table(table, k: int) -> tuple[int, ...] | array:
@@ -267,19 +338,27 @@ def iterate_table(table, k: int) -> tuple[int, ...] | array:
     """
     if k < 0:
         raise ValueError("iterate order must be nonnegative")
-    if not isinstance(table, array):
-        table = tuple(table)
+    table = _as_table(table)
     if k == 0:
         identity = range(len(table))
         if isinstance(table, array):
             return array(table.typecode, identity)
         return tuple(identity)
+    if k == 1:
+        return table
+    return compose_tables(*_last_composition(table, k))
+
+
+def _last_composition(table, k: int) -> tuple:
+    """(f^j, g) with f^j o g = f^k, k >= 2: every composition of the
+    repeated squaring but the last, which is left to the caller."""
+    # each bit after the leading one squares, and a 1 bit then applies f
+    steps = [with_f for bit in bin(k)[3:]
+             for with_f in ((False, True) if bit == "1" else (False,))]
     out = table
-    for bit in bin(k)[3:]:
-        out = compose_tables(out, out)
-        if bit == "1":
-            out = compose_tables(table, out)
-    return out
+    for with_f in steps[:-1]:
+        out = compose_tables(table if with_f else out, out)
+    return (table if steps[-1] else out), out
 
 
 # ---------------------------------------------------------------------------

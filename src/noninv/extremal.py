@@ -28,8 +28,9 @@ from fractions import Fraction
 from math import isqrt
 from operator import eq, le, mul
 
-from .endo import (EndoMap, collisions, compose_tables, degree, iterate_table,
-                   lane_collisions, lane_columns, lane_compose, lane_iterate)
+from .endo import (EndoMap, collisions, compose_tables, degree,
+                   iterate_collisions, iterate_table, lane_collisions,
+                   lane_columns, lane_compose, lane_iterate)
 
 # ---------------------------------------------------------------------------
 # the extremal tree family
@@ -119,14 +120,12 @@ def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
     The engine pair is the generic fiber count over the explicit map, the
     closed pair the depth-stratified formula.  The iterate's table is a
     composition of a validated table, so it is counted without another
-    range check.  As in ``degree tree``, F is dropped before F^k's fiber
-    count is built, so the two never share the peak.
+    range check, and, as in ``degree tree``, as it is composed, so F^k's
+    table is never stored.
     """
     f = build_tree_map(b, k)
-    deg_f = degree(f)
-    fk = iterate_table(f.table, k)
-    del f
-    return (deg_f, Fraction(collisions(fk), len(fk))), stratified_degrees(b, k)
+    engine = degree(f), Fraction(iterate_collisions(f.table, k), f.n)
+    return engine, stratified_degrees(b, k)
 
 
 def stratified_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:

@@ -33,7 +33,7 @@ from math import isqrt
 from operator import lshift, mod, or_
 from typing import Iterator, Sequence
 
-from .endo import DomainCodec, EndoMap, EnumeratedDomain, square_sum
+from .endo import DomainCodec, EndoMap, EnumeratedDomain, FiberHistogram
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -95,8 +95,9 @@ def partitions_desc(n: int) -> Iterator[Partition]:
 
 # the largest Part(n) the codec and the fiber count enumerate: `degree
 # bulgarian --n 65 --force` (p(65) = 2,012,558 partitions, counted by
-# bulgarian_fibers) takes 1.8-2.3 s and peaks at 109 MB on 2 cores,
-# Python 3.11; its image keys are exact ints, so no part size bounds them
+# bulgarian_fibers) takes 1.0-1.1 s and peaks at 50 MB, with 135,826 keys
+# in its largest image class, on 2 cores, Python 3.11; its image keys are
+# exact ints, so no part size bounds them
 _PARTITION_HARD_LIMIT = 65
 
 
@@ -178,75 +179,92 @@ def _part_keys(n: int) -> list[int]:
     return pl
 
 
-def _bulgarian_keys(n: int, pl: list[int], runs: list[int]) -> Iterator[int]:
-    """The key of B(lam) for each lam in Part(n), in partitions_desc order.
+def _bulgarian_classes(n: int, runs: list[int]) -> Iterator[Counter]:
+    """The ``_part_keys`` keys of the images B(lam), lam in Part(n), counted
+    one class at a time: a Counter of key -> fiber size per class.
 
-    The loop is partitions_desc's Algorithm P.  With lam = a[1..m] and
-    a[1..q] its parts >= 2, key(B(lam)) = s + pl[m], where
-    s = sum_{i <= q} pl[a_i - 1] is kept by addition as the parts change.
-    Each run of points between two outer steps shares its largest part
-    a[1], and its lengths are consecutive; it is recorded in runs, a
-    difference array over a[1] (n + 1) + length.
+    With nu = (lam_i - 1 : lam_i >= 2), q = len(nu) and |nu| + q <= n,
+    lam <-> nu is a bijection, and B(lam) = nu + (n - |nu|,) has q + 1
+    parts, since lam has n - |nu| parts.  Images of different q never
+    collide, so class q holds whole fibers.  Its tails nu_q <= ... <=
+    nu_2, of sum t, are built smallest part first, each with s = sum pl
+    over its parts; nu_1 then sweeps [nu_2, n - q - t], and
+    key(B(lam)) = s + pl[nu_1] + pl[n - t - nu_1], one C-level map per
+    tail.  The class q = 0 is 1^n -> (n).  As lam has largest part
+    nu_1 + 1 and n - t - nu_1 parts, each sweep is a run over nu_1 of the
+    difference array runs, at t (n + 1) + nu_1; 1^n sits at nu_1 = t = 0.
     """
-    r, p1 = n + 1, pl[1]
-    a = [0] * (n + 1)
-    m, rest, x = 1, n, n
-    s, top = 0, n * r
-    while True:
-        px = pl[x - 1]
-        while rest > x:
-            a[m] = x
-            m += 1
-            rest -= x
-            s += px
-        a[m] = rest
-        s += pl[rest - 1]
-        q = m - (rest == 1)
-        runs[top + m] += 1
-        while True:
-            yield s + pl[m]
-            if a[q] != 2:
-                break
-            # a final 2 becomes 1 + 1; only a[1..q] are read, so the new
-            # ones are never stored
-            a[q] = 1
-            q -= 1
-            m += 1
-            s -= p1
-        if q == 0:
-            # the run ends at 1^n, whose largest part is 1, not the run's
-            # a[1] = 2 (for n = 1 the two agree)
-            runs[top + n] -= 1
-            runs[r + n] += 1
-            runs[r + n + 1] -= 1
-            return
-        runs[top + m + 1] -= 1
-        x = a[q] - 1
-        a[q] = x
-        s += pl[x - 1] - pl[x]
-        if q == 1:
-            top = x * r
-        rest = m - q + 1
-        m = q + 1
-
-
-def bulgarian_fibers(n: int) -> tuple[Counter, dict]:
-    """Fiber sizes of Bulgarian solitaire on Part(n), and Part(n)'s shapes.
-
-    One Algorithm P pass counts every image by its ``_part_keys`` key, an
-    int, with no tuple, sort or bytes built for any point, and no domain
-    list, rank dictionary or table.  The pass also counts the domain by
-    shape: the second value maps (largest part, length) to the number of
-    partitions of n with that shape, for ``bulgarian_image_defects``.
-    """
-    _check_partition_size(n)
     pl = _part_keys(n)
     r = n + 1
+    runs[0] += 1
+    runs[1] -= 1
+    yield Counter([pl[n]])
+    # ends[t][v] = pl[v] + pl[n - t - v]: the keys of nu_1 = v and of the
+    # image's last part, behind a tail of sum t
+    ends = [[pl[v] + pl[n - t - v] for v in range(n - t + 1)]
+            for t in range(n + 1)]
+
+    def sweeps(q, tails, longer):
+        """One key map per tail of class q; the tails of class q + 1 go to
+        longer, three parallel lists (s, t, nu_2) of ints, untracked by
+        the garbage collector."""
+        sums, totals, tops = longer
+        for s, t, top in zip(*tails):
+            last = n - q - t
+            yield map(s.__add__, ends[t][top:last + 1])
+            runs[t * r + top] += 1
+            runs[t * r + last + 1] -= 1
+            # a new largest tail part v leaves nu_1 >= v room: t + 2v <=
+            # n - q - 1
+            most = (last - 1) // 2
+            if most >= top:
+                sums.extend(map(s.__add__, pl[top:most + 1]))
+                totals.extend(range(t + top, t + most + 1))
+                tops.extend(range(top, most + 1))
+
+    # class 1 has one tail, the empty one, with nu_1 >= 1
+    tails, q = ([0], [0], [1]), 1
+    while tails[0]:
+        longer = [], [], []
+        yield Counter(itertools.chain.from_iterable(sweeps(q, tails, longer)))
+        tails, q = longer, q + 1
+
+
+def _decode(n: int, keys) -> Counter:
+    """Counter of (largest part, sum R + number of parts) over keys.
+
+    The largest part is the number of pl[1..n] at most the key, and the
+    key mod Q is the sum of its parts times R plus their number.
+    """
+    _, q = _key_radices(n)
+    largest = map(bisect_right, itertools.repeat(_part_keys(n)[1:]), keys)
+    return Counter(zip(largest, map(mod, keys, itertools.repeat(q))))
+
+
+def bulgarian_fibers(n: int) -> tuple[FiberHistogram, Counter, dict]:
+    """Fiber histogram of Bulgarian solitaire on Part(n), its decoded
+    image, and Part(n)'s shapes.
+
+    ``_bulgarian_classes`` counts the images one length class at a time,
+    with no tuple, sort or bytes built for any point, and no domain list,
+    rank dictionary or table; each class is folded into the histogram and
+    decoded by ``_decode``, then dropped.  The third value maps (largest
+    part, length) to the number of partitions of n with that shape; the
+    second and third are what ``bulgarian_image_defects`` reads.
+    """
+    _check_partition_size(n)
+    r = n + 1
     runs = [0] * (r * r + 1)
-    fibers = Counter(_bulgarian_keys(n, pl, runs))
-    shapes = {divmod(i, r): c
-              for i, c in enumerate(itertools.accumulate(runs)) if c}
-    return fibers, shapes
+    sizes, image = Counter(), Counter()
+    for keys in _bulgarian_classes(n, runs):
+        sizes.update(keys.values())
+        image.update(_decode(n, keys))
+    shapes = {}
+    for i, c in enumerate(itertools.accumulate(runs)):
+        if c:
+            t, top = divmod(i, r)
+            shapes[top + 1, n - t - top] = c
+    return FiberHistogram.from_counts(sizes), image, shapes
 
 
 def _rank(largest: int, length: int) -> int:
@@ -259,22 +277,19 @@ def _split_by_rank(shapes: dict) -> tuple[int, int]:
     return high, sum(shapes.values()) - high
 
 
-def bulgarian_image_defects(n: int, fibers: Counter,
+def bulgarian_image_defects(n: int, image: Counter,
                             shapes: dict) -> tuple[int, int]:
     """Image points of rank < -1 and rank >= -1 points outside the image.
 
-    fibers and shapes are ``bulgarian_fibers(n)``'s; (0, 0) certifies that
-    the keys of fibers are exactly the partitions of n of rank >= -1.  Each
-    key is decoded to its largest part and, by one mod, to the sum and
-    number of its parts.  A key whose parts do not sum to n is outside; the
+    image and shapes are ``bulgarian_fibers(n)``'s; (0, 0) certifies that
+    the image keys are exactly the partitions of n of rank >= -1.  image
+    counts the keys by their ``_decode``: largest part, and the sum and
+    number of parts.  A key whose parts do not sum to n is outside; the
     others are partitions of n, split by rank through ``_rank``, so the
     missed ones number the domain's partitions of rank >= -1 less the keys
     of rank >= -1.
     """
-    r, q = _key_radices(n)
-    # pl[1..n] at most the key number its largest part
-    largest = map(bisect_right, itertools.repeat(_part_keys(n)[1:]), fibers)
-    image = Counter(zip(largest, map(mod, fibers, itertools.repeat(q))))
+    r = n + 1
     own, off_sum = {}, 0
     for (big, low), c in image.items():
         total, ell = divmod(low, r)
@@ -288,10 +303,10 @@ def bulgarian_image_defects(n: int, fibers: Counter,
 
 def bulgarian_degree(n: int) -> Fraction:
     """Exact degree on Part(n); also certifies image = {rank >= -1}."""
-    fibers, shapes = bulgarian_fibers(n)
-    if bulgarian_image_defects(n, fibers, shapes) != (0, 0):
+    hist, image, shapes = bulgarian_fibers(n)
+    if bulgarian_image_defects(n, image, shapes) != (0, 0):
         raise RuntimeError(f"image of Part({n}) is not the rank >= -1 set")
-    return Fraction(square_sum(fibers.values()), sum(fibers.values()))
+    return hist.degree()
 
 
 def max_preimage_bound(n: int) -> int:

@@ -160,14 +160,14 @@ def thm5(max_n: int = 20) -> list[dict]:
     """Theorem 5: Bulgarian solitaire's fiber bound and its image."""
     checks = []
     for n in range(1, max_n + 1):
-        fibers, shapes = solitaire.bulgarian_fibers(n)
+        hist, image, shapes = solitaire.bulgarian_fibers(n)
         bound = solitaire.max_preimage_bound(n)
-        largest = max(fibers.values())
+        largest = max(hist.counts)
         checks.append(_check(f"max fiber within bound n={n}", largest <= bound,
                              f"max {largest} <= {bound}"))
-        defects = solitaire.bulgarian_image_defects(n, fibers, shapes)
+        defects = solitaire.bulgarian_image_defects(n, image, shapes)
         checks.append(_check(f"image is rank >= -1 n={n}", defects == (0, 0),
-                             f"{len(fibers)} image points"))
+                             f"{hist.n - hist.counts.get(0, 0)} image points"))
     return checks
 
 

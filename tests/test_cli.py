@@ -356,6 +356,16 @@ _DEGREE_REFUSED = [
     # the word count once took (sum a)! first
     ("degree", "word_bubble", "--content", "1000000000,2", "--force"),
 ]
+# an iterate order and --gamma values the search refuses
+_SEARCH_REFUSED = [
+    ("search", "ratio", "--n", "3", "--k", "100000000"),
+    ("search", "ratio", "--gamma", "1/0"),
+    ("search", "ratio", "--gamma", "-2"),
+    ("search", "ratio", "--gamma=-1/2"),
+    ("search", "ratio", "--gamma", "513"),
+    ("search", "ratio", "--gamma", "1/512"),
+    ("search", "ratio", "--n", "3", "--gamma", "1/16777216"),
+]
 # the largest searches each flag accepts; the search is stubbed, not run
 _SEARCH_MAX = [
     ("search", "ratio", "--n", "8", "--force"),
@@ -466,16 +476,9 @@ _FORCE = [
     (("search", "ratio", "--n", "0"), 2),
     (("search", "ratio", "--k", "0"), 2),
     (("search", "ratio", "--k", "33"), 2),
-    (("search", "ratio", "--n", "3", "--k", "100000000"), 2),
-    (("search", "ratio", "--gamma", "1/0"), 2),
-    (("search", "ratio", "--gamma", "-2"), 2),
-    (("search", "ratio", "--gamma=-1/2"), 2),
-    (("search", "ratio", "--gamma", "513"), 2),
-    (("search", "ratio", "--gamma", "1/512"), 2),
-    (("search", "ratio", "--n", "3", "--gamma", "1/16777216"), 2),
     # later rows carry explicit ids, which do not shift when a row goes
     *(pytest.param(argv, 2, id=" ".join(argv))
-      for argv in _UNREAD + _DEGREE_REFUSED),
+      for argv in _UNREAD + _DEGREE_REFUSED + _SEARCH_REFUSED),
     *(pytest.param(argv, 0, id=" ".join(argv))
       for argv in [("degree", "tree", "--b", "2", "--k", "1024"),
                    *_SEARCH_MAX]),
@@ -784,11 +787,28 @@ def test_word_bubble_peak_rss_holds_a_compact_table():
 
 def test_tree_peak_rss_holds_compact_tables():
     # a million-vertex tree as a list, its tuple copy and a validated tuple
-    # for F^k peaked at 69 MB, and F beside F^k and its count at 34 MB
+    # for F^k peaked at 69 MB, F beside F^k and its count at 34 MB, and
+    # F^k beside a list of its fiber sizes at 29 MB; counted into bytes as
+    # it is composed, it peaks at 22 MB (2 cores, Python 3.11), and the
+    # ceiling leaves 5 MB for another interpreter's start-up
     payload, peak_mb = _peak_rss("degree", "tree", "--b", "1000", "--k", "2")
     assert payload["domain_size"] == 993001
     assert "engine_iterate_degree" not in payload
-    assert peak_mb < 40, f"peak RSS {peak_mb:.1f} MB"
+    assert peak_mb < 27, f"peak RSS {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("argv, points, ceiling_mb", [
+    # one Counter of every image key peaked at 28 MB, and at 110 MB with
+    # --n 65; a class at a time, 20 and 49 MB (2 cores, Python 3.11).
+    # Each ceiling leaves 5 MB, or a fifth, for another interpreter
+    (("--n", "50"), 204226, 25),
+    (("--n", "65", "--force"), 2012558, 60),
+])
+def test_bulgarian_peak_rss_holds_one_image_class(argv, points, ceiling_mb):
+    payload, peak_mb = _peak_rss("degree", "bulgarian", *argv)
+    assert payload["domain_size"] == points
+    assert "image_defects" not in payload
+    assert peak_mb < ceiling_mb, f"peak RSS {peak_mb:.1f} MB"
 
 
 @pytest.mark.parametrize("system, argv, name, size", [
@@ -998,16 +1018,17 @@ def test_degree_bulgarian_shifted_key_prints_both_defects(capsys, monkeypatch):
     # adding pl[1] to a key adds a part 1: the image point (3, 1, 1, 1) of
     # rank -1 turns into a key of rank -2, so one point leaves the rank >= -1
     # set and one lands outside it
-    real = solitaire.bulgarian_fibers
+    real = solitaire._bulgarian_classes
 
-    def shifted(n):
-        fibers, shapes = real(n)
+    def shifted(n, runs):
         pl = solitaire._part_keys(n)
         key = pl[3] + 3 * pl[1]
-        fibers[key + pl[1]] = fibers.pop(key)
-        return fibers, shapes
+        for keys in real(n, runs):
+            if key in keys:
+                keys[key + pl[1]] = keys.pop(key)
+            yield keys
 
-    monkeypatch.setattr(solitaire, "bulgarian_fibers", shifted)
+    monkeypatch.setattr(solitaire, "_bulgarian_classes", shifted)
     code, payload = run_json(capsys, "degree", "bulgarian", "--n", "6")
     assert code == 1
     assert payload["degree"] == "17/11"

@@ -1,6 +1,7 @@
 import itertools
 import random
 from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from noninv.endo import (
     compose,
     compose_tables,
     degree,
+    fiber_counts,
     fiber_sizes,
     is_bijection,
     is_constant,
     iterate,
+    iterate_collisions,
     iterate_table,
     lane_collisions,
     lane_columns,
@@ -89,6 +92,44 @@ def test_collisions_match_brute_force_pair_count():
         for table in itertools.product(range(n), repeat=n):
             assert collisions(table) == oracle_pairs(table)
             assert sum(fiber_sizes(table)) == n
+
+
+def oracle_counts(table):
+    """fiber_counts from the list of fiber sizes."""
+    return dict(Counter(fiber_sizes(table)))
+
+
+def test_fiber_counts_carry_past_a_byte():
+    # point y < 8 has a fiber of sizes[y] points, and points 8..15 one
+    # point each, so the points past 15 have empty fibers
+    sizes = (0, 1, 255, 256, 257, 511, 512, 65536)
+    table = [y for y, s in enumerate(sizes) for _ in range(s)]
+    table += range(len(sizes), 2 * len(sizes))
+    n = len(table)
+    want = oracle_counts(table)
+    assert want[65536] == want[512] == want[257] == want[256] == 1
+    for images in (table, tuple(table), array("I", table), iter(table)):
+        assert fiber_counts(images, n) == want
+    assert collisions(table) == sum(s * s for s in sizes) + len(sizes)
+    # a constant map of 2^16 + 3 points, and the one-point table
+    for table in ([5] * (65536 + 3), [0]):
+        n = len(table)
+        assert fiber_counts(table, n) == oracle_counts(table)
+        assert fiber_counts(array("I", table), n) == oracle_counts(table)
+        assert collisions(tuple(table)) == n * n
+    assert fiber_counts((), 0) == {}
+
+
+def test_iterate_collisions_count_the_iterate():
+    # the last composition is streamed in chunks; the largest size has a
+    # one-key final chunk
+    rng = random.Random(16)
+    for n in (1, 2, 7, 100, 2 * endo._COMPOSE_CHUNK + 1):
+        table = tuple(rng.randrange(n) for _ in range(n))
+        for t in (table, list(table), array("I", table)):
+            for k in (0, 1, 2, 3, 4, 5, 30):
+                assert iterate_collisions(t, k) == \
+                    collisions(iterate_table(table, k)), (n, k)
 
 
 def oracle_compose(ft, gt):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from noninv import solitaire
-from noninv.endo import EndoMap, compose, degree, fiber_sizes
+from noninv.endo import EndoMap, FiberHistogram, compose, degree, fiber_sizes
 from noninv.solitaire import (
     CompositionDomain,
     PartitionSampler,
@@ -531,7 +531,7 @@ def test_partitions_desc_matches_recursive_order():
 
 
 def encode(n, lam):
-    """The bulgarian_fibers key of a partition of n, from its parts."""
+    """The image key of a partition of n, from its parts."""
     pl = solitaire._part_keys(n)
     return sum(pl[v] for v in lam)
 
@@ -548,56 +548,85 @@ def decode(n, key):
     return tuple(parts)
 
 
+def bulgarian_classes(n):
+    """The per-class key counts of Part(n), with the shape runs filled."""
+    runs = [0] * ((n + 1) ** 2 + 1)
+    return list(solitaire._bulgarian_classes(n, runs))
+
+
+def bulgarian_keys(n):
+    """Every image key of Part(n) with its fiber size, the classes joined."""
+    keys = Counter()
+    for cls in bulgarian_classes(n):
+        assert not keys.keys() & cls.keys()  # no fiber spans two classes
+        keys.update(cls)
+    return keys
+
+
 def test_bulgarian_fibers_match_one_move_per_partition():
     # the kernel against partitions_desc and _bulgarian, the independent
-    # enumeration and move
+    # enumeration and move: class q holds the images of q + 1 parts
     for n in range(1, 36):
-        fibers, shapes = bulgarian_fibers(n)
-        decoded = Counter({decode(n, k): c for k, c in fibers.items()})
-        assert decoded == Counter(map(solitaire._bulgarian,
-                                      partitions_desc(n))), n
+        want = Counter(map(solitaire._bulgarian, partitions_desc(n)))
+        got = Counter()
+        for q, cls in enumerate(bulgarian_classes(n)):
+            decoded = {decode(n, k): c for k, c in cls.items()}
+            assert {len(image) for image in decoded} <= {q + 1}, (n, q)
+            got.update(decoded)
+        assert got == want, n
+        hist, image, shapes = bulgarian_fibers(n)
+        assert hist == FiberHistogram.from_sizes(want.values()), n
+        assert image == Counter((lam[0], sum(lam) * (n + 1) + len(lam))
+                                for lam in want), n
         assert shapes == Counter((lam[0], len(lam))
                                  for lam in partitions_desc(n)), n
 
 
 def test_bulgarian_image_defects_certify_and_catch():
     for n in range(1, 13):
-        assert bulgarian_image_defects(n, *bulgarian_fibers(n)) == (0, 0)
+        _, image, shapes = bulgarian_fibers(n)
+        assert bulgarian_image_defects(n, image, shapes) == (0, 0)
     f = bulgarian_endomap(8)
     dom = f.codec
-    _, shapes = bulgarian_fibers(8)
+    _, _, shapes = bulgarian_fibers(8)
     # send one point to (1^8), of rank -7, which is never an image
     low = dom.rank((1,) * 8)
     moved = EndoMap(dom, (low,) + f.table[1:])
     keys = Counter(encode(8, dom.unrank(i)) for i in moved.table)
-    outside, missed = bulgarian_image_defects(8, keys, shapes)
+    outside, missed = bulgarian_image_defects(8, solitaire._decode(8, keys),
+                                              shapes)
     assert outside == 1 and missed == (f.table[0] not in f.table[1:])
     # move the one preimage of a rank >= -1 image point of Part(10) to
     # (1^10): one point outside the rank >= -1 set and one missed; without
     # the moved point, the dropped fiber alone is one miss
-    fibers, shapes = bulgarian_fibers(10)
+    fibers = bulgarian_keys(10)
+    _, image, shapes = bulgarian_fibers(10)
     single = next(key for key, c in fibers.items() if c == 1)
     dropped = fibers.copy()
     del dropped[single]
     injected = dropped + Counter([encode(10, (1,) * 10)])
-    assert bulgarian_image_defects(10, injected, shapes) == (1, 1)
-    assert bulgarian_image_defects(10, dropped, shapes) == (0, 1)
+    assert bulgarian_image_defects(
+        10, solitaire._decode(10, injected), shapes) == (1, 1)
+    assert bulgarian_image_defects(
+        10, solitaire._decode(10, dropped), shapes) == (0, 1)
     # one more domain point of rank >= -1 than the keys is one miss
     more = dict(shapes)
     more[10, 1] += 1
-    assert bulgarian_image_defects(10, fibers, more) == (0, 1)
+    assert bulgarian_image_defects(10, image, more) == (0, 1)
     # the key of the image point (4, 2) of Part(6) replaced by that of
     # (4, 2, 1): its rank, 1, is in range, but its parts sum to 7, so it is
     # outside and (4, 2) is missed
-    fibers, shapes = bulgarian_fibers(6)
+    fibers = bulgarian_keys(6)
+    _, _, shapes = bulgarian_fibers(6)
     fibers[encode(6, (4, 2, 1))] = fibers.pop(encode(6, (4, 2)))
-    assert bulgarian_image_defects(6, fibers, shapes) == (1, 1)
+    assert bulgarian_image_defects(
+        6, solitaire._decode(6, fibers), shapes) == (1, 1)
 
 
 def test_bulgarian_fibers_match_the_table():
     for n in range(1, 31):
         f = bulgarian_endomap(n)
-        fibers, _ = bulgarian_fibers(n)
+        fibers = bulgarian_keys(n)
         assert fibers == Counter(encode(n, f.codec.unrank(i))
                                  for i in f.table), n
         assert all(type(image) is int for image in fibers)

@@ -177,7 +177,7 @@ def _words(content):
 
 
 # the most words of one content.  `degree word_bubble --force` builds its
-# table with word_rank_table, 0.2 s and 28 MB for content (8,4,4) (900,900
+# table with word_rank_table, 0.2 s and 21 MB for content (8,4,4) (900,900
 # words); WordDomain lists every word, for `verify words` and the
 # benchmark's sweep, and the object map over it took 3.6 s and 259 MB for
 # that content (2 cores, Python 3.11)

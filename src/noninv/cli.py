@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import inf
 
 from . import bubble, extremal, hecke, nibble, perms, solitaire, stacksort
-from .endo import FiberHistogram, dec_str, frac_str, iterate_collisions
+from .endo import FiberHistogram, dec_str, frac_str
 
 # hard maxima of the flags that size no codec, timed on 2 cores, Python 3.11
 _TREE_LIMIT = 10 ** 6
@@ -105,7 +105,7 @@ def _given(args, row: dict, command: str) -> dict:
 
 
 def _degree_payload(payload: dict, hist: FiberHistogram,
-                    exact: Fraction | None = None) -> bool:
+                    exact: Fraction | None) -> bool:
     """Add the degree and fiber histogram of one fiber count to payload.
 
     ``degree`` is exact when given, else the engine value; a mismatch adds
@@ -151,17 +151,19 @@ _SYSTEMS = {
 
 
 def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
+    """Each system sets hist, its one fiber count, and exact, its closed
+    form or None; a check beyond the degree clears ok."""
     payload: dict = {"command": "degree", "system": system}
+    exact, ok = None, True
     if "n" in _SYSTEMS[system]:
         n = payload["n"] = given.get("n", 5)
     if system in ("bubble", "bubble_iter"):
         k = given.get("k") if system == "bubble_iter" else 1
         if k is None:
             raise CLIError("degree bubble_iter requires --k")
-        table = bubble.bubble_rank_table(n, k)
+        hist = FiberHistogram.from_table(bubble.bubble_rank_table(n, k))
+        exact = bubble.bubble_degree_formula(n, k)
         payload["k"] = k
-        ok = _degree_payload(payload, FiberHistogram.from_table(table),
-                             bubble.bubble_degree_formula(n, k))
     elif system == "word_bubble":
         try:
             content = bubble.check_content(
@@ -176,17 +178,14 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                            f"{bubble._WORD_HARD_LIMIT} words, the hard limit")
         _guard(size, bubble._WORD_LIMIT, "word count", given.get("force"),
                bubble._WORD_HARD_LIMIT)
-        table = bubble.word_rank_table(content)
+        hist = FiberHistogram.from_table(bubble.word_rank_table(content))
+        exact = bubble.word_degree_formula(content)
         payload["content"] = list(content)
-        ok = _degree_payload(payload, FiberHistogram.from_table(table),
-                             bubble.word_degree_formula(content))
     elif system == "stack":
-        fibers = stacksort.stack_fibers(n)
-        ok = _degree_payload(payload, FiberHistogram.from_sizes(fibers.values()))
+        hist = FiberHistogram.from_sizes(stacksort.stack_fibers(n).values())
     elif system == "nibble_perm":
-        f = nibble.nibble_endomap(n)
-        ok = _degree_payload(payload, FiberHistogram.from_map(f),
-                             nibble.nibble_degree_formula(n))
+        hist = FiberHistogram.from_map(nibble.nibble_endomap(n))
+        exact = nibble.nibble_degree_formula(n)
     elif system in ("nibble_bin", "chip"):
         # both maps have degree 3/2 and one histogram for n >= 2; n = 1 is
         # outside the theorems and only warns
@@ -196,8 +195,8 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         table = (nibble.nibble_rank_table(n) if system == "nibble_bin"
                  else nibble.chip_rank_table(n))
         hist = FiberHistogram.from_table(table)
-        ok = _degree_payload(payload, hist, Fraction(3, 2) if n >= 2 else None)
         if n >= 2:
+            exact = Fraction(3, 2)
             expected = nibble.expected_binary_histogram(n)
             matches = payload["matches_three_halves_histogram"] = (
                 hist.counts == expected)
@@ -207,16 +206,14 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
                 ok = False
     elif system == "bulgarian":
         hist, image, shapes = solitaire.bulgarian_fibers(n)
-        ok = _degree_payload(payload, hist)
         outside, missed = solitaire.bulgarian_image_defects(n, image, shapes)
         if outside or missed:
             payload["image_defects"] = {"rank_below_minus_1_in_image": outside,
                                         "rank_at_least_minus_1_missed": missed}
             ok = False
     elif system == "carolina":
-        table = solitaire.carolina_rank_table(n)
-        ok = _degree_payload(payload, FiberHistogram.from_table(table),
-                             solitaire.carolina_degree(n))
+        hist = FiberHistogram.from_table(solitaire.carolina_rank_table(n))
+        exact = solitaire.carolina_degree(n)
     elif system == "hecke":
         gens = (_parse_ints(given["word"], "--word") if "word" in given
                 else tuple(range(1, n)))
@@ -227,11 +224,9 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
             word = hecke.HeckeWord(n, gens)
         except ValueError as exc:
             raise CLIError(str(exc))
-        f = hecke.hecke_endomap(word)
+        hist = FiberHistogram.from_map(hecke.hecke_endomap(word))
         payload["word"] = list(gens)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
-        hist = FiberHistogram.from_map(f)
-        ok = _degree_payload(payload, hist)
         payload["image_size"] = hist.n - hist.counts.get(0, 0)
     else:  # tree
         b, k = given.get("b"), given.get("k", 2)
@@ -241,20 +236,16 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
         if size > _TREE_LIMIT:
             raise CLIError(
                 f"tree on {size} vertices exceeds the limit {_TREE_LIMIT}")
-        f = extremal.build_tree_map(b, k)
-        closed_f, closed_fk = extremal.stratified_degrees(b, k)
+        (hist, engine_fk), (exact, closed_fk) = extremal.prop1_degrees(b, k)
         payload["b"] = b
         payload["k"] = k
         payload["branching"] = list(extremal.tree_branching(b, k))
-        ok = _degree_payload(payload, FiberHistogram.from_map(f), closed_f)
-        # a composition of the validated table cannot leave its range, and
-        # F^k's table is counted as it is composed, never stored
-        engine_fk = Fraction(iterate_collisions(f.table, k), size)
         payload["iterate_degree"] = frac_str(closed_fk)
         payload["iterate_degree_decimal"] = dec_str(closed_fk)
         if engine_fk != closed_fk:
             payload["engine_iterate_degree"] = frac_str(engine_fk)
             ok = False
+    ok = _degree_payload(payload, hist, exact) and ok
     return payload, 0 if ok else 1
 
 
@@ -275,8 +266,8 @@ _SUITES = {
     "words": {"max_n": (1, 32)},  # 11 s
     "thm4": {"max_n": _S_N},
     "binary32": {"max_n": (2, 20)},  # 23 s
-    "stack": {"max_n": _STACK_N},  # 1.2-1.6 s, 34 MB
-    "thm5": {"max_n": (1, 50)},  # 0.8-0.9 s, 20 MB
+    "stack": {"max_n": _STACK_N},  # 0.7-1.0 s, 29 MB
+    "thm5": {"max_n": (1, 50)},  # 0.8-1.1 s, 21 MB
     "thm6": {"max_n": (1, 400)},  # 4 s
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 1.9-2.3 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s

@@ -17,7 +17,7 @@ import itertools
 from array import array
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 
@@ -257,15 +257,6 @@ def _pairs(counts: dict[int, int]) -> int:
     return sum(s * s * c for s, c in counts.items())
 
 
-def square_sum(sizes) -> int:
-    """Sum of squared fiber sizes, for fibers counted by any means.
-
-    sizes is iterated twice, so it must be a collection (a list or a dict
-    values view), not an iterator.
-    """
-    return sum(map(mul, sizes, sizes))
-
-
 def collisions(table) -> int:
     """Ordered pairs (x, x') with table[x] == table[x'].
 
@@ -349,16 +340,22 @@ def iterate_table(table, k: int) -> tuple[int, ...] | array:
     return compose_tables(*_last_composition(table, k))
 
 
+def _squarings(k: int) -> list[bool]:
+    """The compositions that take f to f^k, k >= 1, by repeated squaring:
+    False squares the power so far, True applies f after it."""
+    # each bit after the leading one squares, and a 1 bit then applies f
+    return [with_f for bit in bin(k)[3:]
+            for with_f in ((False, True) if bit == "1" else (False,))]
+
+
 def _last_composition(table, k: int) -> tuple:
     """(f^j, g) with f^j o g = f^k, k >= 2: every composition of the
     repeated squaring but the last, which is left to the caller."""
-    # each bit after the leading one squares, and a 1 bit then applies f
-    steps = [with_f for bit in bin(k)[3:]
-             for with_f in ((False, True) if bit == "1" else (False,))]
+    *steps, last = _squarings(k)
     out = table
-    for with_f in steps[:-1]:
+    for with_f in steps:
         out = compose_tables(table if with_f else out, out)
-    return (table if steps[-1] else out), out
+    return (table if last else out), out
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +430,8 @@ def lane_iterate(cols: list[int], k: int, lanes: int) -> list[int]:
     if k < 1:
         raise ValueError("lane iterate order must be >= 1")
     out = cols
-    for bit in bin(k)[3:]:
-        out = lane_compose(out, out, lanes)
-        if bit == "1":
-            out = lane_compose(cols, out, lanes)
+    for with_f in _squarings(k):
+        out = lane_compose(cols if with_f else out, out, lanes)
     return out
 
 

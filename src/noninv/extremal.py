@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import eq, le, mul
 
-from .endo import (EndoMap, collisions, compose_tables, degree,
+from .endo import (EndoMap, FiberHistogram, collisions, compose_tables,
                    iterate_collisions, iterate_table, lane_collisions,
                    lane_columns, lane_compose, lane_iterate)
 
@@ -113,18 +113,20 @@ def stratified_degree(spec: tuple[tuple[int, ...], int],
     return Fraction(total, sum(sizes) + path * leaves)
 
 
-def prop1_degrees(b: int, k: int) -> tuple[tuple[Fraction, Fraction],
-                                             tuple[Fraction, Fraction]]:
-    """deg(F_b) and deg(F_b^k) two ways: (engine, closed form).
+def prop1_degrees(b: int, k: int) -> tuple[
+        tuple[FiberHistogram, Fraction], tuple[Fraction, Fraction]]:
+    """F_b and F_b^k two ways: (engine, closed form).
 
-    The engine pair is the generic fiber count over the explicit map, the
-    closed pair the depth-stratified formula.  The iterate's table is a
-    composition of a validated table, so it is counted without another
-    range check, and, as in ``degree tree``, as it is composed, so F^k's
-    table is never stored.
+    The engine pair is F_b's fiber histogram and deg(F_b^k), both from the
+    generic fiber count over the explicit map; the closed pair is deg(F_b)
+    and deg(F_b^k) from the depth-stratified formula.  ``degree tree`` and
+    ``verify prop1`` both read it.  The iterate's table is a composition of
+    a validated table, so it is counted without another range check, and
+    as it is composed, so F^k's table is never stored.
     """
     f = build_tree_map(b, k)
-    engine = degree(f), Fraction(iterate_collisions(f.table, k), f.n)
+    engine = (FiberHistogram.from_map(f),
+              Fraction(iterate_collisions(f.table, k), f.n))
     return engine, stratified_degrees(b, k)
 
 
@@ -140,7 +142,8 @@ def prop1_exact_degrees(b: int, k: int) -> tuple[Fraction, Fraction]:
     The generic fiber count over the explicit map must match the
     depth-stratified closed form exactly; any disagreement raises.
     """
-    (engine_f, engine_fk), (closed_f, closed_fk) = prop1_degrees(b, k)
+    (hist, engine_fk), (closed_f, closed_fk) = prop1_degrees(b, k)
+    engine_f = hist.degree()
     if (engine_f, engine_fk) != (closed_f, closed_fk):
         raise RuntimeError(
             f"stratified degrees {closed_f}, {closed_fk} disagree with "

@@ -61,8 +61,8 @@ def nibble_degree_limit() -> float:
 
 
 # the longest words the codec and the rank kernels tabulate: `degree chip
-# --n 24 --force` (2^24 words, from chip_rank_table) takes 4.4 s and
-# `nibble_bin` 4.4 s, each peaking at 210 MB, on 2 cores, Python 3.11;
+# --n 24 --force` (2^24 words, from chip_rank_table) takes 1.7-2.0 s and
+# `nibble_bin` 1.7-2.6 s, each peaking at 101 MB, on 2 cores, Python 3.11;
 # tabulating either object map at n = 24 takes 90-120 s and 790 MB
 _BINARY_HARD_LIMIT = 24
 

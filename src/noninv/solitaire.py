@@ -504,7 +504,7 @@ def check_composition(c: Sequence[int]) -> Composition:
 
 # the largest Comp(n) the codec and the rank kernel tabulate: `degree
 # carolina --n 24 --force` (2^23 compositions, from carolina_rank_table)
-# takes 2.8 s and peaks at 130 MB on 2 cores, Python 3.11; tabulating
+# takes 2.0-2.7 s and peaks at 84 MB on 2 cores, Python 3.11; tabulating
 # carolina_endomap(24) takes 45 s and 405 MB
 _COMPOSITION_HARD_LIMIT = 24
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import chain, combinations, product, repeat, starmap
 from operator import add
 
-from .endo import square_sum
+from .endo import FiberHistogram
 from .perms import _check_ceiling
 
 
@@ -108,8 +108,7 @@ def stack_fibers(n: int) -> Counter:
 
 def stack_degree(n: int) -> Fraction:
     """Exact degree d_n of stack sorting on S_n, by full enumeration."""
-    counts = stack_fibers(n)
-    return Fraction(square_sum(counts.values()), math.factorial(n))
+    return FiberHistogram.from_sizes(stack_fibers(n).values()).degree()
 
 
 def superadditivity_failures(known: dict[int, Fraction]) -> list[tuple[int, int]]:

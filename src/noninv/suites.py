@@ -260,12 +260,12 @@ def prop1(k: int = 2) -> list[dict]:
     base = []
     ratio = []
     for b in (5, 10, 100, 1000):
-        engine, closed = extremal.prop1_degrees(b, k)
-        deg_f, deg_fk = engine
-        n_b = extremal.tree_size(b, k)
+        (hist, deg_fk), closed = extremal.prop1_degrees(b, k)
+        deg_f = hist.degree()
+        engine = deg_f, deg_fk
         base.append(float(deg_f))
         # deg(F_b^k) grows like n_b^(1 - 1/2^(k-1))
-        ratio.append(float(deg_fk) / n_b ** (1 - 1 / 2 ** (k - 1)))
+        ratio.append(float(deg_fk) / hist.n ** (1 - 1 / 2 ** (k - 1)))
         detail = f"deg={frac_str(deg_f)} iterate={frac_str(deg_fk)}"
         if engine != closed:
             detail += (f" vs stratified deg={frac_str(closed[0])} "

@@ -355,9 +355,17 @@ _DEGREE_REFUSED = [
     ("degree", "tree", "--b", "2", "--k", "4000000"),
     # the word count once took (sum a)! first
     ("degree", "word_bubble", "--content", "1000000000,2", "--force"),
+    ("degree", "stack", "--n", "10"),
+    ("degree", "chip", "--n", "17"),
+    ("degree", "chip", "--n", "25", "--force"),
+    ("degree", "nibble_bin", "--n", "25", "--force"),
 ]
-# an iterate order and --gamma values the search refuses
+# sizes, iterate orders and --gamma values the search refuses
 _SEARCH_REFUSED = [
+    ("search", "ratio", "--n", "9", "--force"),
+    ("search", "ratio", "--n", "0"),
+    ("search", "ratio", "--k", "0"),
+    ("search", "ratio", "--k", "33"),
     ("search", "ratio", "--n", "3", "--k", "100000000"),
     ("search", "ratio", "--gamma", "1/0"),
     ("search", "ratio", "--gamma", "-2"),
@@ -468,14 +476,6 @@ _FORCE = [
     (("verify", "prop1", "--k", "31"), 2),
     (("verify", "hecke_odd", "--max-n", "11"), 2),
     *((argv, 0) for argv in _VERIFY_MAX),
-    (("degree", "stack", "--n", "10"), 2),
-    (("degree", "chip", "--n", "17"), 2),
-    (("degree", "chip", "--n", "25", "--force"), 2),
-    (("degree", "nibble_bin", "--n", "25", "--force"), 2),
-    (("search", "ratio", "--n", "9", "--force"), 2),
-    (("search", "ratio", "--n", "0"), 2),
-    (("search", "ratio", "--k", "0"), 2),
-    (("search", "ratio", "--k", "33"), 2),
     # later rows carry explicit ids, which do not shift when a row goes
     *(pytest.param(argv, 2, id=" ".join(argv))
       for argv in _UNREAD + _DEGREE_REFUSED + _SEARCH_REFUSED),
@@ -928,6 +928,23 @@ def test_degree_tree_mismatch_prints_both_values(capsys, monkeypatch):
     assert payload["degree"] == "19/9" and "engine_degree" not in payload
     assert payload["iterate_degree"] == "161/18"
     assert payload["engine_iterate_degree"] == "143/18"
+
+
+def test_degree_tree_and_verify_prop1_share_one_engine(capsys, monkeypatch):
+    # one pair too many in the engine's iterate count reaches both commands
+    real = extremal.iterate_collisions
+    monkeypatch.setattr(extremal, "iterate_collisions",
+                        lambda table, k: real(table, k) + 1)
+    code, payload = run_json(capsys, "degree", "tree", "--b", "5")
+    assert code == 1
+    assert payload["degree"] == "19/9" and "engine_degree" not in payload
+    assert payload["iterate_degree"] == "143/18"
+    assert payload["engine_iterate_degree"] == "287/36"
+    failed = [c for c in suites.prop1(k=2) if not c["ok"]]
+    assert failed[0] == {
+        "name": "engine equals stratified b=5 k=2", "ok": False,
+        "detail": "deg=19/9 iterate=287/36 vs stratified deg=19/9 "
+                  "iterate=143/18"}
 
 
 def _plus_one(real):

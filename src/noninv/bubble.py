@@ -38,13 +38,12 @@ clamped values agree with brute force for every k.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial, prod
 
-from .endo import EndoMap, EnumeratedDomain
+from .endo import EndoMap, EnumeratedDomain, _copies
 from .perms import (Perm, _check_ceiling, check_perm, lmax,
                     permutation_domain, tail_length)
 
@@ -322,25 +321,3 @@ def _gap_images(copies: int, larger: int, k: int) -> array:
         images = _copies(images, ((comb(j + d - 1, d - 1), term(d, j))
                                   for j in range(top + 1)))
     return images
-
-
-def _copies(prev: array, pieces) -> array:
-    """prev[:length] + shift for each (length, shift) of pieces, in turn.
-
-    A shifted copy is one big-integer addition of `length` copies of shift
-    to the copy's bytes, one lane per entry; a rank table stays below 2^32,
-    so no lane carries into the next.
-    """
-    if len(prev) == 1:
-        # every piece is one entry, which a bare sum builds faster
-        return array("I", [prev[0] + shift for _, shift in pieces])
-    data = memoryview(prev).cast("B")
-    out = array("I")
-    for length, shift in pieces:
-        part = data[:length * prev.itemsize]
-        if shift:
-            lanes = int.from_bytes(array("I", [shift]) * length, sys.byteorder)
-            part = (int.from_bytes(part, sys.byteorder) + lanes).to_bytes(
-                len(part), sys.byteorder)
-        out.frombytes(part)
-    return out

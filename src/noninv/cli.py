@@ -38,8 +38,9 @@ _TREE_K_LIMIT = 1024
 # (511/256: 0.85 s)
 _GAMMA_NUM_LIMIT = 512
 _GAMMA_LOG2_DEN_LIMIT = 8
-# bounds parsing only: a Hecke word is tabulated as its reduced word, of
-# at most n(n - 1)/2 <= 45 letters by the 0-Hecke relations
+# bounds parsing only: a Hecke word's table composes one generator table
+# per letter of its reduced word, at most n(n - 1)/2 <= 45 letters by the
+# 0-Hecke relations
 _HECKE_WORD_LIMIT = 100
 
 
@@ -144,7 +145,10 @@ _SYSTEMS = {
     "chip": {"n": _BINARY_N},
     "bulgarian": {"n": (1, solitaire._PARTITION_HARD_LIMIT, 50)},
     "carolina": {"n": (1, solitaire._COMPOSITION_HARD_LIMIT, 20)},
-    # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.6 s at --n 8
+    # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.14-0.18 s
+    # and 18 MB at --n 8, and the bubble pass at --n 10 --force 2.3-3.5 s
+    # and 103 MB (10^6 bytes, peak RSS by os.wait4), from lex-rank
+    # generator tables
     "hecke": {"n": _PERM_N, "word": None},
     "tree": {"b": (2, _TREE_LIMIT), "k": (2, _TREE_K_LIMIT)},
 }
@@ -224,7 +228,7 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
             word = hecke.HeckeWord(n, gens)
         except ValueError as exc:
             raise CLIError(str(exc))
-        hist = FiberHistogram.from_map(hecke.hecke_endomap(word))
+        hist = FiberHistogram.from_table(hecke.hecke_rank_table(word))
         payload["word"] = list(gens)
         payload["eventually_constant"] = hecke.is_eventually_constant(word)
         payload["image_size"] = hist.n - hist.counts.get(0, 0)
@@ -256,9 +260,9 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
 # suite -> {flag: (minimum, maximum[, force_limit])} of each flag its
 # function reads as a keyword; the seed alone is unbounded.  Flags
 # that size an S_n stop at the codec's ceiling, where each such suite took
-# 11-30 s and about 950 MB, except stack (noted).  Every other maximum was
-# measured with the suite's other flags at their defaults; its time is
-# noted beside it (2 cores, Python 3.11).
+# 11-30 s and about 950 MB, except stack and hecke_odd (noted).  Every
+# other maximum was measured with the suite's other flags at their
+# defaults; its time is noted beside it (2 cores, Python 3.11).
 _SUITES = {
     "thm1": {"max_n": _S_N, "k": (1, 20)},  # k: 0.3 s
     "moments": {"max_n": _S_N, "m": (1, 1000)},  # m: 2 s
@@ -273,6 +277,7 @@ _SUITES = {
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 1.5-1.9 s, k: 0.13 s
     "prop1": {"k": (2, 30)},  # 4.6-5.8 s, 121 MB
+    # max_n: 2.8-3.3 s and 106 MB (10^6 bytes, peak RSS by os.wait4)
     "hecke_odd": {"max_n": _S_N},
 }
 

@@ -14,6 +14,7 @@ pairs (x, x') with f(x) = f(x').
 from __future__ import annotations
 
 import itertools
+import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -356,6 +357,28 @@ def _last_composition(table, k: int) -> tuple:
     for with_f in steps:
         out = compose_tables(table if with_f else out, out)
     return (table if last else out), out
+
+
+def _copies(prev: array, pieces) -> array:
+    """prev[:length] + shift for each (length, shift) of pieces, in turn.
+
+    A shifted copy is one big-integer addition of `length` copies of shift
+    to the copy's bytes, one lane per entry; a rank table stays below 2^32,
+    so no lane carries into the next.
+    """
+    if len(prev) == 1:
+        # every piece is one entry, which a bare sum builds faster
+        return array("I", [prev[0] + shift for _, shift in pieces])
+    data = memoryview(prev).cast("B")
+    out = array("I")
+    for length, shift in pieces:
+        part = data[:length * prev.itemsize]
+        if shift:
+            lanes = int.from_bytes(array("I", [shift]) * length, sys.byteorder)
+            part = (int.from_bytes(part, sys.byteorder) + lanes).to_bytes(
+                len(part), sys.byteorder)
+        out.frombytes(part)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,18 +11,30 @@ number of up-down permutations, and for odd n they are intertwined by
 reverse-complementation, hence share a fiber histogram.
 
 The t_i satisfy the 0-Hecke relations (t_i t_i = t_i and the braid
-relations), so an operator depends only on its word's Demazure product;
-``hecke_endomap`` tabulates a reduced word of that product, at most
-n(n-1)/2 letters, and the degree-range scan tabulates each product once.
+relations), so an operator depends only on its word's Demazure product,
+and a reduced word of that product has at most n(n-1)/2 letters.
+``hecke_rank_table`` builds the operator's table in lex rank order (the
+order of ``itertools.permutations``) from ranks alone: each letter's
+generator table comes from ``perms.generator_rank_table``, and the word's
+table is their chain of ``compose_tables`` calls, so no permutation is
+materialized.  The degree-range scan extends each product's table by one
+generator table in the same way.  ``hecke_endomap`` tabulates the same
+reduced word point by point over the materialized codec; it is the
+object-map oracle of the rank tables, with ``hecke_apply`` behind it, and
+the route of the reverse-complement check, which maps permutations.
+Degrees and histograms do not depend on the rank order.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import partial
+from math import factorial
 
-from .endo import EndoMap, degree
-from .perms import Perm, _t, check_perm, permutation_domain
+from .endo import EndoMap, FiberHistogram, compose_tables
+from .perms import (Perm, _check_ceiling, _t, check_perm,
+                    generator_rank_table, permutation_domain)
 
 
 class HeckeWord:
@@ -68,6 +80,23 @@ def demazure(word: HeckeWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def hecke_endomap(word: HeckeWord) -> EndoMap:
     return EndoMap.from_function(permutation_domain(word.n),
                                  partial(_hecke_apply, demazure(word)[0]))
+
+
+def hecke_rank_table(word: HeckeWord) -> array:
+    """The index table of word's operator over S_n, in lex rank order.
+
+    The generator tables of the reduced word's letters are composed in
+    turn, the first letter's table first; the empty word gives the
+    identity.  Its fiber histogram is that of ``hecke_endomap(word)``.
+    """
+    kept = demazure(word)[0]
+    if not kept:
+        _check_ceiling(word.n)
+        return array("I", range(factorial(word.n)))
+    table = generator_rank_table(word.n, kept[0])
+    for i in kept[1:]:
+        table = compose_tables(generator_rank_table(word.n, i), table)
+    return table
 
 
 def bubble_word(n: int) -> HeckeWord:
@@ -119,32 +148,51 @@ class ScanReport:
         self.tla_degree = tla_degree
 
 
+# the largest S_n the scan walks: the whole monoid at n = 7, two levels of
+# 5040-entry tables at a time, takes 2.5-2.7 s and peaks at 42 MB (10^6
+# bytes, 2 cores, Python 3.11); at n = 8 whole levels of 40320-entry
+# tables would take hundreds of MB
+_SCAN_HARD_LIMIT = 7
+
+
 def conjecture2_scan(n: int, max_word_length: int) -> ScanReport:
     """Scan eventually constant operators, checking deg(bubble) <= deg(T) <= deg(T_tla).
 
     Level L + 1 of a walk from the identity extends level L's least reduced
-    words, in order, by each lengthening letter; each full-support product
-    is tabulated once, and one outside the interval goes to ``violations``.
+    words, in order, by each lengthening letter i, and the product's table
+    by t_i's generator table, so each product is tabulated once, from its
+    parent; a full-support product outside the interval goes to
+    ``violations``.  Only the level being extended and the one it builds
+    are held.
     """
     if n < 2:
         raise ValueError("scan needs n >= 2")
+    if n > _SCAN_HARD_LIMIT:
+        raise ValueError(f"scan of S_{n} exceeds the limit n <= "
+                         f"{_SCAN_HARD_LIMIT}")
     ends = (bubble_word(n), t_tla_word(n))
-    lo, hi = (degree(hecke_endomap(word)) for word in ends)
+    lo, hi = (FiberHistogram.from_table(hecke_rank_table(word)).degree()
+              for word in ends)
     report = ScanReport(bubble_degree=lo, tla_degree=hi)
     seen = {demazure(word)[1] for word in ends}
-    level = {tuple(range(1, n + 1)): HeckeWord(n, ())}  # product -> word
+    gens = [generator_rank_table(n, i) for i in range(1, n)]
+    # product -> (word, table)
+    level = {tuple(range(1, n + 1)):
+             (HeckeWord(n, ()), array("I", range(factorial(n))))}
     for _ in range(min(max_word_length, n * (n - 1) // 2)):
         below, level = level, {}
-        for w, parent in below.items():
+        for w, (parent, table) in below.items():
             for i in range(1, n):
                 v = w[:i - 1] + (w[i], w[i - 1]) + w[i + 1:]
                 if w[i - 1] > w[i] or v in level:
                     continue
-                level[v] = word = HeckeWord(n, parent.gens + (i,))
+                word = HeckeWord(n, parent.gens + (i,))
+                product = compose_tables(gens[i - 1], table)
+                level[v] = word, product
                 if v in seen or not is_eventually_constant(word):
                     continue
                 seen.add(v)
-                d = degree(hecke_endomap(word))
+                d = FiberHistogram.from_table(product).degree()
                 if not lo <= d <= hi:
                     report.violations.append({"word": word.gens, "degree": d})
     report.distinct_operators = len(seen)

@@ -3,13 +3,21 @@
 The S_n codec ranks by the inversion table e = (e_1, ..., e_n), where e_j
 counts entries larger than j that sit to the left of j; entry e_j ranges
 over 0..n-j, so e is a mixed-radix numeral for a rank in 0..n!-1.
+
+The generator tables rank by lex order instead, the order of
+``itertools.permutations``: the Lehmer code c = (c_0, ..., c_(n-1)), where
+c_j counts entries smaller than pi_j to its right, is a mixed-radix
+numeral with c_j in 0..n-1-j and weight (n-1-j)!.  A sorting operator t_i
+acts on two adjacent digits of it, so its table is built from ranks alone.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from math import factorial
 
-from .endo import EnumeratedDomain
+from .endo import EnumeratedDomain, _copies
 
 Perm = tuple[int, ...]
 
@@ -59,7 +67,8 @@ def reverse_complement(pi: Perm) -> Perm:
 
 
 # the largest S_n the codec enumerates: `verify thm1 --max-n 10`
-# takes 11-13 s and peaks at 916 MB on 2 cores, Python 3.11
+# takes 11-13 s and peaks at 916 MB on 2 cores, Python 3.11; the
+# generator tables stop there too, at 14.5 MB (10^6 bytes) each
 _PERM_HARD_LIMIT = 10
 
 
@@ -82,6 +91,35 @@ def _rank_order(n: int) -> list[Perm]:
     for v in range(n, 0, -1):
         objs = [t[:s] + (v,) + t[s:] for s in range(n - v + 1) for t in objs]
     return objs
+
+
+def generator_rank_table(n: int, i: int) -> array:
+    """The index table of t_i over S_n, 1 <= i < n, in lex rank order:
+    entry r is the lex rank of t_i applied to the permutation of rank r.
+
+    With j = i - 1, positions j, j + 1 descend exactly when c_j > c_(j+1);
+    the swap sets c_j' = c_(j+1) and c_(j+1)' = c_j - 1 and keeps every
+    other digit.  Over the m = n - j digits from c_j on, the ranks with
+    c_j = a and c_(j+1) = b fill one run of (m-2)! consecutive ranks, which
+    t_i moves to the run of (b, a - 1) when a > b and fixes otherwise.  The
+    digits before c_j are kept, so each of them, radix r, adds r copies of
+    the table so far, copy d shifted by d * (r-1)!.
+    """
+    if not 1 <= i < n:
+        raise ValueError(f"generator t_{i} undefined for S_{n}")
+    _check_ceiling(n)
+    m = n - i + 1
+    run, high = factorial(m - 2), factorial(m - 1)
+    table = array("I")
+    for a in range(m):
+        for b in range(m - 1):
+            lo = (b * high + (a - 1) * run if a > b
+                  else a * high + b * run)
+            table.extend(range(lo, lo + run))
+    for radix in range(m + 1, n + 1):
+        size = len(table)
+        table = _copies(table, ((size, d * size) for d in range(radix)))
+    return table
 
 
 class PermutationDomain(EnumeratedDomain):

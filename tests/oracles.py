@@ -57,6 +57,19 @@ def perm_unrank(r: int, n: int) -> tuple[int, ...]:
     return from_inversion_table(e)
 
 
+def lex_rank(pi) -> int:
+    """The index of pi in itertools.permutations(range(1, n + 1)).
+
+    That order lists the permutations by first entry, (n-1)! for each
+    value, then orders each group by the rest in the same way.
+    """
+    rest, rank = list(pi), 0
+    while rest:
+        first = rest.pop(0)
+        rank += sum(v < first for v in rest) * factorial(len(rest))
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # sorting passes
 

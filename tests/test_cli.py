@@ -278,9 +278,10 @@ def test_hecke_word_length_has_a_hard_limit(capsys, monkeypatch):
     code, payload = run_json(capsys, "degree", "hecke", "--n", "3",
                              "--word", word)
     assert code == 0 and len(payload["word"]) == cli._HECKE_WORD_LIMIT
-    # one letter more is refused before S_n is built
-    monkeypatch.setattr(hecke, "hecke_endomap", _refuse)
-    monkeypatch.setattr(hecke, "permutation_domain", _refuse)
+    # one letter more is refused before S_n or a table is built
+    for name in ("hecke_endomap", "permutation_domain", "hecke_rank_table",
+                 "generator_rank_table"):
+        monkeypatch.setattr(hecke, name, _refuse)
     for n, letters in ((3, 101), (8, 20000)):
         code = cli.main(["degree", "hecke", "--n", str(n), "--word",
                          ",".join(["1"] * letters)])
@@ -294,7 +295,8 @@ def test_hecke_word_length_has_a_hard_limit(capsys, monkeypatch):
 _WORK = ((solitaire, "monte_carlo_bulgarian"), (solitaire, "eta_series"),
          (bubble, "bubble_endomap"), (bubble, "bubble_rank_table"),
          (bubble, "word_bubble_endomap"), (bubble, "word_rank_table"),
-         (hecke, "hecke_endomap"), (extremal, "all_tables"),
+         (hecke, "hecke_endomap"), (hecke, "hecke_rank_table"),
+         (hecke, "generator_rank_table"), (extremal, "all_tables"),
          (extremal, "random_table"), (extremal, "prop1_degrees"),
          (extremal, "build_tree_map"), (extremal, "tree_branching"),
          (stacksort, "stack_fibers"), (nibble, "nibble_endomap"),
@@ -776,6 +778,18 @@ def test_bubble_s10_peak_rss_is_a_third_of_the_object_map():
     assert peak_mb < 120, f"peak RSS {peak_mb:.1f} MB"
 
 
+@pytest.mark.parametrize("argv, degree, points, ceiling_mb", [
+    # over the materialized S_8 and S_9 these peaked at 24.7 and 103.7 MB;
+    # from generator tables at 18.0 and 24.5 MB (2 cores, Python 3.11)
+    (("--n", "8", "--word", "3,1,4,1,5,2,6,5"), "1552/45", 40320, 21),
+    (("--n", "9", "--force"), "55/3", 362880, 35),
+])
+def test_hecke_peak_rss_holds_rank_tables(argv, degree, points, ceiling_mb):
+    payload, peak_mb = _peak_rss("degree", "hecke", *argv)
+    assert payload["degree"] == degree and payload["domain_size"] == points
+    assert peak_mb < ceiling_mb, f"peak RSS {peak_mb:.1f} MB"
+
+
 def test_word_bubble_peak_rss_holds_a_compact_table():
     # the object map over WordDomain((8, 4, 4)) peaked at 262 MB
     payload, peak_mb = _peak_rss("degree", "word_bubble", "--content",
@@ -1085,10 +1099,11 @@ def test_degree_builds_its_domain_once(capsys, monkeypatch, argv):
                         counted("bulgarian", solitaire.bulgarian_fibers))
     monkeypatch.setattr(extremal, "build_tree_map",
                         counted("tree", extremal.build_tree_map))
-    # bubble, bubble_iter, word_bubble, carolina, chip and nibble_bin build
-    # their one table from ranks
+    # bubble, bubble_iter, word_bubble, carolina, chip, nibble_bin and
+    # hecke build their one table from ranks
     for module, name in ((bubble, "bubble_rank_table"),
                          (bubble, "word_rank_table"),
+                         (hecke, "hecke_rank_table"),
                          (solitaire, "carolina_rank_table"),
                          (nibble, "chip_rank_table"),
                          (nibble, "nibble_rank_table")):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from fractions import Fraction
 from math import factorial
 
@@ -17,12 +18,14 @@ from noninv.hecke import (
     demazure,
     hecke_apply,
     hecke_endomap,
+    hecke_rank_table,
     is_eventually_constant,
     t_alt_word,
     t_tla_word,
     updown_count,
 )
 from noninv.perms import permutation_domain, reverse_complement
+from oracles import lex_rank
 
 UPDOWN_PREFIX = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936]
 
@@ -164,6 +167,33 @@ def test_endomap_matches_public_apply():
         assert hecke_endomap(word).table == want, (word.n, word.gens)
 
 
+def _lex_ranks(n):
+    """sigma[r] = the lex rank of the permutation of codec rank r."""
+    return [lex_rank(pi) for pi in permutation_domain(n).objects()]
+
+
+def test_rank_table_is_the_endomap_in_lex_rank_order():
+    # rank_table[sigma[x]] == sigma[endomap[x]] at every codec rank x
+    fixed = [make(n) for n in range(1, 8)
+             for make in (bubble_word, t_alt_word, t_tla_word)]
+    sigmas = {}
+    for word in fixed + list(_random_words(random.Random(29))):
+        if word.n not in sigmas:
+            sigmas[word.n] = _lex_ranks(word.n)
+        sigma = sigmas[word.n]
+        table = hecke_rank_table(word)
+        assert isinstance(table, array) and table.typecode == "I"
+        want = [sigma[y] for y in hecke_endomap(word).table]
+        assert [table[r] for r in sigma] == want, (word.n, word.gens)
+
+
+def test_rank_table_histograms_equal_the_endomaps_at_n_8():
+    for word in (bubble_word(8), t_alt_word(8), t_tla_word(8),
+                 HeckeWord(8, (3, 1, 4, 1, 5, 2, 6, 5)), HeckeWord(8, ())):
+        assert (FiberHistogram.from_table(hecke_rank_table(word))
+                == FiberHistogram.from_map(hecke_endomap(word))), word.gens
+
+
 def test_endomap_applies_the_reduced_word(monkeypatch):
     word = HeckeWord(4, (1, 2) * 50)
     applied = set()
@@ -246,23 +276,48 @@ def _fields(report):
 @pytest.mark.parametrize("n, length", [(2, 3), (3, 4), (3, 6), (4, 6),
                                        (5, 6), (6, 5), (4, 8), (5, 8)])
 def test_scan_equals_generator_table_oracle(monkeypatch, n, length):
-    # one tabulation per distinct product: at n = 2 the bubble and T_tla
-    # words are one word, built twice for the two endpoints
-    builds = []
+    # the two endpoints are built from their words (at n = 2 one word, built
+    # twice), n - 2 compositions each, and every product of length 1 to
+    # length by one composition from its parent; no object map is built
+    builds, compositions = [], []
 
     def counted(word):
         builds.append(word.gens)
-        return real(word)
+        return real_build(word)
 
-    real = hecke.hecke_endomap
-    monkeypatch.setattr(hecke, "hecke_endomap", counted)
+    def counted_compose(ft, gt):
+        compositions.append(len(gt))
+        return real_compose(ft, gt)
+
+    def refuse(word):
+        raise AssertionError("object map built")
+
+    real_build, real_compose = hecke.hecke_rank_table, hecke.compose_tables
+    monkeypatch.setattr(hecke, "hecke_rank_table", counted)
+    monkeypatch.setattr(hecke, "compose_tables", counted_compose)
+    monkeypatch.setattr(hecke, "hecke_endomap", refuse)
     report = conjecture2_scan(n, length)
     assert _fields(report) == _fields(_generator_table_scan(n, length))
-    assert len(builds) == report.distinct_operators + (n == 2)
+    assert builds == [bubble_word(n).gens, t_tla_word(n).gens]
+    products = sum(1 <= _inversions(w) <= length
+                   for w in itertools.permutations(range(n)))
+    assert len(compositions) == products + 2 * (n - 2)
+    assert set(compositions) == {factorial(n)}
+
+
+def test_scan_refuses_s8_before_any_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("table built before the refusal")
+
+    for name in ("hecke_rank_table", "generator_rank_table", "compose_tables"):
+        monkeypatch.setattr(hecke, name, refuse)
+    with pytest.raises(ValueError, match=r"^scan of S_8 exceeds the limit "
+                                         r"n <= 7$"):
+        conjecture2_scan(8, 1)
 
 
 @pytest.mark.parametrize("n, full_support", [(2, 1), (3, 3), (4, 13), (5, 71),
-                                             (6, 461)])
+                                             (6, 461), (7, 3447)])
 def test_scan_reaches_the_whole_monoid(n, full_support):
     # the longest product has n(n-1)/2 letters, so this length reaches every
     # full-support operator; the word loop would visit 5^15 words at n = 6

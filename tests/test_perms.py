@@ -1,4 +1,5 @@
 import itertools
+from array import array
 from math import factorial
 
 import pytest
@@ -8,14 +9,15 @@ from noninv import perms
 from noninv.endo import EndoMap, compose
 from noninv.perms import (
     _t,
+    generator_rank_table,
     is_perm,
     lmax,
     permutation_domain,
     reverse_complement,
     tail_length,
 )
-from oracles import (from_inversion_table, inversion_table, perm_rank,
-                     perm_unrank)
+from oracles import (from_inversion_table, inversion_table, lex_rank,
+                     perm_rank, perm_unrank)
 
 
 def test_inversion_table_examples():
@@ -138,3 +140,31 @@ def test_materialized_order_is_inversion_table_order():
         dom = PermutationDomain(n)
         assert list(dom.objects()) == want
         assert [dom.rank(pi) for pi in want] == list(range(len(want)))
+
+
+def test_lex_rank_oracle_is_the_itertools_order():
+    for n in range(0, 7):
+        perms_lex = itertools.permutations(range(1, n + 1))
+        assert [lex_rank(pi) for pi in perms_lex] == list(range(factorial(n)))
+
+
+def test_generator_rank_tables_against_lex_rank():
+    for n in range(2, 8):
+        perms_lex = list(itertools.permutations(range(1, n + 1)))
+        for i in range(1, n):
+            want = array("I", [lex_rank(_t(pi, i)) for pi in perms_lex])
+            assert generator_rank_table(n, i) == want, (n, i)
+
+
+def test_generator_rank_table_refuses_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("allocated before the refusal")
+
+    monkeypatch.setattr(perms, "_copies", no_table)
+    monkeypatch.setattr(perms, "array", no_table)
+    for n, i in ((3, 0), (3, 3), (1, 1)):
+        with pytest.raises(ValueError, match=rf"^generator t_{i} undefined "
+                                             rf"for S_{n}$"):
+            generator_rank_table(n, i)
+    with pytest.raises(ValueError, match="enumeration limit"):
+        generator_rank_table(perms._PERM_HARD_LIMIT + 1, 1)

@@ -70,7 +70,10 @@ def bubble_rank_table(n: int, k: int = 1) -> array:
     gap-digit kernel at content (1, ..., 1), where a permutation's rank is
     its inversion table read as a mixed-radix numeral.
 
-    Equals ``iterate(bubble_endomap(n), k).table``.
+    The inversion table of pi is the Lehmer code of pi^-1, so this rank is
+    the codec's lex rank of pi^-1.  Relabelled through that order the table
+    is ``iterate(bubble_endomap(n), k).table``; the fiber histograms of the
+    two are equal as they are.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -146,8 +146,8 @@ _SYSTEMS = {
     "bulgarian": {"n": (1, solitaire._PARTITION_HARD_LIMIT, 50)},
     "carolina": {"n": (1, solitaire._COMPOSITION_HARD_LIMIT, 20)},
     # --word has at most _HECKE_WORD_LIMIT letters: 100 take 0.14-0.18 s
-    # and 18 MB at --n 8, and the bubble pass at --n 10 --force 2.3-3.5 s
-    # and 103 MB (10^6 bytes, peak RSS by os.wait4), from lex-rank
+    # and 18 MB at --n 8, and the bubble pass at --n 10 --force 2.5-3.4 s
+    # and 89.5 MB (10^6 bytes, peak RSS by os.wait4), from lex-rank
     # generator tables
     "hecke": {"n": _PERM_N, "word": None},
     "tree": {"b": (2, _TREE_LIMIT), "k": (2, _TREE_K_LIMIT)},
@@ -260,7 +260,8 @@ def cmd_degree(system: str, given: dict) -> tuple[dict, int]:
 # suite -> {flag: (minimum, maximum[, force_limit])} of each flag its
 # function reads as a keyword; the seed alone is unbounded.  Flags
 # that size an S_n stop at the codec's ceiling, where each such suite took
-# 11-30 s and about 950 MB, except stack and hecke_odd (noted).  Every
+# 7.6-22 s and 953-968 MB (10^6 bytes, peak RSS by os.wait4), except
+# stack and hecke_odd (noted).  Every
 # other maximum was measured with the suite's other flags at their
 # defaults; its time is noted beside it (2 cores, Python 3.11).
 _SUITES = {
@@ -276,8 +277,8 @@ _SUITES = {
     "thm7": {"samples": (1, 200_000), "seed": (-inf, inf)},  # 1.9-2.3 s
     "thm7_exhaustive": {"n": (1, 5, 4)},  # 5.4-7.0 s
     "thm3": {"max_n": (1, 7), "k": (1, 16)},  # 1.5-1.9 s, k: 0.13 s
-    "prop1": {"k": (2, 30)},  # 4.6-5.8 s, 121 MB
-    # max_n: 2.8-3.3 s and 106 MB (10^6 bytes, peak RSS by os.wait4)
+    "prop1": {"k": (2, 30)},  # 4.4-6.0 s, 124 MB (10^6 bytes)
+    # max_n: 2.5-2.9 s and 72 MB (10^6 bytes, peak RSS by os.wait4)
     "hecke_odd": {"max_n": _S_N},
 }
 

@@ -299,7 +299,7 @@ def compose_tables(ft, gt) -> tuple[int, ...] | array:
     """
     if isinstance(gt, array):
         code = gt.typecode
-        out = array(code, bytes(gt.itemsize * len(gt)))
+        out = array(code, [0]) * len(gt)
         for i, chunk in zip(range(0, len(gt), _COMPOSE_CHUNK),
                             _compose_chunks(ft, gt)):
             out[i:i + _COMPOSE_CHUNK] = array(code, chunk)

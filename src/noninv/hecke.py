@@ -13,16 +13,15 @@ reverse-complementation, hence share a fiber histogram.
 The t_i satisfy the 0-Hecke relations (t_i t_i = t_i and the braid
 relations), so an operator depends only on its word's Demazure product,
 and a reduced word of that product has at most n(n-1)/2 letters.
-``hecke_rank_table`` builds the operator's table in lex rank order (the
-order of ``itertools.permutations``) from ranks alone: each letter's
-generator table comes from ``perms.generator_rank_table``, and the word's
-table is their chain of ``compose_tables`` calls, so no permutation is
-materialized.  The degree-range scan extends each product's table by one
-generator table in the same way.  ``hecke_endomap`` tabulates the same
-reduced word point by point over the materialized codec; it is the
-object-map oracle of the rank tables, with ``hecke_apply`` behind it, and
-the route of the reverse-complement check, which maps permutations.
-Degrees and histograms do not depend on the rank order.
+``hecke_rank_table`` builds the operator's table in lex rank order, the
+order of the S_n codec, from ranks alone: each letter's generator table
+comes from ``perms.generator_rank_table``, and the word's table is their
+chain of ``compose_tables`` calls, so no permutation is materialized.  The
+degree-range scan extends each product's table by one generator table in
+the same way.  ``hecke_endomap`` tabulates the same reduced word point by
+point over the codec, so its table is the rank table entry for entry; it
+is the object-map oracle of the rank tables, with ``hecke_apply`` behind
+it.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def hecke_rank_table(word: HeckeWord) -> array:
 
     The generator tables of the reduced word's letters are composed in
     turn, the first letter's table first; the empty word gives the
-    identity.  Its fiber histogram is that of ``hecke_endomap(word)``.
+    identity.  As a tuple it is ``hecke_endomap(word).table``.
     """
     kept = demazure(word)[0]
     if not kept:

@@ -1,20 +1,18 @@
 """Permutations of {1..n} in one-line notation, stored as tuples.
 
-The S_n codec ranks by the inversion table e = (e_1, ..., e_n), where e_j
-counts entries larger than j that sit to the left of j; entry e_j ranges
-over 0..n-j, so e is a mixed-radix numeral for a rank in 0..n!-1.
-
-The generator tables rank by lex order instead, the order of
-``itertools.permutations``: the Lehmer code c = (c_0, ..., c_(n-1)), where
-c_j counts entries smaller than pi_j to its right, is a mixed-radix
-numeral with c_j in 0..n-1-j and weight (n-1-j)!.  A sorting operator t_i
-acts on two adjacent digits of it, so its table is built from ranks alone.
+S_n is ranked in lex order, the order of ``itertools.permutations``: the
+Lehmer code c = (c_0, ..., c_(n-1)), where c_j counts entries smaller than
+pi_j to its right, is a mixed-radix numeral with c_j in 0..n-1-j and
+weight (n-1-j)!.  The codec enumerates S_n in that order, and a sorting
+operator t_i acts on two adjacent digits of the numeral, so its table is
+built from ranks alone, in the same order.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 
 from .endo import EnumeratedDomain, _copies
@@ -67,8 +65,9 @@ def reverse_complement(pi: Perm) -> Perm:
 
 
 # the largest S_n the codec enumerates: `verify thm1 --max-n 10`
-# takes 11-13 s and peaks at 916 MB on 2 cores, Python 3.11; the
-# generator tables stop there too, at 14.5 MB (10^6 bytes) each
+# takes 9.2-12.3 s and peaks at 956 MB (10^6 bytes, peak RSS by
+# os.wait4) on 2 cores, Python 3.11; the generator tables stop there
+# too, at 14.5 MB each
 _PERM_HARD_LIMIT = 10
 
 
@@ -77,20 +76,6 @@ def _check_ceiling(n: int) -> None:
     if n > _PERM_HARD_LIMIT:
         raise ValueError(
             f"S_{n} exceeds the enumeration limit n <= {_PERM_HARD_LIMIT}")
-
-
-def _rank_order(n: int) -> list[Perm]:
-    """S_n in inversion-table rank order.
-
-    Inserting n, n-1, ..., 1 in turn, v at slot e_v, leaves exactly e_v
-    larger values left of v.  Doing it for every e at once, inserting v
-    into each tuple of the previous level slot-major, keeps the inversion
-    tables in lex order, which is rank order.
-    """
-    objs: list[Perm] = [()]
-    for v in range(n, 0, -1):
-        objs = [t[:s] + (v,) + t[s:] for s in range(n - v + 1) for t in objs]
-    return objs
 
 
 def generator_rank_table(n: int, i: int) -> array:
@@ -123,14 +108,14 @@ def generator_rank_table(n: int, i: int) -> array:
 
 
 class PermutationDomain(EnumeratedDomain):
-    """S_n in inversion-table rank order."""
+    """S_n in lex rank order."""
 
     def __init__(self, n: int):
         if n < 0:
             raise ValueError("n must be nonnegative")
         _check_ceiling(n)
         self.n = n
-        super().__init__(_rank_order(n))
+        super().__init__(list(permutations(range(1, n + 1))))
 
     def _key(self) -> int:
         return self.n  # S_0 and S_1 both have one element

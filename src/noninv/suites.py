@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 import random
+from array import array
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -292,27 +293,24 @@ def hecke_odd(max_n: int = 6,
     checks = []
     alts = {}
     for n in range(1, max_n + 1):
-        word = hecke.t_alt_word(n)
+        table = hecke.hecke_rank_table(hecke.t_alt_word(n))
         if n in (5, 7):
-            # the object map, for the pointwise check below
-            alts[n] = hecke.hecke_endomap(word)
-            table = alts[n].table
-        else:
-            table = hecke.hecke_rank_table(word)
+            alts[n] = table  # for the pair checks below
         got = len(set(table))
         want = hecke.updown_count(n)
         checks.append(_check(f"image size is the zigzag number n={n}",
                              got == want, f"{got} vs {want}"))
     for n, alt in alts.items():
-        tla = hecke.hecke_endomap(hecke.t_tla_word(n))
+        tla = hecke.hecke_rank_table(hecke.t_tla_word(n))
         dom = permutation_domain(n)
-        rc = tuple(dom.rank(reverse_complement(pi)) for pi in dom.objects())
+        rc = array("I", map(dom.rank, map(reverse_complement, dom.objects())))
         # alt(rc(pi)) == rc(tla(pi)) at every pi, as tables
-        ok = compose_tables(alt.table, rc) == compose_tables(rc, tla.table)
+        ok = compose_tables(alt, rc) == compose_tables(rc, tla)
         checks.append(_check(f"reverse-complement intertwining n={n}", ok,
                              "pointwise"))
         checks.append(_equal(f"alternating operators share a degree n={n}",
-                             degree(alt), degree(tla)))
+                             FiberHistogram.from_table(alt).degree(),
+                             FiberHistogram.from_table(tla).degree()))
     for n, length in scans:
         report = hecke.conjecture2_scan(n, length)
         checks.append(_check(

@@ -21,7 +21,8 @@ from noninv.bubble import (
     WordDomain,
 )
 from noninv.endo import FiberHistogram, degree, fiber_sizes, iterate
-from oracles import bubble_sort_recursive, inversion_table
+from oracles import (bubble_sort_recursive, from_inversion_table,
+                     inversion_table, perm_rank)
 
 
 def brute_fibers(n, k=1):
@@ -97,15 +98,31 @@ def test_sorted_count_identity():
             assert count == (k + 1) ** (n - k - 1) * factorial(k + 1)
 
 
+def _inversion_ranks(dom, n):
+    """sigma[x] = perm_rank of the permutation of codec rank x, built from
+    perm_rank's inverse: the inversion tables in numeral order."""
+    sigma = [0] * dom.size
+    radices = (range(n - j + 1) for j in range(1, n + 1))
+    for r, e in enumerate(itertools.product(*radices)):
+        sigma[dom.rank(from_inversion_table(e))] = r
+    return sigma
+
+
 def test_rank_table_equals_iterated_object_map():
-    # bubble_rank_table, and word_rank_table at content (1, ..., 1)
-    for n in range(9):
+    # bubble_rank_table, and word_rank_table at content (1, ..., 1), rank
+    # by the inversion table: t[sigma[x]] == sigma[E[x]] at every codec rank x
+    for n in range(10):
         f = bubble_endomap(n)
-        for k in range(n + 2):
-            table = list(iterate(f, k).table)
-            assert list(bubble_rank_table(n, k)) == table, (n, k)
-            assert list(word_rank_table((1,) * max(n, 1), k)) == table, (n, k)
-    assert list(bubble_rank_table(9, 1)) == list(bubble_endomap(9).table)
+        sigma = _inversion_ranks(f.codec, n)
+        if n < 6:
+            assert sigma == [perm_rank(pi) for pi in f.codec.objects()]
+        for k in range(n + 2) if n < 9 else (1,):
+            want = [sigma[y] for y in iterate(f, k).table]
+            tables = [bubble_rank_table(n, k)]
+            if n < 9:
+                tables.append(word_rank_table((1,) * max(n, 1), k))
+            for table in tables:
+                assert [table[r] for r in sigma] == want, (n, k)
 
 
 def test_rank_table_refusals():

@@ -78,10 +78,9 @@ def test_rank_round_trip_property(pi):
 def test_domain_agrees_with_arithmetic_rank():
     dom = permutation_domain(5)
     assert dom.size == 120
-    for r in range(120):
-        pi = dom.unrank(r)
-        assert perm_unrank(r, 5) == pi
-        assert dom.rank(pi) == r
+    for r, pi in enumerate(itertools.permutations(range(1, 6))):
+        assert dom.unrank(r) == pi
+        assert dom.rank(pi) == lex_rank(pi) == r
     assert len(list(dom.objects())) == 120
 
 
@@ -99,10 +98,10 @@ def test_domain_is_cached_and_checks_input(monkeypatch):
     # a list is accepted as the permutation it spells
     assert dom.rank([4, 3, 2, 1]) == dom.rank((4, 3, 2, 1))
     # S_11 is refused before any permutation is enumerated
-    def no_enumeration(n):
-        raise AssertionError(f"enumerated S_{n}")
+    def no_enumeration(values):
+        raise AssertionError(f"enumerated the permutations of {values}")
 
-    monkeypatch.setattr(perms, "_rank_order", no_enumeration)
+    monkeypatch.setattr(perms, "permutations", no_enumeration)
     for make in (perms.PermutationDomain, permutation_domain):
         with pytest.raises(ValueError, match="enumeration limit"):
             make(perms._PERM_HARD_LIMIT + 1)
@@ -131,15 +130,24 @@ def test_endomap_over_permutation_domain():
 
 
 def test_materialized_order_is_inversion_table_order():
-    # the codec builds S_n level by level; rank order is lex order of the
-    # inversion table, as from_inversion_table spells it out
+    # the codec enumerates S_n in lex order, the order of
+    # itertools.permutations; the inversion-table rank of a permutation,
+    # the rank order of bubble_rank_table, is the lex rank of its inverse
     from noninv.perms import PermutationDomain
     for n in range(0, 9):
-        ranges = [range(n - j + 1) for j in range(1, n + 1)]
-        want = [from_inversion_table(e) for e in itertools.product(*ranges)]
+        want = list(itertools.permutations(range(1, n + 1)))
         dom = PermutationDomain(n)
         assert list(dom.objects()) == want
         assert [dom.rank(pi) for pi in want] == list(range(len(want)))
+        if n <= 6:
+            assert all(perm_rank(pi) == lex_rank(_inverse(pi)) for pi in want)
+
+
+def _inverse(pi):
+    inv = [0] * len(pi)
+    for p, v in enumerate(pi, 1):
+        inv[v - 1] = p
+    return tuple(inv)
 
 
 def test_lex_rank_oracle_is_the_itertools_order():
